@@ -22,7 +22,7 @@ from .harness import (DEFAULT_SEED, ExperimentConfig, ExperimentSummary,
                       run_nonconfluence, run_uniqueness)
 from .integrator import (TAMING_MODES, PathResult, SchemeConfig,
                          dump_path_csv, first_exit_time, ito_levy_apply,
-                         simulate)
+                         simulate, simulate_paths)
 from .model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
                     CoefficientSet, GrowthFunction, MarkMeasure, Modulus,
                     affine_modulus, builtin_growth, builtin_modulus, lebesgue,
@@ -59,5 +59,6 @@ __all__ = [
     "r_inequality_check", "reciprocal_mass", "reports_to_json",
     "resolve_seed", "run_convergence", "run_experiment", "run_explosion",
     "run_nonconfluence", "run_uniqueness", "sample_noise", "scale_modulus",
-    "simulate", "split_large_jumps", "truncate_small_jumps", "w_integral",
+    "simulate", "simulate_paths", "split_large_jumps",
+    "truncate_small_jumps", "w_integral",
 ]

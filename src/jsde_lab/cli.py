@@ -59,8 +59,6 @@ def _common_flags(sub):
                      help="directory for summary.json / data.csv / dumps")
     sub.add_argument("--seed", type=int, metavar="N",
                      help="master seed (overrides config and JSDE_LAB_SEED)")
-    sub.add_argument("--threads", type=int, metavar="N",
-                     help="worker threads for the experiment harness")
     sub.add_argument("--set", action="append", default=[], metavar="K=V",
                      dest="overrides", help="override a config key, "
                      "e.g. --set scheme.h=2^-6 (repeatable)")
@@ -296,8 +294,6 @@ def _experiment_config(ns, cfg, model):
               if cfg.sources["scheme.taming"] != "default" else None)
     growth = cfg["analysis.growth"]
     modulus_spec = cfg["analysis.modulus"]
-    threads = ns.threads if ns.threads is not None \
-        else cfg["experiment.threads"]
     return ExperimentConfig(
         model=model,
         horizon=cfg["experiment.T"],
@@ -318,7 +314,6 @@ def _experiment_config(ns, cfg, model):
         delta=cfg["experiment.delta"],
         m_bound=cfg["experiment.m_bound"],
         skip_checks=cfg["experiment.skip_checks"],
-        threads=threads,
         budget_cap=cfg["experiment.budget_cap"],
         explosion_radius=cfg["scheme.explosion_radius"],
     )
@@ -350,6 +345,9 @@ def main(argv=None):
         return 0 if code in (0, None) else 1
     except NumericalDomainError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
+        if exc.path_index is not None:
+            print(f"  path {exc.path_index}, seed {exc.seed}, t = {exc.t!r}, "
+                  f"state = {exc.state!r}", file=sys.stderr)
         return 3
     except AssumptionViolationError as exc:
         print(f"condition check failed: {exc}", file=sys.stderr)

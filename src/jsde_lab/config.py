@@ -51,7 +51,6 @@ SCHEMA = {
     "experiment.m_bound": ("float", None, "mark-mass constant for the distance constants"),
     "experiment.skip_checks": ("bool", "false", "skip pre-run condition checks"),
     "experiment.budget_cap": ("int", "200000000", "paths x steps budget cap"),
-    "experiment.threads": ("int", None, "worker threads (default: machine parallelism)"),
     "analysis.modulus": ("modspec", None, "continuity modulus, e.g. identity or 5*identity"),
     "analysis.rho1": ("modspec", None, "drift-side modulus for the pairwise check"),
     "analysis.rho2": ("modspec", None, "noise-side modulus for the pairwise check"),

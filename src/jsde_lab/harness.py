@@ -1,7 +1,7 @@
 """Monte Carlo experiments over the simulation stack.
 
 Four experiment kinds, all reproducible path-for-path from a master seed
-regardless of thread count:
+regardless of batch size:
 
 * ``explosion`` — exit-frequency decay across a radius ladder plus a
   moment-bound comparison row against the analysis module.
@@ -23,8 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +31,8 @@ import numpy as np
 from .analysis import moment_bound, nonconfluence_constants, phi_growth
 from .errors import (AssumptionViolationError, DomainError,
                      ResourceLimitError, UsageError)
-from .integrator import TAMING_MODES, SchemeConfig, first_exit_time, simulate
+from .integrator import (TAMING_MODES, SchemeConfig, first_exit_time,
+                         simulate_paths)
 from .model import (GAMMA, CoefficientSet, builtin_growth, builtin_modulus,
                     preset, scale_modulus)
 from .noise import derive_path_seed, sample_noise
@@ -91,7 +90,6 @@ class ExperimentConfig:
     delta: float = 0.5
     m_bound: object = None
     skip_checks: bool = False
-    threads: object = None
     budget_cap: int = DEFAULT_BUDGET
     explosion_radius: float = 1e6
 
@@ -112,9 +110,6 @@ class ExperimentConfig:
             raise DomainError("x0 must be finite")
         if self.y0 is not None and not math.isfinite(float(self.y0)):
             raise DomainError("y0 must be finite")
-        if self.threads is not None and (not isinstance(self.threads, int)
-                                         or self.threads < 1):
-            raise DomainError("threads must be an integer >= 1")
         if self.budget_cap < 1:
             raise DomainError("budget_cap must be positive")
         if self.delta <= 0:
@@ -236,17 +231,66 @@ def _resolve_growth(config, model):
     return growth, float(mu), notes
 
 
-def _threads(config):
-    if config.threads is not None:
-        return config.threads
-    return max(1, os.cpu_count() or 1)
+def _sample_paths(config, model, base_step):
+    """Per-path seeds and one noise realization per path, in path order."""
+    seeds = [derive_path_seed(config.master_seed, i)
+             for i in range(config.paths)]
+    return seeds, [sample_noise(model, config.horizon, base_step, seed)
+                   for seed in seeds]
 
 
-def _map_paths(fn, n, threads):
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+def _scheme(config, h, taming, radius=None):
+    return SchemeConfig(base_step=h, taming=taming, explosion_radius=(
+        config.explosion_radius if radius is None else radius))
+
+
+def _coarsening_factors(ladder, h_ref):
+    """The integer factor of each ladder step over the reference step."""
+    factors = [round(h / h_ref) for h in ladder]
+    for h, f in zip(ladder, factors):
+        if f < 1 or abs(h - f * h_ref) > 1e-9 * h_ref:
+            raise DomainError(
+                f"step {h:g} is not an integer multiple of the reference "
+                f"step {h_ref:g}; resolution coupling needs nested grids")
+    return factors
+
+
+def _ladder_gaps(config, model, taming, h_ref, factors):
+    """Seeds and, per ladder level, every path's terminal gap
+    ``|X_T - X_T^ref|`` to its reference path at step ``h_ref`` (nan where
+    either exploded).  Each path samples one realization at ``h_ref``; a
+    level runs on its coarsenings, checked to stay coupled, and a level at
+    ``h_ref`` itself reuses the reference paths."""
+    seeds, noises = _sample_paths(config, model, h_ref)
+    ref = simulate_paths(model, noises, _scheme(config, h_ref, taming),
+                         config.x0)
+    gaps = []
+    for h, f in zip(config.step_ladder, factors):
+        level = ref
+        if f != 1:
+            coarse = [noise.coarsen(f) for noise in noises]
+            for noise, c in zip(noises, coarse):
+                _check_coupling(noise, c, f)
+            level = simulate_paths(model, coarse, _scheme(config, h, taming),
+                                   config.x0)
+        gaps.append([float("nan") if p.exploded or r.exploded
+                     else abs(p.state_at_end() - r.state_at_end())
+                     for p, r in zip(level, ref)])
+    return seeds, gaps
+
+
+def _check_coupling(fine, coarse, factor):
+    """A coarsened realization must carry the fine event stream unchanged
+    and Brownian increments equal to the fine ones summed in groups of
+    ``factor``."""
+    fine_sums = fine.brownian_increments.reshape(-1, factor).sum(axis=1)
+    if (coarse.jump_events != fine.jump_events
+            or coarse.brownian_increments.shape != fine_sums.shape
+            or np.max(np.abs(coarse.brownian_increments - fine_sums),
+                      initial=0.0) > 1e-15):
+        raise AssertionError(
+            f"noise coupling across resolutions broke for seed {fine.seed} "
+            f"at coarsening factor {factor}")
 
 
 def _charge_budget(config, steps_per_path, what):
@@ -297,37 +341,28 @@ def run_explosion(config):
                       "growth": growth.label, "mu": mu}
 
     radii = config.radius_ladder
-    scheme = SchemeConfig(base_step=h, explosion_radius=radii[-1],
-                          taming=taming)
+    scheme = _scheme(config, h, taming, radius=radii[-1])
 
-    def one(i):
-        seed = derive_path_seed(config.master_seed, i)
-        noise = sample_noise(model, config.horizon, h, seed)
-        path = simulate(model, noise, scheme, config.x0)
-        exits = [first_exit_time(path, r) for r in radii]
-        return seed, exits, path.state_at_end()
-
-    results = _map_paths(one, config.paths, _threads(config))
+    seeds, noises = _sample_paths(config, model, h)
+    paths = simulate_paths(model, noises, scheme, config.x0)
+    exits = np.array([[math.inf if t is None else t
+                       for t in (first_exit_time(path, r) for r in radii)]
+                      for path in paths])
 
     ladder = []
     for j, r in enumerate(radii):
-        hits = [1.0 if res[1][j] is not None else 0.0 for res in results]
-        mean, se, n = _mean_se(hits)
+        mean, se, n = _mean_se(np.isfinite(exits[:, j]).astype(float))
         ladder.append({"radius": r, "exceedance_frequency": mean,
                        "se": se, "n": n})
 
     # per-path monotonicity: exit at a larger radius implies an exit at every
     # smaller radius no later
-    for seed, exits, _ in results:
-        prev = None
-        for t in reversed(exits):        # largest radius first
-            if t is not None and prev is not None and t > prev:
-                raise AssertionError(
-                    f"radius monotonicity violated for seed {seed}")
-            if t is not None:
-                prev = t
+    broken = np.flatnonzero((exits[:, 1:] < exits[:, :-1]).any(axis=1))
+    if broken.size:
+        raise AssertionError(
+            f"radius monotonicity violated for seed {seeds[broken[0]]}")
 
-    phis = [phi_growth(growth, res[2] ** 2) for res in results]
+    phis = [phi_growth(growth, path.state_at_end() ** 2) for path in paths]
     phi_mean, phi_se, phi_n = _mean_se(phis)
     if model.nu2 is None or model.u3 is None:
         m_rate = 0.0          # no large jumps, or none handled by interlacing
@@ -346,11 +381,8 @@ def run_explosion(config):
 
     header = ["path_index", "seed"] + [f"exit_time_R{r:g}" for r in radii] \
         + ["phi_final"]
-    rows = []
-    for i, (seed, exits, xT) in enumerate(results):
-        rows.append([i, seed]
-                    + [float("inf") if t is None else t for t in exits]
-                    + [phis[i]])
+    rows = [[i, seed] + path_exits + [phi] for i, (seed, path_exits, phi)
+            in enumerate(zip(seeds, exits.tolist(), phis))]
 
     summary = ExperimentSummary(
         kind="explosion",
@@ -381,45 +413,16 @@ def run_uniqueness(config):
         raise DomainError("uniqueness requires a step ladder with >= 3 "
                           "levels")
     h_ref = ladder[-1]
-    factors = []
-    for h in ladder:
-        f = round(h / h_ref)
-        if f < 1 or abs(h - f * h_ref) > 1e-9 * h_ref:
-            raise DomainError(
-                f"step {h:g} is not an integer multiple of the finest step "
-                f"{h_ref:g}; resolution coupling needs nested grids")
-        factors.append(int(f))
+    factors = _coarsening_factors(ladder, h_ref)
     _charge_budget(config, sum(_steps(config.horizon, h) for h in ladder),
                    "uniqueness")
 
-    schemes = [SchemeConfig(base_step=h,
-                            explosion_radius=config.explosion_radius,
-                            taming=taming) for h in ladder]
-
-    def one(i):
-        seed = derive_path_seed(config.master_seed, i)
-        noise = sample_noise(model, config.horizon, h_ref, seed)
-        ref = simulate(model, noise, schemes[-1], config.x0)
-        gaps, coupled = [], True
-        for scheme, f in zip(schemes, factors):
-            level_noise = noise if f == 1 else noise.coarsen(f)
-            p = simulate(model, level_noise, scheme, config.x0)
-            coupled = coupled and (p.realization_seed == ref.realization_seed)
-            if p.exploded or ref.exploded:
-                gaps.append(float("nan"))
-            else:
-                gaps.append(abs(p.state_at_end() - ref.state_at_end())
-                            ** config.alpha)
-        return seed, gaps, coupled
-
-    results = _map_paths(one, config.paths, _threads(config))
-    if not all(res[2] for res in results):
-        raise AssertionError("noise coupling across resolutions broke: a "
-                             "level consumed a different realization")
+    seeds, gaps = _ladder_gaps(config, model, taming, h_ref, factors)
+    gaps = [[g ** config.alpha for g in level] for level in gaps]
 
     ladder_rows = []
     for j, h in enumerate(ladder):
-        mean, se, n = _mean_se([res[1][j] for res in results])
+        mean, se, n = _mean_se(gaps[j])
         ladder_rows.append({"step": h, "mean_gap_pow_alpha": mean, "se": se,
                             "n": n, "is_reference": j == len(ladder) - 1})
 
@@ -435,7 +438,8 @@ def run_uniqueness(config):
 
     header = ["path_index", "seed"] + [f"gap_pow_alpha_h{h:.10g}"
                                        for h in ladder]
-    rows = [[i, res[0]] + list(res[1]) for i, res in enumerate(results)]
+    rows = [[i, seed] + [col[i] for col in gaps]
+            for i, seed in enumerate(seeds)]
 
     summary = ExperimentSummary(
         kind="uniqueness",
@@ -500,25 +504,22 @@ def run_nonconfluence(config):
         check_echo = {"assumption_id": report.assumption_id,
                       "verdict": report.verdict}
 
-    scheme = SchemeConfig(base_step=h,
-                          explosion_radius=config.explosion_radius,
-                          taming=taming)
+    scheme = _scheme(config, h, taming)
 
-    def one(i):
-        seed = derive_path_seed(config.master_seed, i)
-        noise = sample_noise(model, config.horizon, h, seed)
-        px = simulate(model, noise, scheme, config.x0)
-        py = simulate(model, noise, scheme, y0)
+    seeds, noises = _sample_paths(config, model, h)
+    xs = simulate_paths(model, noises, scheme, config.x0)
+    ys = simulate_paths(model, noises, scheme, y0)
+    mins = []
+    for px, py in zip(xs, ys):
         if px.exploded or py.exploded:
-            return seed, float("nan"), True
+            mins.append(float("nan"))
+            continue
         if not np.array_equal(px.times, py.times):
             raise AssertionError("common-noise grids diverged between the "
                                  "two starts")
-        return seed, float(np.min(np.abs(px.states - py.states))), False
-
-    results = _map_paths(one, config.paths, _threads(config))
-    mins = np.asarray([r[1] for r in results], dtype=float)
-    excluded = int(sum(1 for r in results if r[2]))
+        mins.append(float(np.min(np.abs(px.states - py.states))))
+    excluded = sum(1 for px, py in zip(xs, ys) if px.exploded or py.exploded)
+    mins = np.asarray(mins, dtype=float)
     finite = mins[np.isfinite(mins)]
 
     ladder_rows = []
@@ -551,7 +552,8 @@ def run_nonconfluence(config):
                 "coupling": "one realization per path, shared by both "
                             "starts"},
         data_header=("path_index", "seed", "min_distance"),
-        data_rows=[[i, r[0], r[1]] for i, r in enumerate(results)],
+        data_rows=[[i, seed, d] for i, (seed, d)
+                   in enumerate(zip(seeds, mins.tolist()))],
     )
     return _write_if_configured(summary, config)
 
@@ -571,57 +573,31 @@ def run_convergence(config):
         raise DomainError("convergence requires a step ladder with >= 4 "
                           "levels")
     h_ref = ladder[-1] / 4.0
-    factors = []
-    for h in ladder:
-        f = round(h / h_ref)
-        if abs(h - f * h_ref) > 1e-9 * h_ref:
-            raise DomainError(
-                f"step {h:g} is not an integer multiple of the reference "
-                f"step {h_ref:g}")
-        factors.append(int(f))
+    factors = _coarsening_factors(ladder, h_ref)
     _charge_budget(config,
                    _steps(config.horizon, h_ref)
                    + sum(_steps(config.horizon, h) for h in ladder),
                    "convergence")
 
-    ref_scheme = SchemeConfig(base_step=h_ref,
-                              explosion_radius=config.explosion_radius,
-                              taming=taming)
-    schemes = [SchemeConfig(base_step=h,
-                            explosion_radius=config.explosion_radius,
-                            taming=taming) for h in ladder]
-
-    def one(i):
-        seed = derive_path_seed(config.master_seed, i)
-        noise = sample_noise(model, config.horizon, h_ref, seed)
-        ref = simulate(model, noise, ref_scheme, config.x0)
-        errors = []
-        for scheme, f in zip(schemes, factors):
-            p = simulate(model, noise.coarsen(f), scheme, config.x0)
-            if p.exploded or ref.exploded:
-                errors.append(float("nan"))
-            else:
-                errors.append(abs(p.state_at_end() - ref.state_at_end()))
-        return seed, errors
-
-    results = _map_paths(one, config.paths, _threads(config))
+    seeds, errors = _ladder_gaps(config, model, taming, h_ref, factors)
+    per_path = [[col[i] for col in errors] for i in range(config.paths)]
 
     ladder_rows = []
     for j, h in enumerate(ladder):
-        mean, se, n = _mean_se([res[1][j] for res in results])
+        mean, se, n = _mean_se(errors[j])
         ladder_rows.append({"step": h, "mean_error": mean, "se": se, "n": n})
 
     slopes = []
     log_h = np.log(np.asarray(ladder))
-    for seed, errors in results:
-        e = np.asarray(errors, dtype=float)
+    for path_errors in per_path:
+        e = np.asarray(path_errors, dtype=float)
         keep = np.isfinite(e) & (e > 0)
         if int(keep.sum()) >= 2:
             slopes.append(float(np.polyfit(log_h[keep],
                                            np.log(e[keep]), 1)[0]))
     all_zero = all(
-        np.isfinite(res[1]).all() and np.all(np.asarray(res[1]) == 0.0)
-        for res in results)
+        np.isfinite(e).all() and np.all(np.asarray(e) == 0.0)
+        for e in per_path)
     if all_zero:
         order = {"estimate": "exact", "n_regressed": 0}
     else:
@@ -630,7 +606,7 @@ def run_convergence(config):
                  "ci_high": mean + 1.96 * se, "se": se, "n_regressed": n}
 
     header = ["path_index", "seed"] + [f"error_h{h:.10g}" for h in ladder]
-    rows = [[i, res[0]] + list(res[1]) for i, res in enumerate(results)]
+    rows = [[i, seed] + e for i, (seed, e) in enumerate(zip(seeds, per_path))]
 
     summary = ExperimentSummary(
         kind="convergence",

@@ -13,6 +13,7 @@ nothing else.  Explosion is operationalized as the first recorded state with
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .model import in_bands
-from .noise import LARGE, SMALL
+from .noise import SMALL
 
 TAMING_MODES = ("off", "drift_tamed")
 
@@ -56,81 +57,160 @@ class PathResult:
         return float(self.states[-1])
 
 
-def _coeff(value, where, name):
-    v = float(value)
-    if not np.isfinite(v):
-        raise NumericalDomainError(
-            f"{name} is non-finite at state {where!r}", state=where
-        )
-    return v
+def _coeff(value, x, name, where=None):
+    """``value`` as floats shaped like the state ``x``.  A non-finite entry
+    raises; ``where = (paths, times, seeds)`` locates row ``i`` as path
+    ``paths[i]`` at time ``times[paths[i]]``."""
+    v = np.broadcast_to(np.asarray(value, dtype=float), np.shape(x))
+    bad = np.flatnonzero(~np.isfinite(v))
+    if not bad.size:
+        return v
+    state = float(np.ravel(x)[bad[0]])
+    located = {}
+    if where is not None:
+        paths, times, seeds = where
+        p = int(paths[bad[0]])
+        located = dict(path_index=p, seed=seeds[p], t=float(times[p]))
+    raise NumericalDomainError(f"{name} is non-finite at state {state!r}",
+                               state=state, **located)
 
 
-def _continuous_step(x, dt, dw, model, tamed):
-    """One Euler advance over a jump-free interval; returns the new state."""
-    b = _coeff(model.b(x), x, "drift b")
-    sig = _coeff(model.sigma(x), x, "diffusion sigma")
-    comp = _coeff(model.c1_mean(x), x, "compensation drift") \
-        if model.nu1 is not None else 0.0
-    b_inc = b * dt / (1.0 + abs(b) * dt) if tamed else b * dt
-    return x + (b_inc - comp * dt) + sig * dw
+def _continuous_step(x, dt, dw, model, tamed, where=None):
+    """One Euler advance over a jump-free interval; returns the new state.
+
+    A non-finite coefficient always makes the new state non-finite (``dt``
+    is positive, and ``inf * 0`` is nan), so the coefficients are checked,
+    in the order b, sigma, compensation, only when the new state is.
+    """
+    b = model.b(x)
+    sig = model.sigma(x)
+    comp = model.c1_mean(x) if model.nu1 is not None else 0.0
+    b_inc = b * dt / (1.0 + np.abs(b) * dt) if tamed else b * dt
+    x_new = x + (b_inc - comp * dt) + sig * dw
+    if np.count_nonzero(~np.isfinite(x_new)):
+        _coeff(b, x, "drift b", where)
+        _coeff(sig, x, "diffusion sigma", where)
+        _coeff(comp, x, "compensation drift", where)
+    return x_new
 
 
-def _events_by_time(noise):
-    table = {}
-    for e in noise.jump_events:
-        table.setdefault(e.time, []).append(e)
-    return table
+def _event_layers(noises, u3, restrict_to_u3):
+    """The jumps the scheme applies, as ``{s: [layer_0, layer_1, ...]}``.
+
+    An event lands at the end of step ``s`` of its path when its time is
+    union time ``s + 1``.  Layer ``r`` lists ``(path, mark, small)`` for
+    the ``r``-th such event of each path, counted in ``jump_events`` order,
+    so applying the layers in turn keeps that order.
+    """
+    layers = {}
+    for p, noise in enumerate(noises):
+        ut = noise.union_times
+        count = {}
+        for e in noise.jump_events:
+            j = int(np.searchsorted(ut, e.time))
+            small = e.source == SMALL
+            if (0 < j < len(ut) and ut[j] == e.time and (
+                    small or not restrict_to_u3 or in_bands(u3, e.mark))):
+                rank = count[j] = count.get(j, -1) + 1
+                step = layers.setdefault(j - 1, [])
+                if rank == len(step):
+                    step.append([])
+                step[rank].append((p, e.mark, small))
+    return layers
+
+
+def simulate_paths(model, noises, scheme, x0):
+    """Run the scheme over each noise realization from initial state ``x0``.
+
+    All paths advance together, one step index at a time.  Each path's
+    jump-adapted grid is padded to the longest one with ``dt = dW = 0``
+    slots; a path that has exited, or whose grid has ended, is masked, so
+    coefficients are evaluated on live paths only.  Returns one
+    :class:`PathResult` per realization, in order, each the same to the bit
+    as the realization run alone.  A non-finite coefficient or state raises
+    :class:`NumericalDomainError` with ``path_index`` (the position in
+    ``noises``), that path's ``seed``, ``t`` and ``state``.
+    """
+    noises = list(noises)
+    for noise in noises:
+        steps = np.diff(noise.base_grid)
+        if steps[:-1].size and np.max(np.abs(steps[:-1] - scheme.base_step)) \
+                > 1e-9 * scheme.base_step:
+            raise DomainError(
+                "scheme base_step does not match the noise base grid"
+            )
+    if not noises:
+        return []
+    radius = scheme.explosion_radius
+    tamed = scheme.taming == "drift_tamed"
+    n = len(noises)
+    seeds = [noise.seed for noise in noises]
+    lengths = np.array([len(noise.union_times) - 1 for noise in noises])
+    m = int(lengths.max())
+    # step-major, so that one step of every path is one contiguous row
+    times = np.empty((m + 1, n))
+    dws = np.zeros((m, n))
+    for p, noise in enumerate(noises):
+        times[:, p] = noise.union_times[-1]
+        times[:lengths[p] + 1, p] = noise.union_times
+        dws[:lengths[p], p] = noise.union_increments
+    dts = np.diff(times, axis=0)
+    layers = _event_layers(noises, model.u3, scheme.restrict_to_u3)
+
+    states = np.empty((m + 1, n))
+    states[0] = float(x0)
+    x = states[0].copy()
+    exploded = np.abs(x) >= radius
+    ends = np.where(exploded, 0, lengths)
+    grid_ends = set(lengths.tolist())
+    live = np.flatnonzero(~exploded)
+    for s in range(m):
+        if s in grid_ends:
+            live = live[lengths[live] > s]
+        if not live.size:
+            break
+        start = x[live]
+        x[live] = _continuous_step(start, dts[s, live], dws[s, live], model,
+                                   tamed, (live, times[s], seeds))
+        for layer in layers.get(s, ()):
+            paths, marks, small = (np.array(c) for c in zip(*layer))
+            running = ~exploded[paths]
+            for fn, name, sel in ((model.c1, "jump c1", small & running),
+                                  (model.c2, "jump c2", ~small & running)):
+                if sel.any():
+                    rows = paths[sel]
+                    xr = x[rows]
+                    x[rows] = xr + _coeff(fn(xr, marks[sel]), xr, name,
+                                          (rows, times[s + 1], seeds))
+        xs = x[live]
+        states[s + 1, live] = xs
+        inside = np.abs(xs) < radius            # False on nan too
+        if np.count_nonzero(inside) < live.size:
+            where = (live, times[s + 1], seeds)
+            _coeff(xs, start, "the state after a step", where)
+            exploded[live[~inside]] = True
+            ends[live[~inside]] = s + 1
+            live = live[inside]
+
+    # kinds: the last jump applied at a state, and "exit" where a path ends
+    # beyond the radius
+    codes = np.zeros((m + 1, n), dtype=np.int8)
+    for s, step in layers.items():
+        for p, _, small in itertools.chain(*step):
+            codes[s + 1, p] = 1 if small else 2
+    codes[ends[exploded], exploded] = 3
+    names = np.array(["grid", "small_jump", "large_jump", "exit"])
+    return [PathResult(times[:end + 1, p].copy(), states[:end + 1, p].copy(),
+                       bool(exploded[p]),
+                       float(times[end, p]) if exploded[p] else None,
+                       seeds[p], tuple(names[codes[:end + 1, p]].tolist()))
+            for p, end in enumerate(ends.tolist())]
 
 
 def simulate(model, noise, scheme, x0):
-    """Run the scheme over one noise realization from initial state ``x0``."""
-    base = noise.base_grid
-    steps = np.diff(base)
-    if steps[:-1].size and np.max(np.abs(steps[:-1] - scheme.base_step)) > 1e-9 * scheme.base_step:
-        raise DomainError(
-            "scheme base_step does not match the noise base grid"
-        )
-    radius = scheme.explosion_radius
-    tamed = scheme.taming == "drift_tamed"
-    events = _events_by_time(noise)
-    u3 = model.u3
-
-    x = float(x0)
-    times, states, kinds = [0.0], [x], ["grid"]
-    exploded, exit_time = False, None
-    if abs(x) >= radius:
-        return PathResult(np.array(times), np.array(states), True, 0.0,
-                          noise.seed, ("exit",))
-
-    ut = noise.union_times
-    for i in range(len(ut) - 1):
-        t_next = ut[i + 1]
-        dt = t_next - ut[i]
-        x = _continuous_step(x, dt, noise.union_increments[i], model, tamed)
-        kind = "grid"
-        for e in events.get(t_next, ()):
-            if e.source == SMALL:
-                x = x + _coeff(model.c1(x, e.mark), x, "jump c1")
-                kind = "small_jump"
-            else:
-                if scheme.restrict_to_u3 and not bool(in_bands(u3, e.mark)):
-                    continue
-                x = x + _coeff(model.c2(x, e.mark), x, "jump c2")
-                kind = "large_jump"
-        if not np.isfinite(x):
-            raise NumericalDomainError(
-                f"state became non-finite at t = {t_next:g}", state=x
-            )
-        times.append(float(t_next))
-        states.append(x)
-        if abs(x) >= radius:
-            exploded, exit_time = True, float(t_next)
-            kinds.append("exit")
-            break
-        kinds.append(kind)
-
-    return PathResult(np.asarray(times), np.asarray(states), exploded,
-                      exit_time, noise.seed, tuple(kinds))
+    """Run the scheme over one noise realization from initial state ``x0``:
+    :func:`simulate_paths` on a batch of one."""
+    return simulate_paths(model, [noise], scheme, x0)[0]
 
 
 def first_exit_time(path, radius):
@@ -171,7 +251,7 @@ def ito_levy_apply(f, path, model, noise, tamed=False):
     used, so pass ``tamed=True`` when the X-path was drift-tamed.
     """
     fn, fp, fpp = f
-    events = _events_by_time(noise)
+    layers = _event_layers([noise], model.u3, False)
     idx = np.searchsorted(noise.union_times, path.times)
     y = float(fn(path.states[0]))
     ys = [y]
@@ -185,12 +265,11 @@ def ito_levy_apply(f, path, model, noise, tamed=False):
         j1, j2 = _nu1_functional(model, fn, fp, x)
         drift = fp(x) * b_eff + 0.5 * sig * sig * fpp(x) + j1 - j2
         y = y + drift * dt + fp(x) * sig * dw
-        evs = events.get(float(path.times[i + 1]), ())
-        if evs:
+        events = layers.get(idx[i + 1] - 1)
+        if events:
             xm = _continuous_step(x, dt, dw, model, tamed)
-            for e in evs:
-                c = model.c1(xm, e.mark) if e.source == SMALL \
-                    else model.c2(xm, e.mark)
+            for _, mark, small in itertools.chain(*events):
+                c = model.c1(xm, mark) if small else model.c2(xm, mark)
                 y = y + (float(fn(xm + c)) - float(fn(xm)))
                 xm = xm + c
         if not np.isfinite(y):

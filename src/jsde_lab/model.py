@@ -569,8 +569,11 @@ class CoefficientSet:
         if u.size == 0:
             return np.zeros_like(np.asarray(x, dtype=float))
         x = np.asarray(x, dtype=float)
-        vals = np.asarray(self.c1(x[..., None], u), dtype=float)
-        return vals @ w
+        vals = np.broadcast_to(np.asarray(self.c1(x[..., None], u),
+                                          dtype=float), x.shape + u.shape)
+        # one dot product per state: a matrix-vector product sums in an
+        # order that depends on how many states are evaluated together
+        return (vals[..., None, :] @ w)[..., 0]
 
     def u3_mass(self):
         return self.nu2.mass_in(self.u3)

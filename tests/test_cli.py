@@ -173,9 +173,11 @@ sigma = 0
 [experiment]
 x0 = -1
 """)
-    rc = cli.main(["simulate", "--config", cfgfile])
+    rc = cli.main(["simulate", "--config", cfgfile, "--seed", "7"])
     assert rc == 3
-    assert "numerical domain error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical domain error" in err
+    assert f"path 0, seed {derive_path_seed(7, 0)}, t = 0.0" in err
 
 
 def test_simulate_malformed_config_exits_one(tmp_path, capsys):

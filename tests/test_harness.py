@@ -7,6 +7,7 @@ import pytest
 from jsde_lab.errors import (
     AssumptionViolationError,
     DomainError,
+    NumericalDomainError,
     ResourceLimitError,
     UsageError,
 )
@@ -19,7 +20,9 @@ from jsde_lab.harness import (
     run_nonconfluence,
     run_uniqueness,
 )
+from jsde_lab.integrator import SchemeConfig, simulate
 from jsde_lab.model import CoefficientSet, builtin_growth
+from jsde_lab.noise import NoiseRealization, derive_path_seed, sample_noise
 
 
 def _contraction_model():
@@ -68,7 +71,6 @@ def test_config_ladders_normalized():
     {"alpha": -1.0},
     {"x0": float("nan")},
     {"y0": float("inf")},
-    {"threads": 0},
     {"budget_cap": 0},
     {"delta": 0.0},
     {"step_ladder": ()},
@@ -265,8 +267,62 @@ def test_budget_cap_enforced():
         run_explosion(cfg)
 
 
-def test_threads_option_matches_serial():
-    base = dict(paths=6, step_ladder=(2.0 ** -5,), radius_ladder=(5.0,))
-    s1 = run_explosion(_cfg(_noisy_model(), **base))
-    s2 = run_explosion(_cfg(_noisy_model(), threads=2, **base))
-    assert s1.data_rows == s2.data_rows
+@pytest.mark.parametrize("run, kw", [
+    (run_explosion, dict(step_ladder=(2.0 ** -5,), radius_ladder=(0.3,),
+                         x0=0.0)),
+    (run_uniqueness, dict(step_ladder=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))),
+    (run_nonconfluence, dict(step_ladder=(2.0 ** -5,), x0=0.0, y0=0.5,
+                             skip_checks=True)),
+    (run_convergence, dict(step_ladder=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4,
+                                        2.0 ** -5))),
+])
+def test_rows_do_not_depend_on_batch_size(run, kw):
+    small = run(_cfg(_noisy_model(), paths=7, **kw))
+    large = run(_cfg(_noisy_model(), paths=20, **kw))
+    assert small.data_rows == large.data_rows[:7]
+
+
+def test_uniqueness_detects_broken_coupling(monkeypatch):
+    coarsen = NoiseRealization.coarsen
+
+    def perturbed(self, factor):
+        c = coarsen(self, factor)
+        inc = c.union_increments.copy()
+        inc[-1] += 1e-9
+        return NoiseRealization(c.horizon, c.base_grid, c.union_times, inc,
+                                c.jump_events, c.compensator_rate, c.seed)
+
+    monkeypatch.setattr(NoiseRealization, "coarsen", perturbed)
+    cfg = _cfg(_noisy_model(), paths=3,
+               step_ladder=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
+    with pytest.raises(AssertionError, match="coupling"):
+        run_uniqueness(cfg)
+
+
+def test_non_finite_path_is_located_and_replays():
+    # Euler on dX = sqrt(X) dW from 0.2 steps below 0 on some paths, where
+    # sigma turns nan
+    def sqrt_sigma(x):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.asarray(x, dtype=float))
+
+    model = CoefficientSet(
+        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        sigma=sqrt_sigma, c1=None, c2=None, nu1=None, nu2=None,
+        label="feller")
+    h = 2.0 ** -4
+    cfg = _cfg(model, paths=20, step_ladder=(h,), x0=0.2,
+               radius_ladder=(10.0,), skip_checks=True)
+    with pytest.raises(NumericalDomainError) as exc:
+        run_explosion(cfg)
+    err = exc.value
+    assert 0 <= err.path_index < 20
+    assert err.seed == derive_path_seed(cfg.master_seed, err.path_index)
+    assert err.state < 0 and "diffusion sigma" in str(err)
+
+    noise = sample_noise(model, cfg.horizon, h, err.seed)
+    with pytest.raises(NumericalDomainError) as replay:
+        simulate(model, noise,
+                 SchemeConfig(base_step=h, explosion_radius=10.0), 0.2)
+    assert str(replay.value) == str(err)
+    assert (replay.value.seed, replay.value.t) == (err.seed, err.t)

@@ -5,9 +5,12 @@ import pytest
 
 from jsde_lab.errors import DomainError, NumericalDomainError
 from jsde_lab.integrator import (SchemeConfig, dump_path_csv,
-                                 first_exit_time, ito_levy_apply, simulate)
-from jsde_lab.model import Band, CoefficientSet, MarkMeasure, lebesgue, preset
-from jsde_lab.noise import sample_noise
+                                 first_exit_time, ito_levy_apply, simulate,
+                                 simulate_paths)
+from jsde_lab.model import (Band, CoefficientSet, MarkMeasure, in_bands,
+                            lebesgue, preset)
+from jsde_lab.noise import (LARGE, SMALL, JumpEvent, NoiseRealization,
+                            derive_path_seed, sample_noise)
 
 
 def _zeros(x):
@@ -191,3 +194,131 @@ def test_dump_path_csv(tmp_path):
     assert lines[0].startswith("# model=example_31 seed=2")
     assert lines[1] == "time,state,event_kind"
     assert len(lines) == 2 + len(path.times)
+
+
+# ---------------------------------------------------------------------------
+# batched paths against the one-path-at-a-time scalar loop
+# ---------------------------------------------------------------------------
+
+def _scalar_reference(model, noise, scheme, x0):
+    """The jump-adapted Euler loop one path at a time on Python floats:
+    ``(times, states, kinds, exploded, exit_time)``."""
+    tamed = scheme.taming == "drift_tamed"
+    x = float(x0)
+    times, states, kinds = [0.0], [x], ["grid"]
+    if abs(x) >= scheme.explosion_radius:
+        return times, states, ["exit"], True, 0.0
+    ut = noise.union_times
+    for i in range(len(ut) - 1):
+        dt = ut[i + 1] - ut[i]
+        b = float(model.b(x))
+        comp = float(model.c1_mean(x)) if model.nu1 is not None else 0.0
+        b_inc = b * dt / (1.0 + abs(b) * dt) if tamed else b * dt
+        x = x + (b_inc - comp * dt) \
+            + float(model.sigma(x)) * noise.union_increments[i]
+        kind = "grid"
+        for e in noise.jump_events:
+            if e.time != ut[i + 1]:
+                continue
+            if e.source == SMALL:
+                x = x + float(model.c1(x, e.mark))
+                kind = "small_jump"
+            elif not scheme.restrict_to_u3 or in_bands(model.u3, e.mark):
+                x = x + float(model.c2(x, e.mark))
+                kind = "large_jump"
+        times.append(float(ut[i + 1]))
+        states.append(x)
+        if abs(x) >= scheme.explosion_radius:
+            kinds.append("exit")
+            return times, states, kinds, True, float(ut[i + 1])
+        kinds.append(kind)
+    return times, states, kinds, False, None
+
+
+def _with_u3(model, u3):
+    return CoefficientSet(b=model.b, sigma=model.sigma, c1=model.c1,
+                          c2=model.c2, nu1=model.nu1, nu2=model.nu2, u3=u3,
+                          label=f"{model.label}-u3")
+
+
+def _hand_built_noise():
+    # two events at t = 0.3 (applied in list order) and one on the grid
+    # time 0.5
+    events = (JumpEvent(0.3, 0.5, SMALL), JumpEvent(0.3, 1.5, LARGE),
+              JumpEvent(0.5, -0.8, SMALL))
+    union = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+    inc = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
+    return NoiseRealization(1.0, np.linspace(0.0, 1.0, 5), union, inc,
+                            events, 2.0, seed=99)
+
+
+def _batch_case(name):
+    h = 2.0 ** -5
+    seeds = [derive_path_seed(5, i) for i in range(12)]
+    if name == "small_radius":
+        model, x0 = preset("example_31"), 1.0
+        scheme = SchemeConfig(base_step=h, explosion_radius=1.5)
+    elif name == "start_beyond_radius":
+        model, x0 = preset("example_31"), 5.0
+        scheme = SchemeConfig(base_step=h, explosion_radius=3.0)
+    elif name == "restrict_to_u3":
+        model, x0 = _with_u3(preset("example_31"), (Band(1.0, 1.5),)), 1.0
+        scheme = SchemeConfig(base_step=h, restrict_to_u3=True)
+    elif name == "tamed":
+        model, x0 = preset("example_41"), 1.0
+        scheme = SchemeConfig(base_step=h, taming="drift_tamed")
+    elif name == "no_nu1":
+        model = CoefficientSet(
+            b=lambda x: -np.asarray(x, dtype=float), sigma=np.cos,
+            c1=None, c2=lambda x, u: np.asarray(u, dtype=float) * x,
+            nu1=None, nu2=MarkMeasure(atoms=[(0.5, 2.0), (-0.7, 1.0)]),
+            label="no-nu1")
+        x0, scheme = 1.0, SchemeConfig(base_step=h)
+    else:
+        model, x0 = preset("example_41"), 1.0
+        scheme = SchemeConfig(base_step=0.25)
+        noises = [_hand_built_noise()] + [
+            sample_noise(model, 1.0, 0.25, seed) for seed in seeds[:3]]
+        return model, noises, scheme, x0
+    return model, [sample_noise(model, 1.0, h, s) for s in seeds], scheme, x0
+
+
+@pytest.mark.parametrize("name", ["small_radius", "start_beyond_radius",
+                                  "restrict_to_u3", "tamed", "no_nu1",
+                                  "hand_built"])
+def test_batch_matches_single_paths_bit_for_bit(name):
+    model, noises, scheme, x0 = _batch_case(name)
+    batch = simulate_paths(model, noises, scheme, x0)
+    assert len(batch) == len(noises)
+    for path, noise in zip(batch, noises):
+        alone = simulate(model, noise, scheme, x0)
+        times, states, kinds, exploded, exit_time = \
+            _scalar_reference(model, noise, scheme, x0)
+        for other in (alone, path):
+            assert np.array_equal(other.times, times)
+            assert np.array_equal(other.states, states)
+            assert other.kinds == tuple(kinds)
+            assert other.exploded is exploded
+            assert other.exit_time == exit_time
+            assert other.realization_seed == noise.seed
+    kinds = {k for path in batch for k in path.kinds}
+    expected = {"small_radius": {"exit"}, "start_beyond_radius": {"exit"},
+                "restrict_to_u3": {"large_jump", "small_jump"},
+                "tamed": {"large_jump", "small_jump"},
+                "no_nu1": {"large_jump"},
+                "hand_built": {"large_jump", "small_jump"}}[name]
+    assert expected <= kinds
+
+
+def test_restrict_to_u3_case_skips_events():
+    model, noises, _, _ = _batch_case("restrict_to_u3")
+    marks = [e.mark for n in noises for e in n.events_from(LARGE)]
+    assert any(m > 1.5 for m in marks) and any(m <= 1.5 for m in marks)
+
+
+def test_hand_built_events_land_in_order():
+    model, noises, scheme, x0 = _batch_case("hand_built")
+    path = simulate_paths(model, noises, scheme, x0)[0]
+    assert path.times.tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
+    assert path.kinds == ("grid", "grid", "large_jump", "small_jump",
+                          "grid", "grid")
