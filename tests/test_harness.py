@@ -71,6 +71,7 @@ def test_config_ladders_normalized():
     {"alpha": -1.0},
     {"x0": float("nan")},
     {"y0": float("inf")},
+    {"radius_ladder": (10.0, float("inf"))},
     {"budget_cap": 0},
     {"delta": 0.0},
     {"step_ladder": ()},
