@@ -16,7 +16,7 @@ from .config import (describe_keys, parse_config, resolve_seed)
 from .errors import (AssumptionViolationError, CatalogError, DomainError,
                      NumericalDomainError, UsageError)
 from .harness import ExperimentConfig, run_experiment
-from .integrator import SchemeConfig, dump_path_csv, simulate
+from .integrator import SchemeConfig, dump_path_csv, simulate_paths
 from .model import builtin_growth, builtin_modulus, scale_modulus
 from .noise import derive_path_seed, sample_noise
 from .verifier import (NO_VIOLATION, check_corollary_conditions, check_growth,
@@ -170,10 +170,11 @@ def _cmd_simulate(ns):
     outdir = ns.output_dir
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    for i in range(ns.paths):
-        path_seed = derive_path_seed(seed, i)
-        noise = sample_noise(model, horizon, scheme.base_step, path_seed)
-        path = simulate(model, noise, scheme, x0)
+    seeds = [derive_path_seed(seed, i) for i in range(ns.paths)]
+    noises = [sample_noise(model, horizon, scheme.base_step, path_seed)
+              for path_seed in seeds]
+    paths = simulate_paths(model, noises, scheme, x0)
+    for i, (path_seed, noise, path) in enumerate(zip(seeds, noises, paths)):
         tail = (f"exploded at t={path.exit_time:g}" if path.exploded
                 else f"terminal={path.state_at_end():.17g}")
         print(f"path {i}: seed={path_seed} steps={len(path.times) - 1} "
@@ -346,8 +347,9 @@ def main(argv=None):
     except NumericalDomainError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         if exc.path_index is not None:
+            step = "" if exc.step is None else f", base step = {exc.step!r}"
             print(f"  path {exc.path_index}, seed {exc.seed}, t = {exc.t!r}, "
-                  f"state = {exc.state!r}", file=sys.stderr)
+                  f"state = {exc.state!r}{step}", file=sys.stderr)
         return 3
     except AssumptionViolationError as exc:
         print(f"condition check failed: {exc}", file=sys.stderr)

@@ -18,17 +18,19 @@ class NumericalDomainError(DomainError):
     """A computation produced or met a non-finite value at a finite state.
 
     Raised from a batch of paths it also carries ``path_index`` (the path's
-    position in the batch), the path's ``seed`` and the time ``t``, so the
-    path can be sampled and replayed on its own.
+    position in the batch, or in the experiment run), the path's ``seed``,
+    its base ``step`` and the time ``t``, so the path can be sampled and
+    replayed on its own.
     """
 
     def __init__(self, message, state=None, path_index=None, seed=None,
-                 t=None):
+                 t=None, step=None):
         super().__init__(message)
         self.state = state
         self.path_index = path_index
         self.seed = seed
         self.t = t
+        self.step = step
 
 
 class TransformRangeError(DomainError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import moment_bound, nonconfluence_constants, phi_growth
 from .errors import (AssumptionViolationError, DomainError,
-                     ResourceLimitError, UsageError)
+                     NumericalDomainError, ResourceLimitError, UsageError)
 from .integrator import (TAMING_MODES, SchemeConfig, first_exit_time,
                          simulate_paths)
 from .model import (GAMMA, CoefficientSet, builtin_growth, builtin_modulus,
@@ -255,24 +255,43 @@ def _coarsening_factors(ladder, h_ref):
     return factors
 
 
+def _simulate_blocks(config, model, noises, scheme, x0):
+    """One :func:`simulate_paths` call over consecutive blocks of
+    ``config.paths`` rows, one block per level or start, split back into
+    blocks.  A failing row is named by its path's index in the run."""
+    try:
+        rows = simulate_paths(model, noises, scheme, x0)
+    except NumericalDomainError as err:
+        if err.path_index is not None:
+            err.path_index %= config.paths
+        raise
+    n = config.paths
+    return [rows[i:i + n] for i in range(0, len(rows), n)]
+
+
 def _ladder_gaps(config, model, taming, h_ref, factors):
     """Seeds and, per ladder level, every path's terminal gap
     ``|X_T - X_T^ref|`` to its reference path at step ``h_ref`` (nan where
     either exploded).  Each path samples one realization at ``h_ref``; a
     level runs on its coarsenings, checked to stay coupled, and a level at
-    ``h_ref`` itself reuses the reference paths."""
+    ``h_ref`` itself reuses the reference paths.  The reference paths and
+    every coarser level are integrated in one batch."""
     seeds, noises = _sample_paths(config, model, h_ref)
-    ref = simulate_paths(model, noises, _scheme(config, h_ref, taming),
-                         config.x0)
-    gaps = []
+    batch = list(noises)
+    schemes = [_scheme(config, h_ref, taming)] * config.paths
     for h, f in zip(config.step_ladder, factors):
-        level = ref
         if f != 1:
             coarse = [noise.coarsen(f) for noise in noises]
             for noise, c in zip(noises, coarse):
                 _check_coupling(noise, c, f)
-            level = simulate_paths(model, coarse, _scheme(config, h, taming),
-                                   config.x0)
+            batch += coarse
+            schemes += [_scheme(config, h, taming)] * config.paths
+    ref, *coarse_levels = _simulate_blocks(config, model, batch, schemes,
+                                           config.x0)
+    coarse_levels = iter(coarse_levels)
+    gaps = []
+    for f in factors:
+        level = ref if f == 1 else next(coarse_levels)
         gaps.append([float("nan") if p.exploded or r.exploded
                      else abs(p.state_at_end() - r.state_at_end())
                      for p, r in zip(level, ref)])
@@ -344,7 +363,7 @@ def run_explosion(config):
     scheme = _scheme(config, h, taming, radius=radii[-1])
 
     seeds, noises = _sample_paths(config, model, h)
-    paths = simulate_paths(model, noises, scheme, config.x0)
+    paths, = _simulate_blocks(config, model, noises, scheme, config.x0)
     exits = np.array([[math.inf if t is None else t
                        for t in (first_exit_time(path, r) for r in radii)]
                       for path in paths])
@@ -507,8 +526,8 @@ def run_nonconfluence(config):
     scheme = _scheme(config, h, taming)
 
     seeds, noises = _sample_paths(config, model, h)
-    xs = simulate_paths(model, noises, scheme, config.x0)
-    ys = simulate_paths(model, noises, scheme, y0)
+    xs, ys = _simulate_blocks(config, model, noises + noises, scheme,
+                              [config.x0] * config.paths + [y0] * config.paths)
     mins = []
     for px, py in zip(xs, ys):
         if px.exploded or py.exploded:

@@ -44,14 +44,27 @@ class SchemeConfig:
             )
 
 
+# ``PathResult.event_codes`` values, by code
+KIND_NAMES = ("grid", "small_jump", "large_jump", "exit")
+
+
 @dataclass(frozen=True)
 class PathResult:
+    """One integrated path.  ``event_codes[i]`` says what made state ``i``:
+    an index into :data:`KIND_NAMES` (the last jump applied there, or
+    ``exit`` where the path ends beyond the radius)."""
+
     times: np.ndarray
     states: np.ndarray
     exploded: bool
     exit_time: Optional[float]
     realization_seed: int
-    kinds: tuple = ()
+    event_codes: np.ndarray
+
+    @property
+    def kinds(self):
+        """The event kind of each state, as names."""
+        return tuple(np.take(KIND_NAMES, self.event_codes).tolist())
 
     def state_at_end(self):
         return float(self.states[-1])
@@ -59,8 +72,8 @@ class PathResult:
 
 def _coeff(value, x, name, where=None):
     """``value`` as floats shaped like the state ``x``.  A non-finite entry
-    raises; ``where = (paths, times, seeds)`` locates row ``i`` as path
-    ``paths[i]`` at time ``times[paths[i]]``."""
+    raises; ``where = (rows, times, seeds, steps)`` locates entry ``i`` as
+    batch row ``rows[i]`` at time ``times[rows[i]]``."""
     v = np.broadcast_to(np.asarray(value, dtype=float), np.shape(x))
     bad = np.flatnonzero(~np.isfinite(v))
     if not bad.size:
@@ -68,9 +81,10 @@ def _coeff(value, x, name, where=None):
     state = float(np.ravel(x)[bad[0]])
     located = {}
     if where is not None:
-        paths, times, seeds = where
-        p = int(paths[bad[0]])
-        located = dict(path_index=p, seed=seeds[p], t=float(times[p]))
+        rows, times, seeds, steps = where
+        p = int(rows[bad[0]])
+        located = dict(path_index=p, seed=seeds[p], step=steps[p],
+                       t=float(times[p]))
     raise NumericalDomainError(f"{name} is non-finite at state {state!r}",
                                state=state, **located)
 
@@ -119,8 +133,24 @@ def _event_layers(noises, u3, restrict_to_u3):
     return layers
 
 
+def _per_noise(value, n):
+    """``value`` given once, or once per noise, as a list of ``n``."""
+    if isinstance(value, SchemeConfig) or np.ndim(value) == 0:
+        return [value] * n
+    value = list(value)
+    if len(value) != n:
+        raise DomainError(f"got {len(value)} values for {n} noise "
+                          "realizations")
+    return value
+
+
 def simulate_paths(model, noises, scheme, x0):
-    """Run the scheme over each noise realization from initial state ``x0``.
+    """Run the scheme over each noise realization.
+
+    ``scheme`` and the initial state ``x0`` are given once or once per
+    noise.  Each noise's base grid must match its own scheme's
+    ``base_step``, so one call can mix a realization with its coarsenings;
+    the schemes must agree in taming, radius and ``restrict_to_u3``.
 
     All paths advance together, one step index at a time.  Each path's
     jump-adapted grid is padded to the longest one with ``dt = dW = 0``
@@ -129,22 +159,32 @@ def simulate_paths(model, noises, scheme, x0):
     :class:`PathResult` per realization, in order, each the same to the bit
     as the realization run alone.  A non-finite coefficient or state raises
     :class:`NumericalDomainError` with ``path_index`` (the position in
-    ``noises``), that path's ``seed``, ``t`` and ``state``.
+    ``noises``), that path's ``seed`` and base ``step``, ``t`` and
+    ``state``.
     """
     noises = list(noises)
-    for noise in noises:
+    n = len(noises)
+    schemes = _per_noise(scheme, n)
+    x = np.array(_per_noise(x0, n), dtype=float)
+    for noise, sch in zip(noises, schemes):
         steps = np.diff(noise.base_grid)
-        if steps[:-1].size and np.max(np.abs(steps[:-1] - scheme.base_step)) \
-                > 1e-9 * scheme.base_step:
+        if steps[:-1].size and np.max(np.abs(steps[:-1] - sch.base_step)) \
+                > 1e-9 * sch.base_step:
             raise DomainError(
                 "scheme base_step does not match the noise base grid"
             )
     if not noises:
         return []
+    shared = {(sch.taming, sch.explosion_radius, sch.restrict_to_u3)
+              for sch in schemes}
+    if len(shared) > 1:
+        raise DomainError("the schemes of one batch must agree in taming, "
+                          "explosion_radius and restrict_to_u3")
+    scheme = schemes[0]
     radius = scheme.explosion_radius
     tamed = scheme.taming == "drift_tamed"
-    n = len(noises)
     seeds = [noise.seed for noise in noises]
+    base_steps = [sch.base_step for sch in schemes]
     lengths = np.array([len(noise.union_times) - 1 for noise in noises])
     m = int(lengths.max())
     # step-major, so that one step of every path is one contiguous row
@@ -154,12 +194,10 @@ def simulate_paths(model, noises, scheme, x0):
         times[:, p] = noise.union_times[-1]
         times[:lengths[p] + 1, p] = noise.union_times
         dws[:lengths[p], p] = noise.union_increments
-    dts = np.diff(times, axis=0)
     layers = _event_layers(noises, model.u3, scheme.restrict_to_u3)
 
     states = np.empty((m + 1, n))
-    states[0] = float(x0)
-    x = states[0].copy()
+    states[0] = x
     exploded = np.abs(x) >= radius
     ends = np.where(exploded, 0, lengths)
     grid_ends = set(lengths.tolist())
@@ -170,8 +208,9 @@ def simulate_paths(model, noises, scheme, x0):
         if not live.size:
             break
         start = x[live]
-        x[live] = _continuous_step(start, dts[s, live], dws[s, live], model,
-                                   tamed, (live, times[s], seeds))
+        dt = times[s + 1, live] - times[s, live]
+        x[live] = _continuous_step(start, dt, dws[s, live], model, tamed,
+                                   (live, times[s], seeds, base_steps))
         for layer in layers.get(s, ()):
             paths, marks, small = (np.array(c) for c in zip(*layer))
             running = ~exploded[paths]
@@ -180,30 +219,30 @@ def simulate_paths(model, noises, scheme, x0):
                 if sel.any():
                     rows = paths[sel]
                     xr = x[rows]
-                    x[rows] = xr + _coeff(fn(xr, marks[sel]), xr, name,
-                                          (rows, times[s + 1], seeds))
+                    x[rows] = xr + _coeff(
+                        fn(xr, marks[sel]), xr, name,
+                        (rows, times[s + 1], seeds, base_steps))
         xs = x[live]
         states[s + 1, live] = xs
         inside = np.abs(xs) < radius            # False on nan too
         if np.count_nonzero(inside) < live.size:
-            where = (live, times[s + 1], seeds)
+            where = (live, times[s + 1], seeds, base_steps)
             _coeff(xs, start, "the state after a step", where)
             exploded[live[~inside]] = True
             ends[live[~inside]] = s + 1
             live = live[inside]
 
-    # kinds: the last jump applied at a state, and "exit" where a path ends
-    # beyond the radius
+    # event codes: the last jump applied at a state, and "exit" where a path
+    # ends beyond the radius
     codes = np.zeros((m + 1, n), dtype=np.int8)
     for s, step in layers.items():
         for p, _, small in itertools.chain(*step):
             codes[s + 1, p] = 1 if small else 2
     codes[ends[exploded], exploded] = 3
-    names = np.array(["grid", "small_jump", "large_jump", "exit"])
     return [PathResult(times[:end + 1, p].copy(), states[:end + 1, p].copy(),
                        bool(exploded[p]),
                        float(times[end, p]) if exploded[p] else None,
-                       seeds[p], tuple(names[codes[:end + 1, p]].tolist()))
+                       seeds[p], codes[:end + 1, p].copy())
             for p, end in enumerate(ends.tolist())]
 
 
@@ -279,7 +318,7 @@ def ito_levy_apply(f, path, model, noise, tamed=False):
             )
         ys.append(float(y))
     return PathResult(path.times.copy(), np.asarray(ys), path.exploded,
-                      path.exit_time, path.realization_seed, path.kinds)
+                      path.exit_time, path.realization_seed, path.event_codes)
 
 
 def dump_path_csv(path, model, scheme, filepath):
@@ -289,6 +328,5 @@ def dump_path_csv(path, model, scheme, filepath):
                  f"h={scheme.base_step:.17g} R={scheme.explosion_radius:.17g}\n")
         w = csv.writer(fh)
         w.writerow(["time", "state", "event_kind"])
-        kinds = path.kinds or ("grid",) * len(path.times)
-        for t, s, k in zip(path.times, path.states, kinds):
+        for t, s, k in zip(path.times, path.states, path.kinds):
             w.writerow([f"{t:.17g}", f"{s:.17g}", k])

@@ -18,6 +18,7 @@ aggregate increments upward so every resolution rides the same Brownian path.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,25 +74,36 @@ class NoiseRealization:
     ``base_grid`` is the requested uniform-ish grid ``0 = t_0 < ... < t_m = T``;
     internally the Brownian increments live on the union of the base grid with
     all event times (the jump-adapted grid the integrator walks), and
-    :attr:`brownian_increments` exposes the per-base-step sums.
+    :attr:`brownian_increments` exposes the per-base-step sums.  The arrays
+    are read-only copies, so the sums, computed on first read, stay valid.
     """
 
     def __init__(self, horizon, base_grid, union_times, union_increments,
                  jump_events, compensator_rate, seed):
         self.horizon = float(horizon)
-        self.base_grid = np.asarray(base_grid, dtype=float)
-        self.union_times = np.asarray(union_times, dtype=float)
-        self.union_increments = np.asarray(union_increments, dtype=float)
+        self.base_grid = _frozen(base_grid)
+        self.union_times = _frozen(union_times)
+        self.union_increments = _frozen(union_increments)
         self.jump_events = tuple(jump_events)
         self.compensator_rate = float(compensator_rate)
         self.seed = int(seed)
 
-    @property
+    @functools.cached_property
+    def _cumulative(self):
+        """Brownian motion at each union time: ``0`` then the running sums."""
+        return _frozen(np.concatenate([[0.0],
+                                       np.cumsum(self.union_increments)]))
+
+    def _increments_over(self, times):
+        """Brownian increments between consecutive ``times``, each a union
+        time."""
+        idx = np.searchsorted(self.union_times, times)
+        return np.diff(self._cumulative[idx])
+
+    @functools.cached_property
     def brownian_increments(self):
         """One increment per base-grid step (sums of the union increments)."""
-        cum = np.concatenate([[0.0], np.cumsum(self.union_increments)])
-        idx = np.searchsorted(self.union_times, self.base_grid)
-        return np.diff(cum[idx])
+        return _frozen(self._increments_over(self.base_grid))
 
     def events_from(self, source):
         return tuple(e for e in self.jump_events if e.source == source)
@@ -113,10 +125,8 @@ class NoiseRealization:
         coarse = self.base_grid[::factor]
         times = np.unique(np.concatenate(
             [coarse, [e.time for e in self.jump_events]]))
-        cum = np.concatenate([[0.0], np.cumsum(self.union_increments)])
-        idx = np.searchsorted(self.union_times, times)
         return NoiseRealization(self.horizon, coarse, times,
-                                np.diff(cum[idx]), self.jump_events,
+                                self._increments_over(times), self.jump_events,
                                 self.compensator_rate, self.seed)
 
     def dump_csv(self, path):
@@ -134,6 +144,12 @@ class NoiseRealization:
             w.writerow(["time", "kind", "value"])
             for t, kind, v in rows:
                 w.writerow([f"{t:.17g}", kind, f"{v:.17g}"])
+
+
+def _frozen(values):
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def _base_grid(horizon, base_step):

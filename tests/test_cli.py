@@ -178,6 +178,7 @@ x0 = -1
     err = capsys.readouterr().err
     assert "numerical domain error" in err
     assert f"path 0, seed {derive_path_seed(7, 0)}, t = 0.0" in err
+    assert "base step = 0.00390625" in err
 
 
 def test_simulate_malformed_config_exits_one(tmp_path, capsys):

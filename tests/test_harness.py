@@ -4,6 +4,7 @@ models, file outputs, budget caps, and the condition prechecks."""
 import numpy as np
 import pytest
 
+from jsde_lab import harness
 from jsde_lab.errors import (
     AssumptionViolationError,
     DomainError,
@@ -20,7 +21,7 @@ from jsde_lab.harness import (
     run_nonconfluence,
     run_uniqueness,
 )
-from jsde_lab.integrator import SchemeConfig, simulate
+from jsde_lab.integrator import SchemeConfig, simulate, simulate_paths
 from jsde_lab.model import CoefficientSet, builtin_growth
 from jsde_lab.noise import NoiseRealization, derive_path_seed, sample_noise
 
@@ -327,3 +328,58 @@ def test_non_finite_path_is_located_and_replays():
                  SchemeConfig(base_step=h, explosion_radius=10.0), 0.2)
     assert str(replay.value) == str(err)
     assert (replay.value.seed, replay.value.t) == (err.seed, err.t)
+
+
+@pytest.mark.parametrize("run, kw", [
+    (run_explosion, dict(step_ladder=(2.0 ** -5,))),
+    (run_uniqueness, dict(step_ladder=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))),
+    (run_nonconfluence, dict(step_ladder=(2.0 ** -5,), x0=0.0, y0=0.5,
+                             skip_checks=True)),
+    (run_convergence, dict(step_ladder=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4,
+                                        2.0 ** -5))),
+])
+def test_each_run_makes_one_simulate_paths_call(monkeypatch, run, kw):
+    calls = []
+
+    def counted(model, noises, scheme, x0):
+        calls.append(len(noises))
+        return simulate_paths(model, noises, scheme, x0)
+
+    monkeypatch.setattr(harness, "simulate_paths", counted)
+    run(_cfg(_noisy_model(), paths=5, **kw))
+    rows = {run_explosion: 5, run_uniqueness: 15, run_nonconfluence: 10,
+            run_convergence: 25}[run]
+    assert calls == [rows]
+
+
+def test_non_finite_ladder_path_is_located_and_replays():
+    # the feller model of the test above, on a uniqueness ladder: a failure
+    # names the path's index in the run and its level's base step
+    def sqrt_sigma(x):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.asarray(x, dtype=float))
+
+    model = CoefficientSet(
+        b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        sigma=sqrt_sigma, c1=None, c2=None, nu1=None, nu2=None,
+        label="feller")
+    ladder = (2.0 ** -2, 2.0 ** -3, 2.0 ** -4)
+    # with this seed a path of the coarsest level fails first, so its row
+    # in the batch is not its path index
+    cfg = _cfg(model, paths=20, step_ladder=ladder, x0=0.5, master_seed=3)
+    with pytest.raises(NumericalDomainError) as exc:
+        run_uniqueness(cfg)
+    err = exc.value
+    assert 0 <= err.path_index < 20
+    assert err.seed == derive_path_seed(cfg.master_seed, err.path_index)
+    assert err.step == ladder[0]
+
+    h_ref = ladder[-1]
+    noise = sample_noise(model, cfg.horizon, h_ref, err.seed)
+    factor = round(err.step / h_ref)
+    level = noise if factor == 1 else noise.coarsen(factor)
+    with pytest.raises(NumericalDomainError) as replay:
+        simulate(model, level, SchemeConfig(base_step=err.step), 0.5)
+    assert str(replay.value) == str(err)
+    assert (replay.value.seed, replay.value.t, replay.value.step) \
+        == (err.seed, err.t, err.step)

@@ -322,3 +322,56 @@ def test_hand_built_events_land_in_order():
     assert path.times.tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
     assert path.kinds == ("grid", "grid", "large_jump", "small_jump",
                           "grid", "grid")
+
+
+# ---------------------------------------------------------------------------
+# one batch over several resolutions and starts
+# ---------------------------------------------------------------------------
+
+def _levels_and_starts():
+    """One example_31 realization at h = 2^-7 with its coarsenings to 2^-6
+    and 2^-5, each from two starts; from the second start the two finer
+    levels pass the radius and the coarsest does not."""
+    model = preset("example_31")
+    fine = sample_noise(model, 1.0, 2.0 ** -7, derive_path_seed(5, 1))
+    noises = [fine, fine.coarsen(2), fine.coarsen(4)] * 2
+    schemes = [SchemeConfig(base_step=2.0 ** -k, explosion_radius=3.1)
+               for k in (7, 6, 5)] * 2
+    return model, noises, schemes, [1.0] * 3 + [2.0] * 3
+
+
+def test_batch_mixes_levels_and_starts_bit_for_bit():
+    model, noises, schemes, x0s = _levels_and_starts()
+    batch = simulate_paths(model, noises, schemes, x0s)
+    assert len(batch) == len(noises)
+    for path, noise, scheme, x0 in zip(batch, noises, schemes, x0s):
+        alone = simulate_paths(model, [noise], scheme, x0)[0]
+        assert np.array_equal(path.times, alone.times)
+        assert np.array_equal(path.states, alone.states)
+        assert path.event_codes.dtype == np.int8
+        assert path.kinds == alone.kinds
+        assert path.exploded is alone.exploded
+        assert path.exit_time == alone.exit_time
+    assert len({len(path.times) for path in batch}) > 1
+    assert [path.exploded for path in batch] == [False] * 3 + [True] * 2 \
+        + [False]
+
+
+@pytest.mark.parametrize("field, value", [("taming", "drift_tamed"),
+                                          ("explosion_radius", 3.0),
+                                          ("restrict_to_u3", True)])
+def test_batch_rejects_schemes_that_disagree(field, value):
+    model, noises, schemes, _ = _levels_and_starts()
+    schemes[1] = SchemeConfig(**{"base_step": schemes[1].base_step,
+                                 "explosion_radius": 3.1, field: value})
+    with pytest.raises(DomainError, match="must agree"):
+        simulate_paths(model, noises, schemes, 1.0)
+
+
+def test_batch_checks_each_grid_against_its_own_scheme():
+    model, noises, schemes, _ = _levels_and_starts()
+    schemes[2] = schemes[0]
+    with pytest.raises(DomainError, match="base_step"):
+        simulate_paths(model, noises, schemes, 1.0)
+    with pytest.raises(DomainError, match="6 noise"):
+        simulate_paths(model, noises, schemes[0], [1.0, 2.0])

@@ -3,8 +3,9 @@ import pytest
 
 from jsde_lab.errors import DomainError
 from jsde_lab.model import Band, lebesgue, preset
-from jsde_lab.noise import (LARGE, SMALL, derive_path_seed, sample_noise,
-                            split_large_jumps, truncate_small_jumps)
+from jsde_lab.noise import (LARGE, SMALL, NoiseRealization, derive_path_seed,
+                            sample_noise, split_large_jumps,
+                            truncate_small_jumps)
 
 
 def test_derive_path_seed_distinct_and_stable():
@@ -138,3 +139,18 @@ def test_invalid_sampling_arguments():
         sample_noise(model, -1.0, 2.0 ** -4, seed=1)
     with pytest.raises(DomainError):
         sample_noise(model, 1.0, 0.0, seed=1)
+
+
+def test_realization_arrays_are_read_only_and_sums_cached():
+    noise = sample_noise(preset("example_31"), 1.0, 2.0 ** -4, seed=5)
+    for arr in (noise.base_grid, noise.union_times, noise.union_increments,
+                noise.brownian_increments):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert noise.brownian_increments is noise.brownian_increments
+    assert noise.brownian_increments.sum() \
+        == pytest.approx(noise.union_increments.sum(), abs=1e-14)
+    inc = np.zeros(2)
+    NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], inc, (), 0.0,
+                     seed=1)
+    inc[0] = 1.0                       # the caller's array stays writable
