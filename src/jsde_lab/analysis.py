@@ -7,7 +7,10 @@ This module turns the moduli into numerical objects:
   (:func:`bihari_bound`).
 * :func:`phi_growth` / :func:`moment_bound` — the concave envelope
   ``phi(x) = exp(integral_0^x ds/(s*Upsilon(s)+1))`` and the second-moment
-  bound ``phi(E[x0^2]) * exp(mu*(M+1)*t)``.
+  bound ``phi(E[x0^2]) * exp(mu*(M+1)*t)``.  ``phi_growth`` takes a scalar
+  or an array; the exponent is an 81-point Gauss-Legendre sum on geometric
+  panels split at ``Upsilon``'s kinks (about 1e-14 relative for moderate
+  arguments), and a negative or non-finite argument is a ``DomainError``.
 * :func:`a_sequence` / :func:`psi_build` — the vanishing support sequence
   ``a_n`` (each gap carrying reciprocal-modulus mass ``n``) and the smooth
   even approximations ``psi_n`` of ``|r|`` whose second derivative is capped
@@ -63,9 +66,10 @@ def _gl_panel(fn, a, b):
     return half * float(np.dot(_GLW, np.asarray(fn(mid + half * _GLX), dtype=float)))
 
 
-def _w_segments(modulus, l_lo, l_hi):
-    breaks = [b for b in getattr(modulus, "log_weight_breaks", ()) if l_lo < b < l_hi]
-    pts = [l_lo] + sorted(breaks) + [l_hi]
+def _w_segments(breaks, l_lo, l_hi):
+    """Panels of ``[l_lo, l_hi]``: split at the interior ``breaks``, then
+    into geometric panels ``cur -> min(q, max(8*cur, cur + 8))``."""
+    pts = [l_lo] + sorted(b for b in breaks if l_lo < b < l_hi) + [l_hi]
     for p, q in zip(pts[:-1], pts[1:]):
         cur = p
         while cur < q:
@@ -84,7 +88,8 @@ def w_integral(modulus, l_lo, l_hi):
     if l_hi < l_lo:
         return -w_integral(modulus, l_hi, l_lo)
     w = modulus.log_weight
-    return sum(_gl_panel(w, a, b) for a, b in _w_segments(modulus, l_lo, l_hi))
+    return sum(_gl_panel(w, a, b)
+               for a, b in _w_segments(modulus.log_weight_breaks, l_lo, l_hi))
 
 
 def reciprocal_mass(modulus, r_lo, r_hi):
@@ -214,20 +219,50 @@ def bihari_bound(transform, f, g, t, g_breakpoints=()):
 # ---------------------------------------------------------------------------
 
 def _phi_exponent(upsilon, x):
-    if x == 0.0:
-        return 0.0
-    pts = [k for k in getattr(upsilon, "kinks", ()) if 0 < k < x] or None
-    val, _ = quad(lambda s: 1.0 / (s * float(np.asarray(upsilon(s))) + 1.0),
-                  0.0, x, points=pts, limit=200)
-    return val
+    """``integral_0^x ds / (s*Upsilon(s) + 1)`` for each entry of the 1-D
+    array ``x``, by the 81-point Gauss-Legendre rule on the panels of
+    :func:`_w_segments` split at ``upsilon.kinks``.
+
+    All panels of all entries go through one ``upsilon`` call.  Each panel is
+    reduced within its own row and each entry's panels are added in panel
+    order, so an entry's value does not depend on the rest of the batch.
+    """
+    kinks = getattr(upsilon, "kinks", ())
+    panels = [list(_w_segments(kinks, 0.0, xi)) for xi in x.tolist()]
+    counts = np.array([len(p) for p in panels])
+    ends = np.array([ab for p in panels for ab in p]).reshape(-1, 2)
+    mid = 0.5 * ends[:, :1] + 0.5 * ends[:, 1:]
+    half = 0.5 * ends[:, 1:] - 0.5 * ends[:, :1]
+    s = mid + half * _GLX
+    u = np.asarray(upsilon(s), dtype=float)
+    with np.errstate(over="ignore"):
+        f = 1.0 / (s * u + 1.0)
+    # near the top of float range s*u overflows; 1/(s*u) is the value there
+    top = f == 0.0
+    f[top] = 1.0 / s[top] / u[top]
+    vals = half[:, 0] * (f * _GLW).sum(axis=1)
+    # (entry, panel) table padded with exact zeros; cumsum adds left to right
+    table = np.zeros((x.size, max(1, counts.max(initial=0))))
+    table[np.arange(table.shape[1]) < counts[:, None]] = vals
+    return np.cumsum(table, axis=1)[:, -1]
 
 
 def phi_growth(upsilon, x):
-    """``phi(x) = exp(integral_0^x ds / (s*Upsilon(s) + 1))``; phi(0) = 1."""
-    x = float(x)
-    if x < 0:
-        raise DomainError("phi is defined on x >= 0")
-    return math.exp(_phi_exponent(upsilon, x))
+    """``phi(x) = exp(integral_0^x ds / (s*Upsilon(s) + 1))``; phi(0) = 1.
+
+    ``x`` is a scalar (returns a float) or array-like (returns an array of
+    the same shape); an entry's value is the same bits whatever batch it is
+    in.  The exponent is an 81-point Gauss-Legendre sum over ``[0, x]`` split
+    at ``upsilon.kinks`` and then into geometric panels; phi is accurate to
+    about 1e-14 relative for moderate ``x``, the error growing with the
+    number of panels (about 3e-13 at ``x = 1e40`` for the constant
+    envelope).  A negative or non-finite entry is a :class:`DomainError`.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs >= 0.0) & (xs < math.inf)):
+        raise DomainError("phi is defined on finite x >= 0")
+    phi = np.exp(_phi_exponent(upsilon, xs.ravel())).reshape(xs.shape)
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def phi_inverse(upsilon, y, expand_cap=1e12):
@@ -257,8 +292,8 @@ def moment_bound(upsilon, mu, M, second_moment_x0, t):
     """
     for name, v in (("mu", mu), ("M", M),
                     ("second_moment_x0", second_moment_x0), ("t", t)):
-        if v < 0:
-            raise DomainError(f"{name} must be nonnegative")
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"{name} must be finite and nonnegative")
     return phi_growth(upsilon, second_moment_x0) * math.exp(mu * (M + 1.0) * t)
 
 
@@ -352,7 +387,8 @@ class PsiFamily:
 
     def _raw_mass(self):
         return sum(_gl_panel(self._q_raw, a, b)
-                   for a, b in _w_segments(self.modulus, self.l_lo, self.l_hi))
+                   for a, b in _w_segments(self.modulus.log_weight_breaks,
+                                           self.l_lo, self.l_hi))
 
     def _build_cutoff(self):
         span = self._tau_hi - self._tau_lo
@@ -466,7 +502,8 @@ class PsiFamily:
     def mass_quad(self):
         """Independent adaptive re-integration of the density (should be 1)."""
         total = 0.0
-        for a, b in _w_segments(self.modulus, self.l_lo, self.l_hi):
+        for a, b in _w_segments(self.modulus.log_weight_breaks,
+                                self.l_lo, self.l_hi):
             val, _ = quad(lambda l: float(self.q(l)), a, b, limit=200)
             total += val
         return total

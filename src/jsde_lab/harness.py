@@ -381,7 +381,8 @@ def run_explosion(config):
         raise AssertionError(
             f"radius monotonicity violated for seed {seeds[broken[0]]}")
 
-    phis = [phi_growth(growth, path.state_at_end() ** 2) for path in paths]
+    phis = phi_growth(growth,
+                      [path.state_at_end() ** 2 for path in paths]).tolist()
     phi_mean, phi_se, phi_n = _mean_se(phis)
     if model.nu2 is None or model.u3 is None:
         m_rate = 0.0          # no large jumps, or none handled by interlacing

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from jsde_lab.analysis import (OmegaTransform, a_sequence, bihari_bound,
                                implied_state_bound, moment_bound,
@@ -115,6 +117,84 @@ def test_phi_inverse_roundtrip():
         phi_inverse(builtin_growth("one"), 0.5)
 
 
+def _phi_reference(upsilon, x):
+    # adaptive quadrature at its tightest tolerance, split at the kinks and
+    # at every decade so that it converges
+    cuts = sorted({0.0, x, *(k for k in upsilon.kinks if k < x),
+                   *(10.0 ** k for k in range(-12, 17) if 10.0 ** k < x)})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        val, _ = quad(lambda s: 1.0 / (s * float(upsilon(s)) + 1.0), a, b,
+                      epsabs=0.0, epsrel=1.2e-14, limit=200)
+        total += val
+    return math.exp(total)
+
+
+@pytest.mark.parametrize("name", ["log", "log_loglog"])
+def test_phi_matches_tight_quadrature(name):
+    ups = builtin_growth(name)
+    xs = np.geomspace(1e-12, 1e16, 57)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        ref = np.array([_phi_reference(ups, x) for x in xs])
+    np.testing.assert_allclose(phi_growth(ups, xs), ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["one", "log", "log_loglog"])
+def test_phi_batch_entries_equal_scalar_calls_bit_for_bit(name):
+    ups = builtin_growth(name)
+    xs = np.random.default_rng(5).lognormal(1.0, 3.0, 100)
+    xs[::9] = 0.0
+    singles = np.array([phi_growth(ups, x) for x in xs])
+    for n in (1, 7, 100):
+        assert np.array_equal(phi_growth(ups, xs[:n]), singles[:n])
+    perm = np.random.default_rng(6).permutation(xs.size)
+    assert np.array_equal(phi_growth(ups, xs[perm]), singles[perm])
+
+
+def test_phi_shapes_and_origin():
+    ups = builtin_growth("log")
+    assert type(phi_growth(ups, np.float64(2.0))) is float
+    assert type(phi_growth(ups, np.array(2.0))) is float
+    out = phi_growth(ups, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+    assert phi_growth(ups, []).shape == (0,)
+    for name in ("one", "log", "log_loglog"):
+        assert phi_growth(builtin_growth(name), 0.0) == 1.0
+
+
+@pytest.mark.parametrize("x", [-1.0, [1.0, 2.0, -1e-300], math.nan, math.inf,
+                               [1.0, math.nan], [[0.0], [math.inf]]])
+def test_phi_rejects_negative_and_non_finite(x):
+    with pytest.raises(DomainError):
+        phi_growth(builtin_growth("log"), x)
+
+
+@pytest.mark.parametrize("name", ["one", "log", "log_loglog"])
+def test_phi_stays_monotone_for_large_arguments(name):
+    # adaptive quadrature lost the mass at large x: log_loglog gave 3.85 at
+    # 1e20, log 0.609 and one 1.797e63 at 1e100
+    ups = builtin_growth(name)
+    xs = np.geomspace(1e-12, 1e300, 2000)
+    phi = phi_growth(ups, xs)
+    assert np.all(phi >= 1.0) and np.all(np.diff(phi) >= 0.0)
+    if name == "one":
+        small = xs <= 1e40
+        np.testing.assert_allclose(phi[small], 1.0 + xs[small], rtol=1e-12,
+                                   atol=0)
+
+
+def test_phi_near_the_top_of_float_range():
+    # beyond 1e300, 1/(s*log(s) + 1) = 1/(s*log(s)) to far below rounding,
+    # so phi grows exactly like log(x) there; s*Upsilon(s) overflows
+    top = np.finfo(float).max
+    assert phi_growth(builtin_growth("one"), top) == pytest.approx(
+        top, rel=1e-11)
+    log = builtin_growth("log")
+    assert phi_growth(log, top) == pytest.approx(
+        phi_growth(log, 1e300) * math.log(top) / math.log(1e300), rel=1e-12)
+
+
 def test_moment_bound_constant_envelope():
     one = builtin_growth("one")
     assert moment_bound(one, 1.0, 0.0, 1.0, 1.0) == pytest.approx(
@@ -122,6 +202,11 @@ def test_moment_bound_constant_envelope():
     assert moment_bound(one, 0.0, 0.0, 3.0, 9.0) == pytest.approx(4.0)
     with pytest.raises(DomainError):
         moment_bound(one, -1.0, 0.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            moment_bound(one, 1.0, 0.0, bad, 1.0)
+        with pytest.raises(DomainError):
+            moment_bound(one, bad, 0.0, 1.0, 1.0)
 
 
 def test_implied_state_bound_monotone():

@@ -81,6 +81,17 @@ def test_bound_usage_errors(argv, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0sq", ["nan", "inf"])
+def test_bound_non_finite_second_moment_exits_one(x0sq, capsys):
+    rc = cli.main(["bound", "--growth", "log", "--mu", "1",
+                   "--x0sq", x0sq])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "second_moment_x0" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

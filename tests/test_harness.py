@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jsde_lab import harness
+from jsde_lab.config import preset
 from jsde_lab.errors import (
     AssumptionViolationError,
     DomainError,
@@ -21,6 +22,7 @@ from jsde_lab.harness import (
     run_nonconfluence,
     run_uniqueness,
 )
+from jsde_lab.analysis import phi_growth
 from jsde_lab.integrator import SchemeConfig, simulate, simulate_paths
 from jsde_lab.model import CoefficientSet, builtin_growth
 from jsde_lab.noise import NoiseRealization, derive_path_seed, sample_noise
@@ -129,6 +131,36 @@ def test_explosion_growth_precheck_blocks_cubic_drift():
                 radius_ladder=(10.0,))
     summary = run_explosion(cfg2)       # runs regardless, may explode
     assert summary.extras["growth_check"] is None
+
+
+def test_explosion_phi_is_one_batched_call_equal_to_per_path_values(
+        monkeypatch):
+    # example_31 with its log envelope; the small radii make paths exit
+    calls = []
+
+    def counted(upsilon, x):
+        calls.append(len(x))
+        return phi_growth(upsilon, x)
+
+    monkeypatch.setattr(harness, "phi_growth", counted)
+    h = 2.0 ** -6
+    cfg = ExperimentConfig(model="example_31", paths=30, step_ladder=(h,),
+                           radius_ladder=(1.5, 3.0, 10.0))
+    summary = run_explosion(cfg)
+    assert calls == [30]
+
+    assert summary.extras["bound_row"]["growth"] == "log"
+    growth = builtin_growth("log")
+    model = preset("example_31")
+    scheme = SchemeConfig(base_step=h, explosion_radius=10.0,
+                          taming=summary.extras["taming"])
+    exited = 0
+    for i, row in enumerate(summary.data_rows):
+        noise = sample_noise(model, cfg.horizon, h, row[1])
+        path = simulate(model, noise, scheme, cfg.x0)
+        exited += path.exploded
+        assert row[-1] == phi_growth(growth, path.state_at_end() ** 2), i
+    assert exited > 0
 
 
 # ---------------------------------------------------------------------------

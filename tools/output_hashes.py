@@ -1,0 +1,147 @@
+"""Hash the outputs of a fixed matrix of runs, column by column.
+
+Usage::
+
+    python tools/output_hashes.py [OUT]
+
+The matrix runs all four experiment kinds on both presets (including runs
+whose paths exit at small radii) and five ``jsde-lab simulate --output-dir``
+dumps, each in a temporary directory.  It prints one ``name sha256`` line per
+output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one line
+per column, and each run's stdout.  The listing goes to ``OUT`` when given,
+else to stdout, so that "only this column moved" between two checkouts is a
+single ``diff`` of their listings.
+
+The package is imported from the ``src`` directory next to this script.
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from jsde_lab import cli  # noqa: E402
+from jsde_lab.harness import ExperimentConfig, run_experiment  # noqa: E402
+
+PRESETS = ("example_31", "example_41")
+
+# (name, kind, keyword arguments); each runs on both presets
+EXPERIMENTS = (
+    ("explosion_h8", "explosion",
+     dict(paths=300, step_ladder=(2.0 ** -8,))),
+    ("explosion_exits", "explosion",
+     dict(paths=200, step_ladder=(2.0 ** -6,),
+          radius_ladder=(1.5, 3.0, 10.0))),
+    ("uniqueness", "uniqueness", dict(paths=60)),
+    ("uniqueness_exits", "uniqueness", dict(paths=60, explosion_radius=3.0)),
+    ("nonconfluence_h8", "nonconfluence",
+     dict(paths=100, step_ladder=(2.0 ** -8,), x0=0.0, y0=1.0)),
+    ("nonconfluence_exits", "nonconfluence",
+     dict(paths=100, step_ladder=(2.0 ** -7,), x0=0.0, y0=1.0,
+          explosion_radius=1.5)),
+    ("convergence", "convergence", dict(paths=30)),
+    ("convergence_exits", "convergence",
+     dict(paths=30, explosion_radius=2.5)),
+)
+
+U3_MODEL = """[model]
+b = -x
+sigma = 0.5
+c2 = u
+nu2 = atoms(1:0.5, 2:0.25)
+u3 = 1.5:3
+
+[scheme]
+restrict_to_u3 = true
+h = 2^-6
+"""
+
+# (name, argv after "simulate"); each writes into its own directory
+SIMULATIONS = (
+    ("simulate_31_noise", ["--preset", "example_31", "--paths", "3",
+                           "--dump-noise"]),
+    ("simulate_41_noise", ["--preset", "example_41", "--paths", "3",
+                           "--dump-noise", "--set", "scheme.h=2^-6"]),
+    ("simulate_exits", ["--preset", "example_31", "--paths", "4",
+                        "--set", "scheme.explosion_radius=1.5"]),
+    ("simulate_x0_beyond", ["--preset", "example_41", "--paths", "2",
+                            "--set", "scheme.explosion_radius=1.5",
+                            "--set", "experiment.x0=2"]),
+    ("simulate_u3", ["--config", "{u3}", "--paths", "3", "--dump-noise"]),
+)
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _csv_lines(name, path):
+    """One line per column; comment lines above the header hash as one."""
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    comments = [ln for ln in lines if ln.startswith("#")]
+    rows = list(csv.reader(ln for ln in lines if not ln.startswith("#")))
+    out = []
+    if comments:
+        out.append(f"{name}:# {_sha(''.join(comments).encode())}")
+    header, body = rows[0], rows[1:]
+    for j, col in enumerate(header):
+        cells = "\n".join(row[j] for row in body)
+        out.append(f"{name}:{col} {_sha(cells.encode())}")
+    return out
+
+
+def _dir_lines(name, out_dir):
+    lines = []
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".csv":
+            lines.extend(_csv_lines(f"{name}/{path.name}", path))
+        else:
+            lines.append(f"{name}/{path.name} {_sha(path.read_bytes())}")
+    return lines
+
+
+def listing(work):
+    lines = []
+    for preset in PRESETS:
+        for name, kind, kw in EXPERIMENTS:
+            run = f"{preset}/{name}"
+            out_dir = work / run
+            cfg = ExperimentConfig(model=preset, output_dir=out_dir,
+                                   skip_checks=True, **kw)
+            run_experiment(kind, cfg)
+            lines.extend(_dir_lines(run, out_dir))
+    u3 = work / "u3.cfg"
+    u3.write_text(U3_MODEL)
+    for name, argv in SIMULATIONS:
+        out_dir = work / name
+        argv = [a.format(u3=u3) for a in argv]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(["simulate", "--seed", "5", "--output-dir",
+                           str(out_dir)] + argv)
+        # the stdout names the temporary directory; hash it without that
+        stdout = buf.getvalue().replace(str(out_dir), "<out>")
+        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
+        lines.extend(_dir_lines(name, out_dir))
+    return lines
+
+
+def main(argv):
+    if len(argv) > 1:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "\n".join(listing(Path(tmp))) + "\n"
+    if argv:
+        Path(argv[0]).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
