@@ -27,8 +27,8 @@ from .model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
                     CoefficientSet, GrowthFunction, MarkMeasure, Modulus,
                     affine_modulus, builtin_growth, builtin_modulus, lebesgue,
                     preset, scale_modulus)
-from .noise import (JumpEvent, NoiseRealization, derive_path_seed,
-                    sample_noise, split_large_jumps, truncate_small_jumps)
+from .noise import (NoiseRealization, derive_path_seed, sample_noise,
+                    split_large_jumps, truncate_small_jumps)
 from .verifier import (NO_VIOLATION, VIOLATED, AssumptionReport,
                        ConditionResult, check_corollary_conditions,
                        check_growth, check_local_conditions, check_modulus,
@@ -43,7 +43,7 @@ __all__ = [
     "CoefficientSet", "ConditionResult", "ConfigError", "DEFAULT_SEED",
     "DomainError", "ExperimentConfig", "ExperimentSummary", "Expression",
     "ExpressionError", "GAMMA", "GROWTH_CATALOG", "GrowthFunction",
-    "JumpEvent", "MODULUS_CATALOG", "MarkMeasure", "Modulus",
+    "MODULUS_CATALOG", "MarkMeasure", "Modulus",
     "NO_VIOLATION", "NoiseRealization", "NumericalDomainError",
     "OmegaTransform", "PathResult", "PsiFamily", "ResourceLimitError",
     "SchemeConfig", "TAMING_MODES", "TransformRangeError", "UsageError",

@@ -268,6 +268,8 @@ def phi_growth(upsilon, x):
 def phi_inverse(upsilon, y, expand_cap=1e12):
     """Numeric inverse of :func:`phi_growth` on ``y >= 1``."""
     y = float(y)
+    if not math.isfinite(y):
+        raise DomainError("y must be finite")
     if y < 1.0:
         raise DomainError("phi(x) >= 1 for x >= 0; cannot invert below 1")
     if y == 1.0:

@@ -303,7 +303,7 @@ def _check_coupling(fine, coarse, factor):
     and Brownian increments equal to the fine ones summed in groups of
     ``factor``."""
     fine_sums = fine.brownian_increments.reshape(-1, factor).sum(axis=1)
-    if (coarse.jump_events != fine.jump_events
+    if (coarse.events.tobytes() != fine.events.tobytes()
             or coarse.brownian_increments.shape != fine_sums.shape
             or np.max(np.abs(coarse.brownian_increments - fine_sums),
                       initial=0.0) > 1e-15):

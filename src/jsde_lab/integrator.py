@@ -13,7 +13,6 @@ nothing else.  Explosion is operationalized as the first recorded state with
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .model import in_bands
-from .noise import SMALL
+from .noise import EVENT_DTYPE, SMALL, SOURCES
 
 TAMING_MODES = ("off", "drift_tamed")
 
@@ -44,8 +43,9 @@ class SchemeConfig:
             )
 
 
-# ``PathResult.event_codes`` values, by code
+# ``PathResult.event_codes`` values, by code; a jump's code is its event's
 KIND_NAMES = ("grid", "small_jump", "large_jump", "exit")
+SMALL_CODE = SOURCES.index(SMALL)
 
 
 @dataclass(frozen=True)
@@ -111,25 +111,32 @@ def _continuous_step(x, dt, dw, model, tamed, where=None):
 def _event_layers(noises, u3, restrict_to_u3):
     """The jumps the scheme applies, as ``{s: [layer_0, layer_1, ...]}``.
 
-    An event lands at the end of step ``s`` of its path when its time is
-    union time ``s + 1``.  Layer ``r`` lists ``(path, mark, small)`` for
-    the ``r``-th such event of each path, counted in ``jump_events`` order,
-    so applying the layers in turn keeps that order.
+    Every event time is a union time ``s + 1`` (the realization checks it),
+    and the event lands at the end of step ``s``.  Layer ``r`` is the arrays
+    ``(paths, marks, codes)`` of each path's ``r``-th event at a step, in
+    ``events`` order, so applying the layers in turn keeps that order.
     """
+    events = np.concatenate([noise.events for noise in noises],
+                            dtype=EVENT_DTYPE)
+    paths = np.repeat(np.arange(len(noises)),
+                      [len(noise.events) for noise in noises])
+    steps = np.concatenate(
+        [noise.union_times.searchsorted(noise.events["time"])
+         for noise in noises]) - 1
+    if restrict_to_u3:
+        keep = (events["code"] == SMALL_CODE) | in_bands(u3, events["mark"])
+        events, paths, steps = events[keep], paths[keep], steps[keep]
+    # rank each event among its path's earlier events at the same step
+    key = steps * len(noises) + paths
+    order = np.argsort(key, kind="stable")
+    ranks = np.arange(len(key)) - np.searchsorted(key[order], key[order])
+    by_layer = np.lexsort((ranks, steps[order]))
+    order, ranks = order[by_layer], ranks[by_layer]
     layers = {}
-    for p, noise in enumerate(noises):
-        ut = noise.union_times
-        count = {}
-        for e in noise.jump_events:
-            j = int(np.searchsorted(ut, e.time))
-            small = e.source == SMALL
-            if (0 < j < len(ut) and ut[j] == e.time and (
-                    small or not restrict_to_u3 or in_bands(u3, e.mark))):
-                rank = count[j] = count.get(j, -1) + 1
-                step = layers.setdefault(j - 1, [])
-                if rank == len(step):
-                    step.append([])
-                step[rank].append((p, e.mark, small))
+    cuts = np.flatnonzero(np.diff(steps[order]) | np.diff(ranks)) + 1
+    for layer in np.split(order, cuts) if order.size else ():
+        layers.setdefault(int(steps[layer[0]]), []).append(
+            (paths[layer], events["mark"][layer], events["code"][layer]))
     return layers
 
 
@@ -198,6 +205,9 @@ def simulate_paths(model, noises, scheme, x0):
 
     states = np.empty((m + 1, n))
     states[0] = x
+    # event codes: the last jump applied at a state, and "exit" where a path
+    # ends beyond the radius
+    codes = np.zeros((m + 1, n), dtype=np.int8)
     exploded = np.abs(x) >= radius
     ends = np.where(exploded, 0, lengths)
     grid_ends = set(lengths.tolist())
@@ -211,8 +221,9 @@ def simulate_paths(model, noises, scheme, x0):
         dt = times[s + 1, live] - times[s, live]
         x[live] = _continuous_step(start, dt, dws[s, live], model, tamed,
                                    (live, times[s], seeds, base_steps))
-        for layer in layers.get(s, ()):
-            paths, marks, small = (np.array(c) for c in zip(*layer))
+        for paths, marks, kinds in layers.get(s, ()):
+            codes[s + 1, paths] = kinds
+            small = kinds == SMALL_CODE
             running = ~exploded[paths]
             for fn, name, sel in ((model.c1, "jump c1", small & running),
                                   (model.c2, "jump c2", ~small & running)):
@@ -232,12 +243,6 @@ def simulate_paths(model, noises, scheme, x0):
             ends[live[~inside]] = s + 1
             live = live[inside]
 
-    # event codes: the last jump applied at a state, and "exit" where a path
-    # ends beyond the radius
-    codes = np.zeros((m + 1, n), dtype=np.int8)
-    for s, step in layers.items():
-        for p, _, small in itertools.chain(*step):
-            codes[s + 1, p] = 1 if small else 2
     codes[ends[exploded], exploded] = 3
     return [PathResult(times[:end + 1, p].copy(), states[:end + 1, p].copy(),
                        bool(exploded[p]),
@@ -277,7 +282,7 @@ def _nu1_functional(model, f, fp, x):
     return j1, j2
 
 
-def ito_levy_apply(f, path, model, noise, tamed=False):
+def ito_levy_apply(f, path, model, noise, scheme):
     """March the transformed process ``Y = f(X)`` term-by-term.
 
     ``f`` is a triple ``(f, f', f'')`` of scalar callables.  The Y-path is
@@ -285,12 +290,13 @@ def ito_levy_apply(f, path, model, noise, tamed=False):
     ``f'b + (1/2) sigma^2 f'' + integral{f(x+c1)-f(x)-f'c1} dnu1
     - integral{f(x+c1)-f(x)} dnu1`` (the last term is the per-step
     compensation of the small-jump events), diffusion ``f' sigma dW``, and
-    exact increments ``f(x- + c) - f(x-)`` at events.  The left limit at an
-    event is reconstructed with the same continuous update the integrator
-    used, so pass ``tamed=True`` when the X-path was drift-tamed.
+    exact increments ``f(x- + c) - f(x-)`` at the jumps the X-path's
+    ``scheme`` applied.  The left limit there is reconstructed with the
+    continuous update (tamed or not) that the scheme used.
     """
     fn, fp, fpp = f
-    layers = _event_layers([noise], model.u3, False)
+    tamed = scheme.taming == "drift_tamed"
+    layers = _event_layers([noise], model.u3, scheme.restrict_to_u3)
     idx = np.searchsorted(noise.union_times, path.times)
     y = float(fn(path.states[0]))
     ys = [y]
@@ -307,8 +313,9 @@ def ito_levy_apply(f, path, model, noise, tamed=False):
         events = layers.get(idx[i + 1] - 1)
         if events:
             xm = _continuous_step(x, dt, dw, model, tamed)
-            for _, mark, small in itertools.chain(*events):
-                c = model.c1(xm, mark) if small else model.c2(xm, mark)
+            for _, (mark,), (kind,) in events:
+                c = model.c1(xm, mark) if kind == SMALL_CODE \
+                    else model.c2(xm, mark)
                 y = y + (float(fn(xm + c)) - float(fn(xm)))
                 xm = xm + c
         if not np.isfinite(y):

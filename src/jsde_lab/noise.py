@@ -2,8 +2,9 @@
 
 A :class:`NoiseRealization` is a pure record of random draws — Brownian
 increments on the union of the base grid with the jump times, and the two
-marked event streams (compensated small jumps, interlaced large jumps).  All
-randomness comes from a counter-based generator keyed by ``(seed, stream)``:
+marked event streams as one array of ``(time, mark, code)`` rows: ``code``
+1 for compensated small jumps, 2 for interlaced large jumps.  All randomness
+comes from a counter-based generator keyed by ``(seed, stream)``:
 
 * stream 0 — Brownian increments,
 * stream 1 — small-jump (compensated) events,
@@ -20,15 +21,16 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import in_bands
+from .model import Band, in_bands
 
 SMALL = "small"
 LARGE = "large"
+SOURCES = (None, SMALL, LARGE)
+EVENT_DTYPE = np.dtype([("time", "f8"), ("mark", "f8"), ("code", "i1")])
 
 _MASK64 = (1 << 64) - 1
 
@@ -58,35 +60,31 @@ def _stream(seed, stream):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    """A single marked jump: ``source`` is ``"small"`` (compensated stream)
-    or ``"large"`` (interlaced stream)."""
-
-    time: float
-    mark: float
-    source: str
-
-
 class NoiseRealization:
     """Immutable record of one realization of the driving noise.
 
     ``base_grid`` is the requested uniform-ish grid ``0 = t_0 < ... < t_m = T``;
     internally the Brownian increments live on the union of the base grid with
     all event times (the jump-adapted grid the integrator walks), and
-    :attr:`brownian_increments` exposes the per-base-step sums.  The arrays
-    are read-only copies, so the sums, computed on first read, stay valid.
+    :attr:`brownian_increments` exposes the per-base-step sums.  ``events``
+    rows (an array or a list of tuples) are applied in order, each at a union
+    time in ``(0, T]``.  The arrays are read-only copies, so the sums,
+    computed on first read, stay valid.
     """
 
     def __init__(self, horizon, base_grid, union_times, union_increments,
-                 jump_events, compensator_rate, seed):
+                 events, compensator_rate, seed):
         self.horizon = float(horizon)
         self.base_grid = _frozen(base_grid)
         self.union_times = _frozen(union_times)
         self.union_increments = _frozen(union_increments)
-        self.jump_events = tuple(jump_events)
+        self.events = _frozen(events, EVENT_DTYPE)
         self.compensator_rate = float(compensator_rate)
         self.seed = int(seed)
+        t = self.events["time"]
+        ends = self.union_times[1:]
+        if ends.take(ends.searchsorted(t), mode="clip").tolist() != t.tolist():
+            raise DomainError("an event time is not a union time in (0, T]")
 
     @functools.cached_property
     def _cumulative(self):
@@ -106,7 +104,8 @@ class NoiseRealization:
         return _frozen(self._increments_over(self.base_grid))
 
     def events_from(self, source):
-        return tuple(e for e in self.jump_events if e.source == source)
+        """The rows of ``events`` from ``source``, in order."""
+        return self.events[self.events["code"] == SOURCES.index(source)]
 
     def coarsen(self, factor):
         """The same noise on a base grid thinned by ``factor``.
@@ -123,31 +122,28 @@ class NoiseRealization:
                 f"{m}-step base grid"
             )
         coarse = self.base_grid[::factor]
-        times = np.unique(np.concatenate(
-            [coarse, [e.time for e in self.jump_events]]))
+        times = np.unique(np.concatenate([coarse, self.events["time"]]))
         return NoiseRealization(self.horizon, coarse, times,
-                                self._increments_over(times), self.jump_events,
+                                self._increments_over(times), self.events,
                                 self.compensator_rate, self.seed)
 
     def dump_csv(self, path):
         """Debug/replay dump: (time, kind, value) — per-base-step Brownian
         increments tagged by their step's right endpoint, then the events."""
-        rows = []
-        binc = self.brownian_increments
-        for t, v in zip(self.base_grid[1:], binc):
-            rows.append((t, "brownian_increment", v))
-        for e in self.jump_events:
-            rows.append((e.time, f"{e.source}_jump", e.mark))
-        rows.sort(key=lambda r: r[0])
+        times = np.concatenate([self.base_grid[1:], self.events["time"]])
+        kinds = ["brownian_increment"] * (len(self.base_grid) - 1) + [
+            f"{SOURCES[c]}_jump" for c in self.events["code"]]
+        values = np.concatenate([self.brownian_increments,
+                                 self.events["mark"]])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["time", "kind", "value"])
-            for t, kind, v in rows:
-                w.writerow([f"{t:.17g}", kind, f"{v:.17g}"])
+            for i in np.argsort(times, kind="stable"):
+                w.writerow([f"{times[i]:.17g}", kinds[i], f"{values[i]:.17g}"])
 
 
-def _frozen(values):
-    arr = np.array(values, dtype=float)
+def _frozen(values, dtype=float):
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -161,17 +157,17 @@ def _base_grid(horizon, base_step):
     return grid
 
 
-def _draw_events(measure, horizon, seed, stream, source):
+def _draw_events(measure, horizon, seed, code):
     if measure is None or measure.total_mass == 0.0:
-        return []
-    rng = _stream(seed, stream)
+        return np.empty(0, EVENT_DTYPE)
+    rng = _stream(seed, code)
     lam = measure.total_mass * horizon
-    count = int(rng.poisson(lam))
-    times = np.sort(rng.random(count)) * horizon
-    times = np.maximum(times, np.nextafter(0.0, 1.0))
-    marks = measure.sample(rng, count)
-    return [JumpEvent(float(t), float(u), source)
-            for t, u in zip(times, marks)]
+    events = np.empty(int(rng.poisson(lam)), EVENT_DTYPE)
+    times = np.sort(rng.random(len(events))) * horizon
+    events["time"] = np.maximum(times, np.nextafter(0.0, 1.0))
+    events["mark"] = measure.sample(rng, len(events))
+    events["code"] = code
+    return events
 
 
 def sample_noise(model, horizon, base_step, seed):
@@ -202,12 +198,14 @@ def sample_noise(model, horizon, base_step, seed):
                               "restricted to the interlacing sub-support")
         nu2 = restricted
 
-    events = _draw_events(nu1, horizon, seed, 1, SMALL)
-    events += _draw_events(nu2, horizon, seed, 2, LARGE)
-    events.sort(key=lambda e: e.time)
+    # a stable sort keeps a small jump before a large one at equal times
+    events = np.concatenate([_draw_events(nu1, horizon, seed, 1),
+                             _draw_events(nu2, horizon, seed, 2)],
+                            dtype=EVENT_DTYPE)
+    events = events[events["time"].argsort(kind="stable")]
 
     grid = _base_grid(horizon, base_step)
-    union = np.unique(np.concatenate([grid, [e.time for e in events]]))
+    union = np.unique(np.concatenate([grid, events["time"]]))
     dts = np.diff(union)
     rng0 = _stream(seed, 0)
     dW = rng0.standard_normal(len(dts)) * np.sqrt(dts)
@@ -223,8 +221,6 @@ def truncate_small_jumps(model_measure, epsilon):
     measure unchanged (no truncation needed); negative thresholds are domain
     errors, and so is a retained mass that is still infinite.
     """
-    from .model import Band  # local import keeps module load order flat
-
     epsilon = float(epsilon)
     if epsilon < 0:
         raise DomainError("truncation threshold must be nonnegative")
@@ -246,14 +242,9 @@ def truncate_small_jumps(model_measure, epsilon):
 def split_large_jumps(noise, u3):
     """Partition the large-jump events by mark membership in ``u3``.
 
-    Returns ``(inside, outside)``, both time-sorted; their union is the
-    realization's large-jump list.  ``u3 = None`` means the full support.
+    Returns ``(inside, outside)``, event arrays in ``events`` order that
+    together hold the realization's large jumps; ``u3 = None`` is all marks.
     """
     large = noise.events_from(LARGE)
-    if not large:
-        return (), ()
-    marks = np.array([e.mark for e in large])
-    mask = in_bands(u3, marks)
-    inside = tuple(e for e, m in zip(large, mask) if m)
-    outside = tuple(e for e, m in zip(large, mask) if not m)
-    return inside, outside
+    mask = in_bands(u3, large["mark"])
+    return large[mask], large[~mask]

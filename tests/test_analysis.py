@@ -115,6 +115,9 @@ def test_phi_inverse_roundtrip():
                 x, rel=1e-9, abs=1e-12)
     with pytest.raises(DomainError):
         phi_inverse(builtin_growth("one"), 0.5)
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            phi_inverse(builtin_growth("one"), y)
 
 
 def _phi_reference(upsilon, x):

@@ -324,7 +324,7 @@ def test_uniqueness_detects_broken_coupling(monkeypatch):
         inc = c.union_increments.copy()
         inc[-1] += 1e-9
         return NoiseRealization(c.horizon, c.base_grid, c.union_times, inc,
-                                c.jump_events, c.compensator_rate, c.seed)
+                                c.events, c.compensator_rate, c.seed)
 
     monkeypatch.setattr(NoiseRealization, "coarsen", perturbed)
     cfg = _cfg(_noisy_model(), paths=3,

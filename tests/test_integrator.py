@@ -9,7 +9,7 @@ from jsde_lab.integrator import (SchemeConfig, dump_path_csv,
                                  simulate_paths)
 from jsde_lab.model import (Band, CoefficientSet, MarkMeasure, in_bands,
                             lebesgue, preset)
-from jsde_lab.noise import (LARGE, SMALL, JumpEvent, NoiseRealization,
+from jsde_lab.noise import (LARGE, SMALL, SOURCES, NoiseRealization,
                             derive_path_seed, sample_noise)
 
 
@@ -108,8 +108,8 @@ def test_large_jumps_applied_at_event_times():
     path = simulate(model, noise, SchemeConfig(base_step=h), 0.0)
     events = noise.events_from("large")
     assert path.state_at_end() == pytest.approx(1.5 * len(events), abs=1e-12)
-    if events:
-        t0 = events[0].time
+    if len(events):
+        t0 = events["time"][0]
         before = path.states[path.times < t0]
         assert np.allclose(before, 0.0)
 
@@ -128,9 +128,10 @@ def test_restrict_to_u3_drops_outside_events():
     full_scheme = SchemeConfig(base_step=h)
     a = simulate(restricted, noise, scheme, 1.0)
     b = simulate(restricted, noise, full_scheme, 1.0)
-    inside = [e for e in noise.events_from("large") if 1.0 < e.mark <= 1.5]
-    outside = [e for e in noise.events_from("large") if e.mark > 1.5]
-    assert len(inside) + len(outside) == len(noise.events_from("large"))
+    marks = noise.events_from("large")["mark"]
+    inside = marks[(1.0 < marks) & (marks <= 1.5)]
+    outside = marks[marks > 1.5]
+    assert len(inside) + len(outside) == len(marks)
     if outside:
         assert not np.array_equal(a.states, b.states)
 
@@ -162,11 +163,26 @@ def test_ito_identity_function_reproduces_path():
     model = preset("example_41")
     h = 2.0 ** -6
     noise = sample_noise(model, 1.0, h, seed=17)
-    path = simulate(model, noise, SchemeConfig(base_step=h,
-                                               taming="drift_tamed"), 1.0)
+    scheme = SchemeConfig(base_step=h, taming="drift_tamed")
+    path = simulate(model, noise, scheme, 1.0)
     f = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
-    y = ito_levy_apply(f, path, model, noise, tamed=True)
+    y = ito_levy_apply(f, path, model, noise, scheme)
     assert np.allclose(y.states, path.states, rtol=1e-10, atol=1e-12)
+
+
+def test_ito_identity_follows_a_restrict_to_u3_path():
+    # the path skips the one large jump (mark 1.82, outside u3); the
+    # transform must skip it too
+    model = _with_u3(preset("example_31"), (Band(1.0, 1.5),))
+    h = 2.0 ** -6
+    noise = sample_noise(model, 1.0, h, seed=0)
+    assert np.all(noise.events_from(LARGE)["mark"] > 1.5)
+    f = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    for restrict in (True, False):
+        scheme = SchemeConfig(base_step=h, restrict_to_u3=restrict)
+        path = simulate(model, noise, scheme, 1.0)
+        y = ito_levy_apply(f, path, model, noise, scheme)
+        assert np.array_equal(y.states, path.states)
 
 
 def test_ito_square_converges_on_drift_model():
@@ -175,8 +191,9 @@ def test_ito_square_converges_on_drift_model():
     sups = []
     for h in (2.0 ** -6, 2.0 ** -7):
         noise = sample_noise(model, 1.0, h, seed=29)
-        path = simulate(model, noise, SchemeConfig(base_step=h), 1.0)
-        y = ito_levy_apply(f, path, model, noise)
+        scheme = SchemeConfig(base_step=h)
+        path = simulate(model, noise, scheme, 1.0)
+        y = ito_levy_apply(f, path, model, noise, scheme)
         sups.append(float(np.max(np.abs(y.states - path.states ** 2))))
     assert sups[0] < 0.01
     assert sups[1] < 0.6 * sups[0]    # first-order shrink, deterministic
@@ -217,14 +234,14 @@ def _scalar_reference(model, noise, scheme, x0):
         x = x + (b_inc - comp * dt) \
             + float(model.sigma(x)) * noise.union_increments[i]
         kind = "grid"
-        for e in noise.jump_events:
-            if e.time != ut[i + 1]:
+        for time, mark, code in noise.events.tolist():
+            if time != ut[i + 1]:
                 continue
-            if e.source == SMALL:
-                x = x + float(model.c1(x, e.mark))
+            if SOURCES[code] == SMALL:
+                x = x + float(model.c1(x, mark))
                 kind = "small_jump"
-            elif not scheme.restrict_to_u3 or in_bands(model.u3, e.mark):
-                x = x + float(model.c2(x, e.mark))
+            elif not scheme.restrict_to_u3 or in_bands(model.u3, mark):
+                x = x + float(model.c2(x, mark))
                 kind = "large_jump"
         times.append(float(ut[i + 1]))
         states.append(x)
@@ -243,9 +260,8 @@ def _with_u3(model, u3):
 
 def _hand_built_noise():
     # two events at t = 0.3 (applied in list order) and one on the grid
-    # time 0.5
-    events = (JumpEvent(0.3, 0.5, SMALL), JumpEvent(0.3, 1.5, LARGE),
-              JumpEvent(0.5, -0.8, SMALL))
+    # time 0.5; rows are (time, mark, code), code 1 small and 2 large
+    events = [(0.3, 0.5, 1), (0.3, 1.5, 2), (0.5, -0.8, 1)]
     union = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
     inc = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
     return NoiseRealization(1.0, np.linspace(0.0, 1.0, 5), union, inc,
@@ -312,7 +328,7 @@ def test_batch_matches_single_paths_bit_for_bit(name):
 
 def test_restrict_to_u3_case_skips_events():
     model, noises, _, _ = _batch_case("restrict_to_u3")
-    marks = [e.mark for n in noises for e in n.events_from(LARGE)]
+    marks = [m for n in noises for m in n.events_from(LARGE)["mark"]]
     assert any(m > 1.5 for m in marks) and any(m <= 1.5 for m in marks)
 
 

@@ -24,9 +24,9 @@ def test_sample_noise_grid_structure():
     # union grid = base grid plus every event time, strictly sorted
     assert np.all(np.diff(noise.union_times) > 0)
     assert set(np.round(noise.base_grid, 12)) <= set(np.round(noise.union_times, 12))
-    for e in noise.jump_events:
-        assert 0.0 < e.time <= 1.0
-        assert np.isclose(noise.union_times, e.time).any()
+    for t in noise.events["time"]:
+        assert 0.0 < t <= 1.0
+        assert np.isclose(noise.union_times, t).any()
     assert len(noise.union_increments) == len(noise.union_times) - 1
 
 
@@ -35,7 +35,7 @@ def test_sample_noise_reproducible():
     a = sample_noise(model, 1.0, 2.0 ** -4, seed=5)
     b = sample_noise(model, 1.0, 2.0 ** -4, seed=5)
     assert np.array_equal(a.union_increments, b.union_increments)
-    assert a.jump_events == b.jump_events
+    assert np.array_equal(a.events, b.events)
     c = sample_noise(model, 1.0, 2.0 ** -4, seed=6)
     assert not np.array_equal(a.union_increments, c.union_increments)
 
@@ -59,11 +59,11 @@ def test_event_streams_and_marks():
     noise = sample_noise(model, 1.0, 2.0 ** -4, seed=12)
     small = noise.events_from(SMALL)
     large = noise.events_from(LARGE)
-    assert len(small) + len(large) == len(noise.jump_events)
-    for e in small:
-        assert -1.0 <= e.mark <= 1.0
-    for e in large:
-        assert 1.0 < e.mark <= 2.0
+    assert len(small) + len(large) == len(noise.events)
+    for mark in small["mark"]:
+        assert -1.0 <= mark <= 1.0
+    for mark in large["mark"]:
+        assert 1.0 < mark <= 2.0
     assert noise.compensator_rate == pytest.approx(model.nu1.total_mass)
 
 
@@ -81,7 +81,7 @@ def test_coarsen_aggregates_exactly():
     coarse = fine.coarsen(4)
     assert coarse.seed == fine.seed
     assert len(coarse.base_grid) == 17
-    assert coarse.jump_events == fine.jump_events
+    assert np.array_equal(coarse.events, fine.events)
     fsum = fine.brownian_increments.reshape(16, 4).sum(axis=1)
     assert np.allclose(coarse.brownian_increments, fsum, atol=1e-15)
     with pytest.raises(DomainError):
@@ -117,10 +117,10 @@ def test_split_large_jumps():
     inside, outside = split_large_jumps(noise, (Band(1.0, 1.5),))
     large = noise.events_from(LARGE)
     assert len(inside) + len(outside) == len(large)
-    for e in inside:
-        assert 1.0 < e.mark <= 1.5
-    for e in outside:
-        assert e.mark > 1.5
+    for mark in inside["mark"]:
+        assert 1.0 < mark <= 1.5
+    for mark in outside["mark"]:
+        assert mark > 1.5
 
 
 def test_dump_csv(tmp_path):
@@ -130,7 +130,35 @@ def test_dump_csv(tmp_path):
     noise.dump_csv(str(target))
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "time,kind,value"
-    assert len(lines) == 1 + 16 + len(noise.jump_events)
+    assert len(lines) == 1 + 16 + len(noise.events)
+
+
+def _on_grid_noise(events):
+    # base grid 0, 0.5, 1 with one union time added at 0.25
+    return NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0],
+                            [0.1, 0.2, -0.3], events, 0.0, seed=1)
+
+
+def test_dump_csv_puts_the_brownian_row_first_at_a_grid_time(tmp_path):
+    # a large jump exactly on the grid time 0.5 follows that step's
+    # Brownian row; events keep their own order
+    noise = _on_grid_noise([(0.25, 0.7, 1), (0.5, 1.5, 2), (0.5, -0.4, 1)])
+    target = tmp_path / "noise.csv"
+    noise.dump_csv(str(target))
+    rows = [line.split(",") for line in
+            target.read_text().strip().splitlines()[1:]]
+    assert [(float(t), kind) for t, kind, _ in rows] == [
+        (0.25, "small_jump"), (0.5, "brownian_increment"),
+        (0.5, "large_jump"), (0.5, "small_jump"),
+        (1.0, "brownian_increment")]
+    assert [float(v) for _, _, v in rows] == pytest.approx(
+        [0.7, 0.3, 1.5, -0.4, -0.3])
+
+
+@pytest.mark.parametrize("time", [0.0, 0.3, 1.5, -0.25])
+def test_event_off_the_union_grid_is_rejected(time):
+    with pytest.raises(DomainError, match="union time"):
+        _on_grid_noise([(time, 0.5, 1)])
 
 
 def test_invalid_sampling_arguments():
@@ -144,13 +172,13 @@ def test_invalid_sampling_arguments():
 def test_realization_arrays_are_read_only_and_sums_cached():
     noise = sample_noise(preset("example_31"), 1.0, 2.0 ** -4, seed=5)
     for arr in (noise.base_grid, noise.union_times, noise.union_increments,
-                noise.brownian_increments):
+                noise.brownian_increments, noise.events):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     assert noise.brownian_increments is noise.brownian_increments
     assert noise.brownian_increments.sum() \
         == pytest.approx(noise.union_increments.sum(), abs=1e-14)
     inc = np.zeros(2)
-    NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], inc, (), 0.0,
+    NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], inc, [], 0.0,
                      seed=1)
     inc[0] = 1.0                       # the caller's array stays writable
