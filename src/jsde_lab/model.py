@@ -198,7 +198,10 @@ class MarkMeasure:
             comp_mass.append(w)
             tables.append(u)
         comp_mass = np.asarray(comp_mass, dtype=float)
-        return comp_mass / comp_mass.sum(), tables
+        # the component CDF exactly as Generator.choice(p=...) builds it
+        comp_cdf = (comp_mass / comp_mass.sum()).cumsum()
+        comp_cdf /= comp_cdf[-1]
+        return comp_cdf, tables
 
     def sample(self, rng, size):
         """Draw ``size`` marks from the normalized measure."""
@@ -211,19 +214,26 @@ class MarkMeasure:
             return np.zeros(0)
         if self._sampler is None:
             self._sampler = self._build_sampler()
-        probs, tables = self._sampler
-        comp = rng.choice(len(probs), size=size, p=probs)
+        comp_cdf, tables = self._sampler
+        # the uniforms Generator.choice would draw; with one component they
+        # only keep the stream where it was
+        comp = comp_cdf.searchsorted(rng.random(size), side="right")
+        if len(tables) == 1:
+            return _component_marks(tables[0], rng, size)
         out = np.empty(size, dtype=float)
         for k, table in enumerate(tables):
             mask = comp == k
-            if not np.any(mask):
-                continue
-            if isinstance(table, tuple):
-                grid, cdf = table
-                out[mask] = np.interp(rng.random(int(mask.sum())), cdf, grid)
-            else:
-                out[mask] = table
+            if np.any(mask):
+                out[mask] = _component_marks(table, rng, int(mask.sum()))
         return out
+
+
+def _component_marks(table, rng, size):
+    """``size`` marks from one component: an atom, or a ``(grid, cdf)`` table."""
+    if isinstance(table, tuple):
+        grid, cdf = table
+        return np.interp(rng.random(size), cdf, grid)
+    return np.full(size, table)
 
 
 def lebesgue(lo, hi, label=""):

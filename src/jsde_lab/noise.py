@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -33,6 +34,7 @@ SOURCES = (None, SMALL, LARGE)
 EVENT_DTYPE = np.dtype([("time", "f8"), ("mark", "f8"), ("code", "i1")])
 
 _MASK64 = (1 << 64) - 1
+_local = threading.local()
 
 
 def splitmix64(z):
@@ -53,11 +55,17 @@ def derive_path_seed(master_seed, path_index):
 
 
 def _stream(seed, stream):
-    # Build the key as uint64 explicitly: a plain list with an int above
-    # 2**63 is promoted to float64, which rounds away the low bits and
-    # collapses nearby seeds onto one stream.
-    key = np.array([int(seed) & _MASK64, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """This thread's one generator, reset to the Philox key ``(seed, stream)``
+    with counter 0 and an empty buffer, as a new generator starts.  It is
+    valid only until the next ``_stream`` call in the same thread."""
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0, "state": {
+            "counter": (0, 0, 0, 0), "key": (int(seed) & _MASK64, stream)}}
+    return rng
 
 
 class NoiseRealization:
@@ -67,9 +75,9 @@ class NoiseRealization:
     internally the Brownian increments live on the union of the base grid with
     all event times (the jump-adapted grid the integrator walks), and
     :attr:`brownian_increments` exposes the per-base-step sums.  ``events``
-    rows (an array or a list of tuples) are applied in order, each at a union
-    time in ``(0, T]``.  The arrays are read-only copies, so the sums,
-    computed on first read, stay valid.
+    rows (an array or a list or tuple of row tuples) are applied in order,
+    each at a union time in ``(0, T]``.  The arrays are read-only copies
+    (unless already sealed, see :func:`_frozen`), so the sums stay valid.
     """
 
     def __init__(self, horizon, base_grid, union_times, union_increments,
@@ -78,7 +86,9 @@ class NoiseRealization:
         self.base_grid = _frozen(base_grid)
         self.union_times = _frozen(union_times)
         self.union_increments = _frozen(union_increments)
-        self.events = _frozen(events, EVENT_DTYPE)
+        # numpy reads a tuple as one record, so rows go in as a list
+        self.events = _frozen(events if isinstance(events, np.ndarray)
+                              else list(events), EVENT_DTYPE)
         self.compensator_rate = float(compensator_rate)
         self.seed = int(seed)
         t = self.events["time"]
@@ -142,19 +152,29 @@ class NoiseRealization:
                 w.writerow([f"{times[i]:.17g}", kinds[i], f"{values[i]:.17g}"])
 
 
+def _sealed(arr):
+    """Read-only, and no writable array reaches its memory through a base."""
+    return (isinstance(arr, np.ndarray) and not arr.flags.writeable
+            and (arr.flags.owndata or _sealed(arr.base)))
+
+
 def _frozen(values, dtype=float):
+    """``values`` as a read-only array; a sealed one of ``dtype`` is kept."""
+    if _sealed(values) and values.dtype == dtype:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
+@functools.lru_cache
 def _base_grid(horizon, base_step):
     n = int(math.ceil(horizon / base_step - 1e-12))
     grid = np.arange(n + 1, dtype=float) * base_step
     grid[-1] = horizon
     if n >= 2 and grid[-1] <= grid[-2]:
         grid = np.delete(grid, -2)
-    return grid
+    return _frozen(grid)
 
 
 def _draw_events(measure, horizon, seed, code):

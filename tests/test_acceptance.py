@@ -474,6 +474,22 @@ def test_criterion_13_paths_stay_apart():
     )
 
 
+def test_cube_root_merging_grows_as_the_step_refines():
+    # refinement evidence on criterion 13: at the criterion's own setting a
+    # finer base step puts more coupled paths below 1e-6, so refining the
+    # scheme does not remove the merging the criterion forbids
+    def n_below(h):
+        s = run_nonconfluence(ExperimentConfig(model="example_41", paths=1000,
+                                               step_ladder=(h,), x0=0.0,
+                                               y0=1.0, alpha=0.0))
+        row = next(r for r in s.ladder if r["epsilon"] == 1e-6)
+        return round(row["fraction_below"] * row["n"])
+
+    coarse, fine = n_below(2.0 ** -8), n_below(2.0 ** -10)
+    assert fine > coarse, (f"paths below 1e-6: {coarse} at h = 2^-8, "
+                           f"{fine} at h = 2^-10")
+
+
 # ---------------------------------------------------------------------------
 # 14 — the same configuration reproduces its data byte for byte
 # ---------------------------------------------------------------------------

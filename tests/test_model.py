@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from jsde_lab.errors import CatalogError, DomainError
-from jsde_lab.model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
-                            MarkMeasure, affine_modulus, builtin_growth,
-                            builtin_modulus, in_bands, lebesgue, preset,
-                            scale_modulus)
+from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
+                            MODULUS_CATALOG, Band, MarkMeasure,
+                            affine_modulus, builtin_growth, builtin_modulus,
+                            in_bands, lebesgue, preset, scale_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,62 @@ def test_measure_sampling_reproducible():
     b = nu.sample(np.random.Generator(np.random.Philox(key=[7, 0])), 100)
     assert np.array_equal(a, b)
     assert np.all((a > 1.0) & (a <= 2.0))
+
+
+def _choice_sample(nu, rng, size):
+    # the categorical-by-rng.choice sampler that MarkMeasure.sample replaced
+    if size == 0:
+        return np.zeros(0)
+    comp_mass, tables = [], []
+    for lo, hi, dens in nu.pieces:
+        grid = np.linspace(lo, hi, _CDF_TABLE)
+        vals = np.maximum(np.asarray(dens(grid), dtype=float), 0.0)
+        cdf = np.concatenate([[0.0], np.cumsum(
+            0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+        comp_mass.append(cdf[-1])
+        tables.append((grid, cdf / cdf[-1] if cdf[-1] > 0 else cdf))
+    for u, w in nu.atoms:
+        comp_mass.append(w)
+        tables.append(u)
+    probs = np.asarray(comp_mass, dtype=float)
+    probs = probs / probs.sum()
+    comp = rng.choice(len(probs), size=size, p=probs)
+    out = np.empty(size, dtype=float)
+    for k, table in enumerate(tables):
+        mask = comp == k
+        if not np.any(mask):
+            continue
+        if isinstance(table, tuple):
+            grid, cdf = table
+            out[mask] = np.interp(rng.random(int(mask.sum())), cdf, grid)
+        else:
+            out[mask] = table
+    return out
+
+
+SAMPLED_MEASURES = {
+    "one_piece": lambda: lebesgue(1.0, 2.0),
+    "piece_split_at_0": lambda: lebesgue(-1.0, 1.0),
+    "piece_and_atoms": lambda: MarkMeasure(
+        pieces=[(0.5, 3.0, lambda u: np.exp(-np.asarray(u, dtype=float)))],
+        atoms=[(-1.0, 0.3), (4.0, 0.2)]),
+    "three_atoms": lambda: MarkMeasure(
+        atoms=[(-0.5, 0.1), (1.25, 0.6), (2.0, 0.3)]),
+    "one_atom": lambda: MarkMeasure(atoms=[(1.5, 0.7)]),
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5, 37])
+@pytest.mark.parametrize("name", sorted(SAMPLED_MEASURES))
+def test_measure_sampling_matches_the_choice_sampler(name, size):
+    nu = SAMPLED_MEASURES[name]()
+    for key in range(12):
+        rng = np.random.Generator(np.random.Philox(key=[key, 1]))
+        ref = np.random.Generator(np.random.Philox(key=[key, 1]))
+        assert nu.sample(rng, size).tobytes() \
+            == _choice_sample(nu, ref, size).tobytes()
+        # the stream is left at the same position
+        assert rng.random(3).tolist() == ref.random(3).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from jsde_lab import noise as noise_module
 from jsde_lab.errors import DomainError
 from jsde_lab.model import Band, lebesgue, preset
-from jsde_lab.noise import (LARGE, SMALL, NoiseRealization, derive_path_seed,
-                            sample_noise, split_large_jumps,
+from jsde_lab.noise import (EVENT_DTYPE, LARGE, SMALL, NoiseRealization,
+                            derive_path_seed, sample_noise, split_large_jumps,
                             truncate_small_jumps)
 
 
@@ -38,6 +42,57 @@ def test_sample_noise_reproducible():
     assert np.array_equal(a.events, b.events)
     c = sample_noise(model, 1.0, 2.0 ** -4, seed=6)
     assert not np.array_equal(a.union_increments, c.union_increments)
+
+
+def _fresh_stream(seed, stream):
+    # a newly built generator per stream, as in a fresh process
+    key = np.array([int(seed) & ((1 << 64) - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("name", ["example_31", "example_41"])
+def test_interleaved_sampling_equals_fresh_generators(name, monkeypatch):
+    model = preset(name)
+    seed_a, seed_b = derive_path_seed(3, 0), derive_path_seed(3, 1)
+    reused = [sample_noise(model, 1.0, 2.0 ** -6, s)
+              for s in (seed_a, seed_b, seed_a)]
+    monkeypatch.setattr(noise_module, "_stream", _fresh_stream)
+    for got, seed in zip(reused, (seed_a, seed_b, seed_a)):
+        fresh = sample_noise(model, 1.0, 2.0 ** -6, seed)
+        assert len(fresh.events) > 0
+        assert got.union_increments.tobytes() \
+            == fresh.union_increments.tobytes()
+        assert got.events.tobytes() == fresh.events.tobytes()
+
+
+def test_sampling_from_two_threads_equals_serial_sampling():
+    model = preset("example_41")
+    seeds = [derive_path_seed(11, i) for i in range(20)]
+
+    def draw(seed):
+        n = sample_noise(model, 1.0, 2.0 ** -6, seed)
+        return n.union_increments.tobytes(), n.events.tobytes()
+
+    serial = [draw(s) for s in seeds]
+    start = threading.Barrier(2, timeout=30)
+    results = [None, None]
+
+    def worker(slot):
+        start.wait()
+        results[slot] = [draw(s) for s in seeds]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # switch threads between draws
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial, serial]
 
 
 def test_nearby_seeds_give_distinct_streams():
@@ -182,3 +237,37 @@ def test_realization_arrays_are_read_only_and_sums_cached():
     NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], inc, [], 0.0,
                      seed=1)
     inc[0] = 1.0                       # the caller's array stays writable
+
+
+def test_realization_copies_inputs_a_writable_array_can_reach():
+    inc = np.array([0.25, 0.5])
+    view = inc[:]
+    view.setflags(write=False)          # read-only, but inc still writes it
+    for given in (inc, view):
+        noise = NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0],
+                                 given, [], 0.0, seed=1)
+        cached = noise.brownian_increments
+        inc[:] = [5.0, 6.0]
+        assert noise.union_increments.tolist() == [0.25, 0.5]
+        assert noise.brownian_increments is cached
+        assert cached.tolist() == [0.25, 0.5]
+        inc[:] = [0.25, 0.5]
+
+
+def test_coarsen_keeps_the_sealed_event_array():
+    fine = sample_noise(preset("example_41"), 1.0, 2.0 ** -6, seed=9)
+    assert fine.coarsen(4).events is fine.events
+    assert fine.coarsen(1).events is fine.events
+
+
+@pytest.mark.parametrize("rows", [
+    ((0.5, 0.1, 1),),
+    [(0.5, 0.1, 1)],
+    np.array([(0.5, 0.1, 1)], dtype=EVENT_DTYPE),
+], ids=["tuple", "list", "array"])
+def test_events_given_as_tuple_list_or_array_agree(rows):
+    noise = _on_grid_noise(rows)
+    assert noise.events.tobytes() \
+        == np.array([(0.5, 0.1, 1)], dtype=EVENT_DTYPE).tobytes()
+    assert _on_grid_noise(()).events.tobytes() \
+        == _on_grid_noise([]).events.tobytes() == b""
