@@ -31,8 +31,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, TransformRangeError
 from .model import Modulus, affine_modulus
@@ -176,6 +174,7 @@ class OmegaTransform:
                     )
         if lo == hi:
             return self.base_point
+        from scipy.optimize import brentq
         ell = brentq(lambda l: self._g(l) - y, lo, hi, rtol=1e-15, maxiter=200)
         return math.exp(-ell)
 
@@ -198,19 +197,22 @@ def bihari_bound(transform, f, g, t, g_breakpoints=()):
     the comparison function degenerates and the bound is exactly 0.
     """
     t = float(t)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise DomainError("t must be finite and nonnegative")
     ft = float(f(t)) if callable(f) else float(f)
+    if not 0.0 <= ft < math.inf:
+        raise DomainError("f(t) must be finite and nonnegative")
     if ft == 0.0:
         return 0.0
-    if ft < 0:
-        raise DomainError("f(t) must be nonnegative")
     if callable(g):
+        from scipy.integrate import quad
         pts = [p for p in g_breakpoints if 0 < p < t] or None
         gi, _ = quad(lambda s: float(np.asarray(g(s))), 0.0, t,
                      points=pts, limit=200)
     else:
         gi = float(g) * t
+    if not math.isfinite(gi):
+        raise DomainError("the integral of g over [0, t] must be finite")
     return transform.inverse(transform.forward(ft) + gi)
 
 
@@ -281,6 +283,7 @@ def phi_inverse(upsilon, y, expand_cap=1e12):
             raise TransformRangeError(
                 f"phi_inverse({y:g}) exceeds the search range {expand_cap:g}"
             )
+    from scipy.optimize import brentq
     return brentq(lambda x: phi_growth(upsilon, x) - y, 0.0, hi,
                   rtol=1e-14, maxiter=200)
 
@@ -312,6 +315,7 @@ def a_sequence_log(modulus, n_max):
     """The sequence in the log domain: ``ell_n = -ln a_n`` with
     ``integral_{ell_{n-1}}^{ell_n} W = n`` (W the log-domain reciprocal
     weight).  ``ell_0 = 0``."""
+    from scipy.optimize import brentq
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     ells = [0.0]
@@ -503,6 +507,7 @@ class PsiFamily:
 
     def mass_quad(self):
         """Independent adaptive re-integration of the density (should be 1)."""
+        from scipy.integrate import quad
         total = 0.0
         for a, b in _w_segments(self.modulus.log_weight_breaks,
                                 self.l_lo, self.l_hi):

@@ -8,6 +8,7 @@ verification check returned `violated`, 3 numerical domain error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -277,7 +278,7 @@ def _cmd_bound(ns):
         if ns.f is None or ns.g is None:
             raise UsageError("--modulus needs --f and --g")
         modulus = parse_modulus_spec(ns.modulus)
-        base = ns.f if ns.f > 0 else 1.0
+        base = ns.f if 0 < ns.f < math.inf else 1.0
         value = bihari_bound(omega_build(modulus, base), ns.f, ns.g, ns.t)
         print(f"{value:.17g}")
         return 0

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import CatalogError, DomainError
 
@@ -96,7 +94,9 @@ class MarkMeasure:
     Supported forms: a list of density pieces ``(lo, hi, d)`` with ``d`` a
     nonnegative vectorized density, and/or a list of atoms ``(u, w)`` with
     weights ``w > 0``.  Pieces straddling 0 are split there so piecewise
-    quadrature never integrates across the ``|u|`` kink.
+    quadrature never integrates across the ``|u|`` kink.  ``total_mass`` is
+    computed by adaptive quadrature on its first read (and kept) unless it
+    is given.
     """
 
     def __init__(self, pieces=(), atoms=(), label="", total_mass=None):
@@ -116,13 +116,18 @@ class MarkMeasure:
             if w <= 0.0:
                 raise DomainError(f"atom at {u} has non-positive weight {w}")
         self.label = label
-        if total_mass is None:
-            total_mass = self._quadrature_mass()
-        self.total_mass = float(total_mass)
+        self._total_mass = None if total_mass is None else float(total_mass)
         self._nw = None
         self._sampler = None
 
+    @property
+    def total_mass(self):
+        if self._total_mass is None:
+            self._total_mass = float(self._quadrature_mass())
+        return self._total_mass
+
     def _quadrature_mass(self):
+        from scipy.integrate import quad
         m = sum(w for _, w in self.atoms)
         for lo, hi, dens in self.pieces:
             val, _ = quad(lambda u: float(np.asarray(dens(u))), lo, hi, limit=200)
@@ -371,8 +376,16 @@ def _neg_x_log_x_modulus():
 
 
 def _solve_l_star():
-    # argmax of x*ln(ln(1/x)) sits where ln(L) = 1/L, L = ln(1/x)
-    return brentq(lambda L: math.log(L) - 1.0 / L, 1.2, 3.0, xtol=1e-15, rtol=8.9e-16)
+    # argmax of x*ln(ln(1/x)) sits where ln(L) = 1/L, L = ln(1/x).  Newton
+    # from L = 2 ends in a cycle of adjacent floats; keep the least residual.
+    def f(L):
+        return math.log(L) - 1.0 / L
+
+    L, seen = 2.0, set()
+    while L not in seen:
+        seen.add(L)
+        L -= f(L) / (1.0 / L + 1.0 / (L * L))
+    return min(seen, key=lambda v: abs(f(v)))
 
 
 _L_STAR = _solve_l_star()

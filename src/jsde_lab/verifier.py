@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .analysis import omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
@@ -233,6 +232,7 @@ def _pair_measure_integral(measure, integrand, x, y, extra=None):
 def _scalar_measure_integral(measure, g):
     """Simpson-on-uniform-nodes integral of ``g`` against the measure —
     deliberately a different quadrature from the Gauss-Legendre fast path."""
+    from scipy.integrate import simpson
     if measure is None:
         return 0.0
     total = 0.0

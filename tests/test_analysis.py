@@ -81,6 +81,23 @@ def test_bihari_validation():
         bihari_bound(tr, 1.0, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("modulus, f, g, t", [
+    ("identity", 1.0, math.nan, 1.0),
+    ("identity", 1.0, math.inf, 1.0),
+    ("identity", math.nan, 1.0, 1.0),
+    ("identity", math.inf, 1.0, 1.0),
+    ("identity", lambda t: math.nan, 1.0, 1.0),
+    ("identity", 1.0, 1.0, math.inf),
+    ("identity", 1.0, 1.0, math.nan),
+    ("identity", 1.0, 1e300, 1e300),          # g * t overflows
+    ("x_log_log", 1.0, 1.0, math.inf),
+])
+def test_bihari_rejects_non_finite_input(modulus, f, g, t):
+    tr = omega_build(builtin_modulus(modulus), 1.0)
+    with pytest.raises(DomainError, match="must be finite"):
+        bihari_bound(tr, f, g, t)
+
+
 def test_transform_range_error():
     # table-backed transforms cannot resolve arbitrarily deep negatives
     rho = builtin_modulus("neg_x_log_x")

@@ -1,6 +1,10 @@
 """End-to-end command-line tests driven in process through ``cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,51 @@ def test_bound_non_finite_second_moment_exits_one(x0sq, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "second_moment_x0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--modulus", "identity", "--f", "1", "--g", "nan"],
+    ["--modulus", "identity", "--f", "nan", "--g", "1"],
+    ["--modulus", "identity", "--f", "inf", "--g", "1"],
+    ["--modulus", "identity", "--f", "1", "--g", "1", "--t", "inf"],
+    ["--modulus", "x_log_log", "--f", "1", "--g", "1", "--t", "inf"],
+])
+def test_bound_non_finite_gronwall_input_exits_one(argv, capsys):
+    assert cli.main(["bound"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "must be finite" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# scipy is imported on first use, not with the package
+# ---------------------------------------------------------------------------
+
+def _scipy_modules_after(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_import_and_model_building_leave_scipy_unloaded():
+    code = ("import jsde_lab, jsde_lab.cli\n"
+            "from jsde_lab.harness import ExperimentConfig\n"
+            "from jsde_lab.model import preset\n"
+            "preset('example_31'), preset('example_41')\n"
+            "ExperimentConfig(model='example_31')")
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_moment_bound_leaves_scipy_unloaded():
+    code = ("from jsde_lab import cli\n"
+            "assert cli.main(['bound', '--growth', 'log', '--mu', '1']) == 0")
+    assert _scipy_modules_after(code) == "[]"
 
 
 # ---------------------------------------------------------------------------

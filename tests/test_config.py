@@ -88,6 +88,7 @@ def test_u3_full_and_empty():
     (["model.nu1=gauss(0,1)"], "expected lebesgue"),
     (["noise.seed"], "must look like"),
     (["scheme.h=banana"], "scheme.h"),
+    (["model.nu1=lebesgue(2, 1)"], "empty density piece"),
 ])
 def test_bad_values_and_keys(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):

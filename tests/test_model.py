@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from jsde_lab import model as model_module
 from jsde_lab.errors import CatalogError, DomainError
 from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
                             MODULUS_CATALOG, Band, MarkMeasure,
@@ -57,6 +59,52 @@ def test_measure_restriction():
     half = nu.restricted((Band(1.0, 1.5),))
     assert half.total_mass == pytest.approx(0.5, rel=1e-10)
     assert nu.mass_in((Band(1.0, 1.25),)) == pytest.approx(0.25, rel=1e-10)
+
+
+def _unit(u):
+    return np.ones_like(np.asarray(u, dtype=float))
+
+
+def test_total_mass_is_the_quadrature_sum_bit_for_bit():
+    nu = MarkMeasure(pieces=[(-1.0, 2.0, _unit)], atoms=[(3.0, 0.25)])
+    want = 0.25
+    for lo, hi in ((-1.0, 0.0), (0.0, 2.0)):
+        want += quad(lambda u: float(np.asarray(_unit(u))), lo, hi,
+                     limit=200)[0]
+    assert nu.total_mass == want
+    half = lebesgue(1.0, 2.0).restricted((Band(1.0, 1.5), Band(1.75, 3.0)))
+    want = 0
+    for lo, hi in ((1.0, 1.5), (1.75, 2.0)):
+        want += quad(lambda u: float(np.asarray(_unit(u))), lo, hi,
+                     limit=200)[0]
+    assert half.total_mass == want
+
+
+def test_total_mass_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+    original = MarkMeasure._quadrature_mass
+
+    def counting(self):
+        calls.append(self.label)
+        return original(self)
+
+    monkeypatch.setattr(MarkMeasure, "_quadrature_mass", counting)
+    nu = lebesgue(1.0, 2.0, label="nu")
+    assert calls == []
+    first = nu.total_mass
+    assert nu.total_mass == first and nu.mass_in(None) == first
+    assert nu.is_finite
+    assert calls == ["nu"]
+    given = MarkMeasure(pieces=[(0.0, 1.0, _unit)], total_mass=3, label="g")
+    assert given.total_mass == 3.0 and isinstance(given.total_mass, float)
+    assert calls == ["nu"]
+
+
+def test_l_star_is_the_old_bracketed_root():
+    old = brentq(lambda L: math.log(L) - 1.0 / L, 1.2, 3.0,
+                 xtol=1e-15, rtol=8.9e-16)
+    assert model_module._L_STAR.hex() == "0x1.c36292591a110p+0"
+    assert model_module._L_STAR == old
 
 
 def test_nodes_and_weights_sum_to_mass():

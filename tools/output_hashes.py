@@ -5,12 +5,13 @@ Usage::
     python tools/output_hashes.py [OUT]
 
 The matrix runs all four experiment kinds on both presets (including runs
-whose paths exit at small radii) and five ``jsde-lab simulate --output-dir``
-dumps, each in a temporary directory.  It prints one ``name sha256`` line per
-output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one line
-per column, and each run's stdout.  The listing goes to ``OUT`` when given,
-else to stdout, so that "only this column moved" between two checkouts is a
-single ``diff`` of their listings.
+whose paths exit at small radii), five ``jsde-lab simulate --output-dir``
+dumps, each in a temporary directory, then ``jsde-lab verify`` on both
+presets and two ``jsde-lab bound`` calls.  It prints one ``name sha256`` line
+per output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one
+line per column, and each CLI call's exit code and stdout.  The listing goes
+to ``OUT`` when given, else to stdout, so that "only this column moved"
+between two checkouts is a single ``diff`` of their listings.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -75,6 +76,15 @@ SIMULATIONS = (
     ("simulate_u3", ["--config", "{u3}", "--paths", "3", "--dump-noise"]),
 )
 
+# (name, argv) of CLI calls whose exit code and stdout are hashed
+REPORTS = (
+    ("verify_31", ["verify", "--preset", "example_31"]),
+    ("verify_41", ["verify", "--preset", "example_41"]),
+    ("bound_moment_log", ["bound", "--growth", "log", "--mu", "1"]),
+    ("bound_x_log_log", ["bound", "--modulus", "x_log_log", "--f", "1",
+                         "--g", "1"]),
+)
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -94,6 +104,13 @@ def _csv_lines(name, path):
         cells = "\n".join(row[j] for row in body)
         out.append(f"{name}:{col} {_sha(cells.encode())}")
     return out
+
+
+def _run_cli(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
 
 
 def _dir_lines(name, out_dir):
@@ -121,14 +138,15 @@ def listing(work):
     for name, argv in SIMULATIONS:
         out_dir = work / name
         argv = [a.format(u3=u3) for a in argv]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = cli.main(["simulate", "--seed", "5", "--output-dir",
-                           str(out_dir)] + argv)
+        rc, stdout = _run_cli(["simulate", "--seed", "5", "--output-dir",
+                               str(out_dir)] + argv)
         # the stdout names the temporary directory; hash it without that
-        stdout = buf.getvalue().replace(str(out_dir), "<out>")
+        stdout = stdout.replace(str(out_dir), "<out>")
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
         lines.extend(_dir_lines(name, out_dir))
+    for name, argv in REPORTS:
+        rc, stdout = _run_cli(argv)
+        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     return lines
 
 
