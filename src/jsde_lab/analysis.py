@@ -33,7 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, TransformRangeError
-from .model import Modulus, affine_modulus
+from .model import Modulus, affine_modulus, gauss_legendre
 
 __all__ = [
     "OmegaTransform",
@@ -54,7 +54,7 @@ __all__ = [
     "r_inequality_check",
 ]
 
-_GLX, _GLW = np.polynomial.legendre.leggauss(81)
+_GLX, _GLW = gauss_legendre(81)
 
 _ELL_CAP = 1e280          # expansion cap: beyond this the integral is deemed bounded
 

@@ -19,6 +19,7 @@ return the same shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,16 @@ __all__ = [
 
 _GL_NODES = 64
 _CDF_TABLE = 4097
+
+
+@functools.cache
+def gauss_legendre(n):
+    """The ``n``-point Gauss-Legendre rule on ``[-1, 1]`` as read-only
+    ``(nodes, weights)``, computed once per process."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +157,7 @@ class MarkMeasure:
         """
         if self._nw is None:
             xs, ws = [], []
-            gl_x, gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+            gl_x, gl_w = gauss_legendre(_GL_NODES)
             for lo, hi, dens in self.pieces:
                 mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
                 u = mid + half * gl_x

@@ -182,7 +182,14 @@ def _draw_events(measure, horizon, seed, code):
         return np.empty(0, EVENT_DTYPE)
     rng = _stream(seed, code)
     lam = measure.total_mass * horizon
-    events = np.empty(int(rng.poisson(lam)), EVENT_DTYPE)
+    try:
+        count = int(rng.poisson(lam))
+    except ValueError as exc:
+        raise DomainError(
+            f"jump measure nu{code} ({measure.label}): rate x horizon = "
+            f"{lam:g} is too large for a Poisson event count ({exc})"
+        ) from exc
+    events = np.empty(count, EVENT_DTYPE)
     times = np.sort(rng.random(len(events))) * horizon
     events["time"] = np.maximum(times, np.nextafter(0.0, 1.0))
     events["mark"] = measure.sample(rng, len(events))
@@ -197,7 +204,8 @@ def sample_noise(model, horizon, base_step, seed):
     from the normalized measure (inverse-CDF for density pieces, categorical
     for atoms); Brownian increments are centered Gaussians with variance
     equal to the step width.  Everything is a deterministic function of
-    ``seed`` through the per-stream counters.
+    ``seed`` through the per-stream counters.  A rate x horizon too large
+    for numpy's Poisson draw is a :class:`DomainError`.
     """
     horizon = float(horizon)
     base_step = float(base_step)

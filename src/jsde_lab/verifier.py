@@ -38,7 +38,7 @@ import numpy as np
 from .analysis import omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
 from .model import (GAMMA, Band, builtin_growth, builtin_modulus,
-                    scale_modulus)
+                    gauss_legendre, scale_modulus)
 
 NO_VIOLATION = "no_violation_found"
 VIOLATED = "violated"
@@ -51,6 +51,11 @@ GROWTH_RATIO_MIN = 0.75       # growth-(ii) decade increments; catalog >= 0.887
 # the empty interlacing sub-support; the first is exact, attained at -sqrt(e))
 MU_EXAMPLE_31 = (math.e + 3.0 * math.sqrt(math.e)) / (math.e + 1.0)
 MU_EXAMPLE_41 = 0.5566420945681
+
+# pairs per block of the pair-grid mark integrals: a block's (pairs x nodes)
+# arrays take half a MB at the presets' 128 nodes, and a designated grid of
+# 81 002 pairs needs 159 blocks
+_PAIR_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +213,33 @@ def _mark_grid(measure, n=101):
 # measure integrals (vectorized + independent scalar re-evaluation)
 # ---------------------------------------------------------------------------
 
-def _pair_measure_integral(measure, integrand, x, y, extra=None):
-    """``integral integrand(|c(x,u) - c(y,u)| ...) dmeasure`` over pair arrays.
+def _pair_measure_integral(measure, integrand, x, y):
+    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair
+    ``(x_i, y_i)``.
 
-    ``integrand(cx, cy, u)`` receives (pairs, marks)-shaped coefficient
-    values and must return the same shape.
+    The pairs are evaluated in consecutive blocks of ``_PAIR_BLOCK``, so the
+    working arrays stay at ``_PAIR_BLOCK x nodes`` floats however many pairs
+    there are.  ``integrand(xs, ys, u)`` receives a block's states as
+    ``(rows, 1)`` columns and the marks as a ``(1, nodes)`` row, and returns
+    an array that broadcasts to ``(rows, nodes)``.
     """
     if measure is None:
         return np.zeros_like(x)
     u, w = measure.nodes_and_weights()
     if u.size == 0:
         return np.zeros_like(x)
-    vals = integrand(x[:, None], y[:, None], u[None, :])
-    if not np.all(np.isfinite(vals)):
-        i = int(np.argmax(~np.isfinite(vals).all(axis=1)))
-        raise NumericalDomainError(
-            f"mark integral failed to evaluate at x = {x[i]:g}",
-            state=float(x[i]),
-        )
-    return vals @ w
+    out = np.empty(len(x))
+    for start in range(0, len(x), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        vals = integrand(x[block, None], y[block, None], u[None, :])
+        if not np.all(np.isfinite(vals)):
+            i = start + int(np.argmax(~np.isfinite(vals).all(axis=1)))
+            raise NumericalDomainError(
+                f"mark integral failed to evaluate at x = {x[i]:g}",
+                state=float(x[i]),
+            )
+        out[block] = vals @ w
+    return out
 
 
 def _scalar_measure_integral(measure, g):
@@ -383,7 +396,7 @@ def _growth_lhs(model, x):
 
 
 def _growth_decade_increments(upsilon, k_max=12):
-    glx, glw = np.polynomial.legendre.leggauss(81)
+    glx, glw = gauss_legendre(81)
     incs = []
     for k in range(1, k_max + 1):
         a, b = (k - 1) * math.log(10.0), k * math.log(10.0)

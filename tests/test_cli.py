@@ -241,6 +241,20 @@ x0 = -1
     assert "base step = 0.00390625" in err
 
 
+def test_simulate_huge_jump_rate_exits_one(tmp_path, capsys):
+    cfgfile = _write(tmp_path, """
+[model]
+b = -x
+sigma = 0.5
+c1 = u
+nu1 = lebesgue(1, 1e308)
+""")
+    assert cli.main(["simulate", "--config", cfgfile, "--paths", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: jump measure nu1 ")
+    assert "rate x horizon = 1e+308" in err
+
+
 def test_simulate_malformed_config_exits_one(tmp_path, capsys):
     cfgfile = _write(tmp_path, "[model\nb = x\n")
     assert cli.main(["simulate", "--config", cfgfile]) == 1

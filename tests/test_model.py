@@ -10,7 +10,8 @@ from jsde_lab.errors import CatalogError, DomainError
 from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
                             MODULUS_CATALOG, Band, MarkMeasure,
                             affine_modulus, builtin_growth, builtin_modulus,
-                            in_bands, lebesgue, preset, scale_modulus)
+                            gauss_legendre, in_bands, lebesgue, preset,
+                            scale_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,25 @@ def test_nodes_and_weights_sum_to_mass():
     assert w.sum() == pytest.approx(nu.total_mass, rel=1e-12)
     u2, w2 = nu.nodes_and_weights()
     assert u2 is u and w2 is w       # cached
+
+
+@pytest.mark.parametrize("n", [64, 81])
+def test_gauss_legendre_rule_is_computed_once_and_read_only(n):
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert gauss_legendre(n)[0] is x and gauss_legendre(n)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_nodes_and_weights_use_the_cached_rule(monkeypatch):
+    gauss_legendre(model_module._GL_NODES)
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n))
+    u, w = lebesgue(-1.0, 2.0).restricted(Band(-0.5, 1.5)).nodes_and_weights()
+    assert calls == []
+    assert u.size == 2 * model_module._GL_NODES
 
 
 def test_measure_sampling_reproducible():

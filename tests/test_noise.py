@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -6,7 +7,7 @@ import pytest
 
 from jsde_lab import noise as noise_module
 from jsde_lab.errors import DomainError
-from jsde_lab.model import Band, lebesgue, preset
+from jsde_lab.model import Band, CoefficientSet, MarkMeasure, lebesgue, preset
 from jsde_lab.noise import (EVENT_DTYPE, LARGE, SMALL, NoiseRealization,
                             derive_path_seed, sample_noise, split_large_jumps,
                             truncate_small_jumps)
@@ -271,3 +272,18 @@ def test_events_given_as_tuple_list_or_array_agree(rows):
         == np.array([(0.5, 0.1, 1)], dtype=EVENT_DTYPE).tobytes()
     assert _on_grid_noise(()).events.tobytes() \
         == _on_grid_noise([]).events.tobytes() == b""
+
+
+@pytest.mark.parametrize("nu1, nu2, horizon, name, lam", [
+    (lebesgue(1.0, 1e308), None, 1.0, "nu1", "1e+308"),
+    (None, MarkMeasure(atoms=[(1.0, 1e300)]), 1e10, "nu2", "inf"),
+])
+def test_rate_beyond_a_poisson_count_is_a_domain_error(nu1, nu2, horizon,
+                                                        name, lam):
+    model = CoefficientSet(
+        b=lambda x: -x, sigma=lambda x: 0.0 * x,
+        c1=None if nu1 is None else (lambda x, u: u), nu1=nu1,
+        c2=None if nu2 is None else (lambda x, u: u), nu2=nu2)
+    with pytest.raises(DomainError,
+                       match=rf"{name} .*= {re.escape(lam)} is too large"):
+        sample_noise(model, horizon, horizon, seed=3)

@@ -7,11 +7,12 @@ Usage::
 The matrix runs all four experiment kinds on both presets (including runs
 whose paths exit at small radii), five ``jsde-lab simulate --output-dir``
 dumps, each in a temporary directory, then ``jsde-lab verify`` on both
-presets and two ``jsde-lab bound`` calls.  It prints one ``name sha256`` line
-per output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one
-line per column, and each CLI call's exit code and stdout.  The listing goes
-to ``OUT`` when given, else to stdout, so that "only this column moved"
-between two checkouts is a single ``diff`` of their listings.
+presets, two ``jsde-lab bound`` calls and a ``verify`` of the inline u3
+model.  It prints one ``name sha256`` line per output: ``summary.json``
+whole, ``data.csv`` and every dumped CSV one line per column, and each CLI
+call's exit code and stdout.  The listing goes to ``OUT`` when given, else
+to stdout, so that "only this column moved" between two checkouts is a
+single ``diff`` of their listings.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -83,6 +84,15 @@ REPORTS = (
     ("bound_moment_log", ["bound", "--growth", "log", "--mu", "1"]),
     ("bound_x_log_log", ["bound", "--modulus", "x_log_log", "--f", "1",
                          "--g", "1"]),
+    # pair-grid mark integrals over atoms and a non-empty u3
+    ("verify_u3", ["verify", "--config", "{u3}", "--check", "corollary",
+                   "--check", "nonconfluence", "--check", "growth",
+                   "--set", "analysis.rho1=identity",
+                   "--set", "analysis.rho2=identity",
+                   "--set", "analysis.modulus=identity",
+                   "--set", "analysis.delta0=1", "--set", "analysis.alpha=0",
+                   "--set", "analysis.delta=0.5",
+                   "--set", "analysis.growth=one", "--set", "analysis.mu=10"]),
 )
 
 
@@ -145,7 +155,7 @@ def listing(work):
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
         lines.extend(_dir_lines(name, out_dir))
     for name, argv in REPORTS:
-        rc, stdout = _run_cli(argv)
+        rc, stdout = _run_cli([a.format(u3=u3) for a in argv])
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     return lines
 
