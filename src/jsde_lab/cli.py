@@ -23,7 +23,7 @@ from .noise import derive_path_seed, sample_noise
 from .verifier import (NO_VIOLATION, check_corollary_conditions, check_growth,
                        check_local_conditions, check_modulus,
                        check_nonconfluence_conditions, designated_checks,
-                       format_report_table, reports_to_json)
+                       designated_sets, format_report_table, reports_to_json)
 
 CHECK_NAMES = ("designated", "modulus", "growth", "local", "corollary",
                "nonconfluence")
@@ -231,14 +231,12 @@ def _run_checks(cfg, model, names):
 
 
 def _assumption_reports(cfg, model, ids):
-    try:
-        designated = {r.assumption_id: r for r in designated_checks(model)}
-    except CatalogError:
-        designated = {}
+    designated = designated_sets(model.label)
     reports = []
     for aid in ids:
         if aid in designated:
-            reports.append(designated[aid])
+            check, params = designated[aid]
+            reports.append(check(model, **params))
         else:
             reports.extend(_run_checks(cfg, model, [ASSUMPTION_CHECKS[aid]]))
     return reports

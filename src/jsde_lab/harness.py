@@ -33,21 +33,17 @@ from .errors import (AssumptionViolationError, DomainError,
                      NumericalDomainError, ResourceLimitError, UsageError)
 from .integrator import (TAMING_MODES, SchemeConfig, first_exit_time,
                          simulate_paths)
-from .model import (GAMMA, CoefficientSet, builtin_growth, builtin_modulus,
-                    preset, scale_modulus)
+from .model import CoefficientSet, builtin_growth, builtin_modulus, preset
 from .noise import derive_path_seed, sample_noise
-from .verifier import (MU_EXAMPLE_31, MU_EXAMPLE_41, NO_VIOLATION, PairGrid,
-                       check_growth, check_nonconfluence_conditions,
+from .verifier import (NO_VIOLATION, check_growth,
+                       check_nonconfluence_conditions, designated_sets,
                        growth_ratio_supremum)
 
 DEFAULT_SEED = 1729
 DEFAULT_BUDGET = 200_000_000
 
-# per-preset experiment defaults: drift taming and the designated growth
-# envelope (name, constant)
+# per-preset experiment default drift taming
 PRESET_TAMING = {"example_31": "off", "example_41": "drift_tamed"}
-PRESET_GROWTH = {"example_31": ("log", MU_EXAMPLE_31),
-                 "example_41": ("one", MU_EXAMPLE_41)}
 
 
 def _sorted_ladder(values, name, descending=False):
@@ -206,17 +202,17 @@ def _resolve_taming(config, model):
 
 def _resolve_growth(config, model):
     """Growth envelope and constant for the explosion pre-check: explicit
-    config values win, then preset defaults, then a constant envelope with
-    the constant calibrated from the checker grid."""
+    config values win, then the preset's designated A23 set, then a constant
+    envelope with the constant calibrated from the checker grid."""
     growth = config.growth
     mu = config.mu
     notes = []
     if growth is None:
-        if model.label in PRESET_GROWTH:
-            name, preset_mu = PRESET_GROWTH[model.label]
-            growth = builtin_growth(name)
+        _, params = designated_sets(model.label).get("A23", (None, None))
+        if params is not None:
+            growth = params["upsilon"]
             if mu is None:
-                mu = preset_mu
+                mu = params["mu"]
         else:
             growth = builtin_growth("one")
             notes.append("no growth envelope configured; using the constant "
@@ -324,6 +320,16 @@ def _steps(horizon, h):
     return int(math.ceil(horizon / h - 1e-12))
 
 
+def _precheck_echo(report, violation):
+    """Raise :class:`AssumptionViolationError` with the ``violation`` text
+    unless the pre-check found no violation; else echo its verdict."""
+    if report.verdict != NO_VIOLATION:
+        raise AssumptionViolationError(
+            f"{violation}; pass skip_checks=True to run regardless",
+            reports=(report,))
+    return {"assumption_id": report.assumption_id, "verdict": report.verdict}
+
+
 def _write_if_configured(summary, config):
     if config.output_dir is not None:
         summary.write(config.output_dir)
@@ -349,15 +355,11 @@ def run_explosion(config):
 
     check_echo = None
     if not config.skip_checks:
-        report = check_growth(model, growth, mu)
-        if report.verdict != NO_VIOLATION:
-            raise AssumptionViolationError(
-                f"growth condition violated for model {model.label!r} with "
-                f"envelope {growth.label!r}, mu = {mu:g}; pass "
-                "skip_checks=True to run regardless", reports=(report,))
-        check_echo = {"assumption_id": report.assumption_id,
-                      "verdict": report.verdict,
-                      "growth": growth.label, "mu": mu}
+        check_echo = _precheck_echo(
+            check_growth(model, growth, mu),
+            f"growth condition violated for model {model.label!r} with "
+            f"envelope {growth.label!r}, mu = {mu:g}")
+        check_echo.update(growth=growth.label, mu=mu)
 
     radii = config.radius_ladder
     scheme = _scheme(config, h, taming, radius=radii[-1])
@@ -387,8 +389,7 @@ def run_explosion(config):
     if model.nu2 is None or model.u3 is None:
         m_rate = 0.0          # no large jumps, or none handled by interlacing
     else:
-        m_rate = (model.nu2.total_mass
-                  - model.nu2.restricted(model.u3).total_mass)
+        m_rate = model.nu2.total_mass - model.u3_measure().total_mass
     bound = moment_bound(growth, mu, m_rate, config.x0 ** 2, config.horizon)
     bound_row = {
         "mc_mean": phi_mean, "mc_se": phi_se, "n": phi_n,
@@ -484,21 +485,15 @@ def _nonconfluence_precheck(config, model):
     modulus = config.modulus
     if isinstance(modulus, str):
         modulus = builtin_modulus(modulus)
-    if modulus is None:
-        if model.label == "example_41":
-            modulus = scale_modulus(builtin_modulus("identity"), 5.0)
-            grid = PairGrid(anchors=np.linspace(-5.0, 5.0, 101),
-                            gaps=np.geomspace(1e-6, 10.0, 401),
-                            label="designated nonconfluence grid")
-            return check_nonconfluence_conditions(
-                model, modulus, alpha=0.0, delta=0.5, grid=grid,
-                affine_k=lambda u: GAMMA * np.abs(np.asarray(u,
-                                                             dtype=float)))
+    if modulus is not None:
+        return check_nonconfluence_conditions(
+            model, modulus, alpha=config.alpha, delta=config.delta)
+    _, params = designated_sets(model.label).get("A26", (None, None))
+    if params is None:
         raise UsageError(
             f"model {model.label!r} has no designated nonconfluence check; "
             "provide modulus=... (with alpha/delta) or set skip_checks=True")
-    return check_nonconfluence_conditions(model, modulus, alpha=config.alpha,
-                                          delta=config.delta)
+    return check_nonconfluence_conditions(model, **params)
 
 
 def run_nonconfluence(config):
@@ -515,14 +510,9 @@ def run_nonconfluence(config):
 
     check_echo = None
     if not config.skip_checks:
-        report = _nonconfluence_precheck(config, model)
-        if report.verdict != NO_VIOLATION:
-            raise AssumptionViolationError(
-                f"nonconfluence conditions violated for model "
-                f"{model.label!r}; pass skip_checks=True to run regardless",
-                reports=(report,))
-        check_echo = {"assumption_id": report.assumption_id,
-                      "verdict": report.verdict}
+        check_echo = _precheck_echo(
+            _nonconfluence_precheck(config, model),
+            f"nonconfluence conditions violated for model {model.label!r}")
 
     scheme = _scheme(config, h, taming)
 

@@ -609,8 +609,10 @@ class CoefficientSet:
         # order that depends on how many states are evaluated together
         return (vals[..., None, :] @ w)[..., 0]
 
-    def u3_mass(self):
-        return self.nu2.mass_in(self.u3)
+    def u3_measure(self):
+        """``nu2`` restricted to the interlacing sub-support ``u3`` (``nu2``
+        itself when ``u3`` is None); None when there is no ``nu2``."""
+        return None if self.nu2 is None else self.nu2.restricted(self.u3)
 
 
 GAMMA = math.sqrt(1.5)    # makes gamma^2 * second moment of lebesgue[-1,1] = 1

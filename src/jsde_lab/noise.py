@@ -32,6 +32,9 @@ SMALL = "small"
 LARGE = "large"
 SOURCES = (None, SMALL, LARGE)
 EVENT_DTYPE = np.dtype([("time", "f8"), ("mark", "f8"), ("code", "i1")])
+# largest rate x horizon one event stream may draw: far above a desk-scale
+# run, and its event array (17 bytes per event) stays at a few hundred MB
+MAX_EXPECTED_EVENTS = 1e7
 
 _MASK64 = (1 << 64) - 1
 _local = threading.local()
@@ -183,6 +186,9 @@ def _draw_events(measure, horizon, seed, code):
     rng = _stream(seed, code)
     lam = measure.total_mass * horizon
     try:
+        if not lam <= MAX_EXPECTED_EVENTS:
+            raise ValueError(f"above the cap of {MAX_EXPECTED_EVENTS:g} "
+                             "expected events per stream")
         count = int(rng.poisson(lam))
     except ValueError as exc:
         raise DomainError(
@@ -204,8 +210,8 @@ def sample_noise(model, horizon, base_step, seed):
     from the normalized measure (inverse-CDF for density pieces, categorical
     for atoms); Brownian increments are centered Gaussians with variance
     equal to the step width.  Everything is a deterministic function of
-    ``seed`` through the per-stream counters.  A rate x horizon too large
-    for numpy's Poisson draw is a :class:`DomainError`.
+    ``seed`` through the per-stream counters.  A rate x horizon above
+    ``MAX_EXPECTED_EVENTS`` or numpy's Poisson limit is a :class:`DomainError`.
     """
     horizon = float(horizon)
     base_step = float(base_step)
@@ -220,7 +226,7 @@ def sample_noise(model, horizon, base_step, seed):
             "before sampling"
         )
     if nu2 is not None and not nu2.is_finite:
-        restricted = nu2.restricted(model.u3)
+        restricted = model.u3_measure()
         if not restricted.is_finite:
             raise DomainError("large-jump measure has infinite mass even "
                               "restricted to the interlacing sub-support")

@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .analysis import omega_build
+from .analysis import _gl_panel, omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
 from .model import (GAMMA, Band, builtin_growth, builtin_modulus,
-                    gauss_legendre, scale_modulus)
+                    scale_modulus)
 
 NO_VIOLATION = "no_violation_found"
 VIOLATED = "violated"
@@ -258,6 +258,34 @@ def _scalar_measure_integral(measure, g):
     return total
 
 
+def _dc(cfunc, x, y, u):
+    return (np.asarray(cfunc(x, u), dtype=float)
+            - np.asarray(cfunc(y, u), dtype=float))
+
+
+def _dc_integral(measure, cfunc, shape, x, y):
+    """``integral shape(c(x_i,u) - c(y_i,u), |x_i - y_i|) dmeasure(u)`` for
+    each pair, by the blocked Gauss-Legendre rule."""
+    return _pair_measure_integral(
+        measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u),
+                                         np.abs(xs - ys)), x, y)
+
+
+def _scalar_dc_integral(measure, cfunc, shape, x, y):
+    """The Simpson twin of :func:`_dc_integral` at one pair of floats."""
+    return _scalar_measure_integral(
+        measure, lambda u: shape(_dc(cfunc, x, y, u), abs(x - y)))
+
+
+# integrand shapes of dc = c(x,u) - c(y,u), shared by both quadrature paths
+def _abs_shape(dc, gap):
+    return np.abs(dc)
+
+
+def _square_shape(dc, gap):
+    return dc ** 2
+
+
 def _reconfirm(condition, recompute):
     """Attach an independent re-evaluation of the worst witness."""
     if condition.verdict != VIOLATED or condition.worst is None:
@@ -268,6 +296,15 @@ def _reconfirm(condition, recompute):
     condition.worst["recomputed_lhs"] = float(lhs)
     condition.worst["recomputed_rhs"] = float(rhs)
     return condition
+
+
+def _pair_condition(name, x, y, lhs, rhs, recompute, tolerance):
+    """A pair condition ``lhs <= rhs`` over the pairs ``(x, y)``, its worst
+    pair reconfirmed by ``recompute(x, y) -> (lhs, rhs)`` on floats."""
+    return _reconfirm(
+        _condition_from_arrays(name, {"x": x, "y": y, "gap": np.abs(x - y)},
+                               lhs, rhs, tolerance),
+        lambda w: recompute(w["x"], w["y"]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +424,7 @@ def _growth_lhs(model, x):
         lhs = lhs + _pair_measure_integral(
             model.nu1, lambda xs, ys, u: np.abs(
                 np.asarray(model.c1(xs, u), dtype=float)) ** 2, x, x)
-    u3_measure = None if model.nu2 is None else model.nu2.restricted(model.u3)
+    u3_measure = model.u3_measure()
     if u3_measure is not None:
         lhs = lhs + 2.0 * _pair_measure_integral(
             u3_measure, lambda xs, ys, u: np.abs(
@@ -396,16 +433,15 @@ def _growth_lhs(model, x):
 
 
 def _growth_decade_increments(upsilon, k_max=12):
-    glx, glw = gauss_legendre(81)
-    incs = []
-    for k in range(1, k_max + 1):
-        a, b = (k - 1) * math.log(10.0), k * math.log(10.0)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        v = mid + half * glx
+    """``integral ds / (s Upsilon(s) + 1)`` over each decade ``[10^(k-1),
+    10^k]``, as ``integral e^v / (e^v Upsilon(e^v) + 1) dv``."""
+    def integrand(v):
         s = np.exp(v)
-        incs.append(half * float(np.dot(glw, s / (s * np.asarray(
-            upsilon(s), dtype=float) + 1.0))))
-    return np.asarray(incs)
+        return s / (s * np.asarray(upsilon(s), dtype=float) + 1.0)
+
+    return np.asarray([_gl_panel(integrand, (k - 1) * math.log(10.0),
+                                 k * math.log(10.0))
+                       for k in range(1, k_max + 1)])
 
 
 def check_growth(model, upsilon, mu, anchors=None,
@@ -432,9 +468,9 @@ def check_growth(model, upsilon, mu, anchors=None,
         l = 2.0 * x * float(model.b(x)) + float(model.sigma(x)) ** 2
         l += _scalar_measure_integral(
             model.nu1, lambda u: np.abs(np.asarray(model.c1(x, u))) ** 2)
-        u3m = None if model.nu2 is None else model.nu2.restricted(model.u3)
         l += 2.0 * _scalar_measure_integral(
-            u3m, lambda u: np.abs(np.asarray(model.c2(x, u))) ** 2)
+            model.u3_measure(),
+            lambda u: np.abs(np.asarray(model.c2(x, u))) ** 2)
         r = mu * (x * x * float(np.asarray(upsilon(x * x))) + 1.0)
         return l, r
 
@@ -507,53 +543,38 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
 
     bx = np.asarray(model.b(x), dtype=float)
     by = np.asarray(model.b(y), dtype=float)
-    u3_measure = None if model.nu2 is None else model.nu2.restricted(model.u3)
-    lhs1 = (x - y) * (bx - by) + _pair_measure_integral(
-        u3_measure,
-        lambda xs, ys, u: np.abs(np.asarray(model.c2(xs, u), dtype=float)
-                                 - np.asarray(model.c2(ys, u), dtype=float)),
-        x, y)
-    rhs1 = d * np.asarray(rho1.rho(d), dtype=float)
-    cond1 = _condition_from_arrays(
-        "drift_plus_large_jump_first_moment", {"x": x, "y": y, "gap": d},
-        lhs1, rhs1, tolerance)
-
-    def recompute1(w):
-        xx, yy = w["x"], w["y"]
-        l = (xx - yy) * (float(model.b(xx)) - float(model.b(yy)))
-        l += _scalar_measure_integral(
-            u3_measure, lambda u: np.abs(np.asarray(model.c2(xx, u))
-                                         - np.asarray(model.c2(yy, u))))
-        return l, abs(xx - yy) * float(np.asarray(rho1.rho(abs(xx - yy))))
-
-    conditions.append(_reconfirm(cond1, recompute1))
+    u3_measure = model.u3_measure()
+    conditions.append(_pair_condition(
+        "drift_plus_large_jump_first_moment", x, y,
+        (x - y) * (bx - by)
+        + _dc_integral(u3_measure, model.c2, _abs_shape, x, y),
+        d * np.asarray(rho1.rho(d), dtype=float),
+        lambda xx, yy: (
+            (xx - yy) * (float(model.b(xx)) - float(model.b(yy)))
+            + _scalar_dc_integral(u3_measure, model.c2, _abs_shape, xx, yy),
+            abs(xx - yy) * float(np.asarray(rho1.rho(abs(xx - yy))))),
+        tolerance))
 
     sx = np.asarray(model.sigma(x), dtype=float)
     sy = np.asarray(model.sigma(y), dtype=float)
-    lhs2 = (sx - sy) ** 2 + _pair_measure_integral(
-        model.nu1,
-        lambda xs, ys, u: (np.asarray(model.c1(xs, u), dtype=float)
-                           - np.asarray(model.c1(ys, u), dtype=float)) ** 2,
-        x, y)
-    rhs2 = np.asarray(rho2.rho(d), dtype=float)
-    cond2 = _condition_from_arrays(
-        "diffusion_plus_small_jump_second_moment", {"x": x, "y": y, "gap": d},
-        lhs2, rhs2, tolerance)
-
-    def recompute2(w):
-        xx, yy = w["x"], w["y"]
-        l = (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2
-        l += _scalar_measure_integral(
-            model.nu1, lambda u: (np.asarray(model.c1(xx, u))
-                                  - np.asarray(model.c1(yy, u))) ** 2)
-        return l, float(np.asarray(rho2.rho(abs(xx - yy))))
-
-    conditions.append(_reconfirm(cond2, recompute2))
+    conditions.append(_pair_condition(
+        "diffusion_plus_small_jump_second_moment", x, y,
+        (sx - sy) ** 2
+        + _dc_integral(model.nu1, model.c1, _square_shape, x, y),
+        np.asarray(rho2.rho(d), dtype=float),
+        lambda xx, yy: (
+            (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2
+            + _scalar_dc_integral(model.nu1, model.c1, _square_shape, xx, yy),
+            float(np.asarray(rho2.rho(abs(xx - yy))))),
+        tolerance))
 
     if include_monotonicity and model.nu1 is not None:
         marks = _mark_grid(model.nu1)
         anchors = np.sort(np.unique(np.asarray(grid.anchors, dtype=float)))
-        c = np.asarray(model.c1(anchors[:, None], marks[None, :]), dtype=float)
+        # a c1 that ignores the state (a config c1 = u) gives a single row
+        c = np.broadcast_to(
+            np.asarray(model.c1(anchors[:, None], marks[None, :]),
+                       dtype=float), (anchors.size, marks.size))
         lhs = c[:-1, :].reshape(-1)
         rhs = c[1:, :].reshape(-1)
         xi = np.repeat(anchors[:-1], marks.size)
@@ -612,57 +633,40 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
     x, y = grid.pairs(gap_cap=delta0)
     d = np.abs(x - y)
     rho_da = np.asarray(modulus.rho(d ** alpha), dtype=float)
-    conditions = []
+
+    def scalar_rho(xx, yy):
+        return float(np.asarray(modulus.rho(abs(xx - yy) ** alpha)))
 
     bx = np.asarray(model.b(x), dtype=float)
     by = np.asarray(model.b(y), dtype=float)
     sx = np.asarray(model.sigma(x), dtype=float)
     sy = np.asarray(model.sigma(y), dtype=float)
-    lhs1 = np.maximum((x - y) * (bx - by), (sx - sy) ** 2)
-    rhs1 = d ** (2.0 - alpha) * rho_da
-    cond1 = _condition_from_arrays(
-        "drift_or_diffusion_local", {"x": x, "y": y, "gap": d},
-        lhs1, rhs1, tolerance)
+    conditions = [_pair_condition(
+        "drift_or_diffusion_local", x, y,
+        np.maximum((x - y) * (bx - by), (sx - sy) ** 2),
+        d ** (2.0 - alpha) * rho_da,
+        lambda xx, yy: (
+            max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
+                (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2),
+            abs(xx - yy) ** (2.0 - alpha) * scalar_rho(xx, yy)),
+        tolerance)]
 
-    def recompute1(w):
-        xx, yy = w["x"], w["y"]
-        gap = abs(xx - yy)
-        l = max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
-                (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2)
-        return l, gap ** (2.0 - alpha) * float(np.asarray(
-            modulus.rho(gap ** alpha)))
-
-    conditions.append(_reconfirm(cond1, recompute1))
+    def shape(dc, gap):
+        dc = np.abs(dc)
+        return np.maximum(dc ** alpha, gap ** (alpha - 1.0) * dc)
 
     def jump_condition(name, measure, cfunc):
-        def integrand(xs, ys, u):
-            dc = np.abs(np.asarray(cfunc(xs, u), dtype=float)
-                        - np.asarray(cfunc(ys, u), dtype=float))
-            gap = np.abs(xs - ys)
-            return np.maximum(dc ** alpha, gap ** (alpha - 1.0) * dc)
-
-        lhs = _pair_measure_integral(measure, integrand, x, y)
-        cond = _condition_from_arrays(
-            name, {"x": x, "y": y, "gap": d}, lhs, rho_da, tolerance)
-
-        def recompute(w):
-            xx, yy = w["x"], w["y"]
-            gap = abs(xx - yy)
-
-            def g(u):
-                dc = np.abs(np.asarray(cfunc(xx, u), dtype=float)
-                            - np.asarray(cfunc(yy, u), dtype=float))
-                return np.maximum(dc ** alpha, gap ** (alpha - 1.0) * dc)
-
-            return (_scalar_measure_integral(measure, g),
-                    float(np.asarray(modulus.rho(gap ** alpha))))
-
-        return _reconfirm(cond, recompute)
+        return _pair_condition(
+            name, x, y, _dc_integral(measure, cfunc, shape, x, y), rho_da,
+            lambda xx, yy: (
+                _scalar_dc_integral(measure, cfunc, shape, xx, yy),
+                scalar_rho(xx, yy)),
+            tolerance)
 
     if model.nu1 is not None:
         conditions.append(jump_condition(
             "small_jump_local", model.nu1, model.c1))
-    u3_measure = None if model.nu2 is None else model.nu2.restricted(model.u3)
+    u3_measure = model.u3_measure()
     if u3_measure is not None and u3_measure.total_mass > 0:
         conditions.append(jump_condition(
             "large_jump_local", u3_measure, model.c2))
@@ -694,54 +698,43 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
     x, y = grid.pairs()
     d = np.abs(x - y)
     rho_inv = np.asarray(modulus.rho(d ** (-alpha)), dtype=float)
-    conditions = []
+
+    def scalar_rhs(xx, yy, power):
+        gap = abs(xx - yy)
+        return gap ** power * float(np.asarray(modulus.rho(gap ** (-alpha))))
 
     bx = np.asarray(model.b(x), dtype=float)
     by = np.asarray(model.b(y), dtype=float)
-    cond1 = _condition_from_arrays(
-        "drift_global", {"x": x, "y": y, "gap": d},
-        (x - y) * (bx - by), d ** (2.0 + alpha) * rho_inv, tolerance)
-    conditions.append(_reconfirm(cond1, lambda w: (
-        (w["x"] - w["y"]) * (float(model.b(w["x"])) - float(model.b(w["y"]))),
-        abs(w["x"] - w["y"]) ** (2.0 + alpha)
-        * float(np.asarray(modulus.rho(abs(w["x"] - w["y"]) ** (-alpha)))))))
+    conditions = [_pair_condition(
+        "drift_global", x, y,
+        (x - y) * (bx - by), d ** (2.0 + alpha) * rho_inv,
+        lambda xx, yy: (
+            (xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
+            scalar_rhs(xx, yy, 2.0 + alpha)),
+        tolerance)]
 
     sx = np.asarray(model.sigma(x), dtype=float)
     sy = np.asarray(model.sigma(y), dtype=float)
-    cond2 = _condition_from_arrays(
-        "diffusion_global", {"x": x, "y": y, "gap": d},
-        (sx - sy) ** 2, d ** (2.0 + alpha) * rho_inv, tolerance)
-    conditions.append(_reconfirm(cond2, lambda w: (
-        (float(model.sigma(w["x"])) - float(model.sigma(w["y"]))) ** 2,
-        abs(w["x"] - w["y"]) ** (2.0 + alpha)
-        * float(np.asarray(modulus.rho(abs(w["x"] - w["y"]) ** (-alpha)))))))
+    conditions.append(_pair_condition(
+        "diffusion_global", x, y,
+        (sx - sy) ** 2, d ** (2.0 + alpha) * rho_inv,
+        lambda xx, yy: (
+            (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2,
+            scalar_rhs(xx, yy, 2.0 + alpha)),
+        tolerance))
 
     for name, measure, cfunc in (("small_jump_first_moment", model.nu1,
                                   model.c1),
                                  ("large_jump_first_moment", model.nu2,
                                   model.c2)):
-        if measure is None:
-            continue
-        lhs = _pair_measure_integral(
-            measure,
-            lambda xs, ys, u, cf=cfunc: np.abs(
-                np.asarray(cf(xs, u), dtype=float)
-                - np.asarray(cf(ys, u), dtype=float)),
-            x, y)
-        cond = _condition_from_arrays(
-            name, {"x": x, "y": y, "gap": d},
-            lhs, d ** (1.0 + alpha) * rho_inv, tolerance)
-
-        def recompute(w, cf=cfunc, ms=measure):
-            xx, yy = w["x"], w["y"]
-            l = _scalar_measure_integral(
-                ms, lambda u: np.abs(np.asarray(cf(xx, u))
-                                     - np.asarray(cf(yy, u))))
-            gap = abs(xx - yy)
-            return l, gap ** (1.0 + alpha) * float(np.asarray(
-                modulus.rho(gap ** (-alpha))))
-
-        conditions.append(_reconfirm(cond, recompute))
+        if measure is not None:
+            conditions.append(_pair_condition(
+                name, x, y, _dc_integral(measure, cfunc, _abs_shape, x, y),
+                d ** (1.0 + alpha) * rho_inv,
+                lambda xx, yy: (
+                    _scalar_dc_integral(measure, cfunc, _abs_shape, xx, yy),
+                    scalar_rhs(xx, yy, 1.0 + alpha)),
+                tolerance))
 
     conditions.append(_separation_condition(
         model, delta, grid, tolerance, affine_k))
@@ -826,6 +819,46 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
 # designated preset checks
 # ---------------------------------------------------------------------------
 
+def designated_sets(label):
+    """The designated parameter sets of the preset named ``label``:
+    assumption id -> ``(checker, keyword arguments)``, in report order;
+    empty for a model that has none."""
+    inv_e = 1.0 / math.e
+    five_id = scale_modulus(builtin_modulus("identity"), 5.0)
+    table = {
+        "example_31": {
+            "A23": (check_growth, dict(upsilon=builtin_growth("log"),
+                                       mu=MU_EXAMPLE_31)),
+            "A25": (check_corollary_conditions, dict(
+                rho1=builtin_modulus("neg_x_log_x"),
+                rho2=scale_modulus(builtin_modulus("identity"), 3.0),
+                delta0=inv_e,
+                grid=PairGrid(
+                    anchors=np.linspace(1e-6, inv_e - 1e-6, 101),
+                    gaps=np.geomspace(1e-6, inv_e - 2e-6, 401),
+                    interval=(0.0, inv_e),
+                    label="101 anchors x 401 log-spaced gaps, both "
+                          "directions"))),
+        },
+        "example_41": {
+            "A23": (check_growth, dict(upsilon=builtin_growth("one"),
+                                       mu=MU_EXAMPLE_41)),
+            "A24": (check_local_conditions, dict(
+                modulus=five_id, alpha=0.0, delta0=1.0)),
+            "A26": (check_nonconfluence_conditions, dict(
+                modulus=five_id, alpha=0.0, delta=0.5,
+                grid=PairGrid(
+                    anchors=np.linspace(-5.0, 5.0, 101),
+                    gaps=np.geomspace(1e-6, 10.0, 401),
+                    label="101 anchors in [-5,5] x 401 log-spaced gaps, "
+                          "both directions"),
+                affine_k=lambda u: GAMMA * np.abs(np.asarray(u,
+                                                             dtype=float)))),
+        },
+    }
+    return table.get(label, {})
+
+
 def designated_checks(model, tolerance=DEFAULT_TOLERANCE):
     """The frozen per-preset condition sets.
 
@@ -838,43 +871,13 @@ def designated_checks(model, tolerance=DEFAULT_TOLERANCE):
       supremum, the alpha = 0 local route, and the non-confluence set at
       ``alpha = 0, delta = 0.5`` with the affine separation shortcut.
     """
-    if model.label == "example_31":
-        inv_e = 1.0 / math.e
-        grid = PairGrid(
-            anchors=np.linspace(1e-6, inv_e - 1e-6, 101),
-            gaps=np.geomspace(1e-6, inv_e - 2e-6, 401),
-            interval=(0.0, inv_e),
-            label="101 anchors x 401 log-spaced gaps, both directions",
-        )
-        return [
-            check_growth(model, builtin_growth("log"), MU_EXAMPLE_31,
-                         tolerance=tolerance),
-            check_corollary_conditions(
-                model, builtin_modulus("neg_x_log_x"),
-                scale_modulus(builtin_modulus("identity"), 3.0),
-                delta0=inv_e, grid=grid, tolerance=tolerance),
-        ]
-    if model.label == "example_41":
-        five_id = scale_modulus(builtin_modulus("identity"), 5.0)
-        grid26 = PairGrid(
-            anchors=np.linspace(-5.0, 5.0, 101),
-            gaps=np.geomspace(1e-6, 10.0, 401),
-            label="101 anchors in [-5,5] x 401 log-spaced gaps, "
-                  "both directions",
-        )
-        return [
-            check_growth(model, builtin_growth("one"), MU_EXAMPLE_41,
-                         tolerance=tolerance),
-            check_local_conditions(model, five_id, alpha=0.0, delta0=1.0,
-                                   tolerance=tolerance),
-            check_nonconfluence_conditions(
-                model, five_id, alpha=0.0, delta=0.5, grid=grid26,
-                tolerance=tolerance,
-                affine_k=lambda u: GAMMA * np.abs(np.asarray(u, dtype=float))),
-        ]
-    raise CatalogError(
-        f"no designated checks for model {model.label!r}; known: "
-        "['example_31', 'example_41']")
+    sets = designated_sets(model.label)
+    if not sets:
+        raise CatalogError(
+            f"no designated checks for model {model.label!r}; known: "
+            "['example_31', 'example_41']")
+    return [check(model, tolerance=tolerance, **params)
+            for check, params in sets.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jsde_lab import cli
+from jsde_lab import cli, verifier
 from jsde_lab.noise import derive_path_seed
 
 
@@ -198,6 +198,51 @@ mu = 1
     assert "violated" in capsys.readouterr().out
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_assumption_runs_only_the_requested_designated_set(
+        monkeypatch, capsys):
+    local = _count_calls(monkeypatch, verifier, "check_local_conditions")
+    nonconf = _count_calls(monkeypatch, verifier,
+                           "check_nonconfluence_conditions")
+    growth = _count_calls(monkeypatch, verifier, "check_growth")
+    rc = cli.main(["verify", "--preset", "example_41", "--assumption", "A23"])
+    assert rc == 0
+    assert (len(growth), len(local), len(nonconf)) == (1, 0, 0)
+    assert "A23:growth_bound" in capsys.readouterr().out
+    assert cli.main(["verify", "--preset", "example_41",
+                     "--assumption", "A26"]) == 0
+    assert (len(growth), len(local), len(nonconf)) == (1, 0, 1)
+
+
+def test_verify_corollary_with_state_free_c1_exits_zero(tmp_path, capsys):
+    cfgfile = _write(tmp_path, """
+[model]
+b = -x
+sigma = 0.5
+c1 = u
+nu1 = lebesgue(-1, 1)
+""")
+    rc = cli.main(["verify", "--config", cfgfile, "--check", "corollary",
+                   "--set", "analysis.rho1=identity",
+                   "--set", "analysis.rho2=identity",
+                   "--set", "analysis.delta0=1"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[4].split()[:2] == ["A25:c1_monotone_in_state",
+                                   "no_violation_found"]
+
+
 def test_verify_needs_model(capsys):
     assert cli.main(["verify"]) == 1
     assert "no model configured" in capsys.readouterr().err
@@ -253,6 +298,22 @@ nu1 = lebesgue(1, 1e308)
     err = capsys.readouterr().err
     assert err.startswith("error: jump measure nu1 ")
     assert "rate x horizon = 1e+308" in err
+
+
+def test_simulate_event_count_beyond_the_cap_exits_one(tmp_path, capsys):
+    # 1e15 expected events: numpy draws the count, but its array would not
+    # fit in memory
+    cfgfile = _write(tmp_path, """
+[model]
+b = -x
+sigma = 0.5
+c1 = u
+nu1 = lebesgue(1, 1e15)
+""")
+    assert cli.main(["simulate", "--config", cfgfile, "--paths", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: jump measure nu1 ")
+    assert "rate x horizon = 1e+15 is too large" in err
 
 
 def test_simulate_malformed_config_exits_one(tmp_path, capsys):

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from jsde_lab import model as model_module
 from jsde_lab.errors import CatalogError, DomainError
 from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
-                            MODULUS_CATALOG, Band, MarkMeasure,
+                            MODULUS_CATALOG, Band, CoefficientSet, MarkMeasure,
                             affine_modulus, builtin_growth, builtin_modulus,
                             gauss_legendre, in_bands, lebesgue, preset,
                             scale_modulus)
@@ -60,6 +60,26 @@ def test_measure_restriction():
     half = nu.restricted((Band(1.0, 1.5),))
     assert half.total_mass == pytest.approx(0.5, rel=1e-10)
     assert nu.mass_in((Band(1.0, 1.25),)) == pytest.approx(0.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("nu2, u3, mass", [
+    (lebesgue(1.0, 2.0), None, 1.0),
+    (lebesgue(1.0, 2.0), (), 0.0),
+    (MarkMeasure(atoms=[(1.0, 0.5), (2.0, 0.25)]), Band(1.5, 3.0), 0.25),
+], ids=["u3-none", "u3-empty", "u3-band"])
+def test_u3_measure_restricts_nu2_to_u3(nu2, u3, mass):
+    m = CoefficientSet(b=None, sigma=None, c1=None, c2=None, nu1=None,
+                       nu2=nu2, u3=u3)
+    restricted = m.u3_measure()
+    if u3 is None:
+        assert restricted is nu2
+    assert restricted.total_mass == pytest.approx(mass, rel=1e-10)
+
+
+def test_u3_measure_without_nu2_is_none():
+    m = CoefficientSet(b=None, sigma=None, c1=None, c2=None, nu1=None,
+                       nu2=None, u3=Band(1.5, 3.0))
+    assert m.u3_measure() is None
 
 
 def _unit(u):

@@ -287,3 +287,23 @@ def test_rate_beyond_a_poisson_count_is_a_domain_error(nu1, nu2, horizon,
     with pytest.raises(DomainError,
                        match=rf"{name} .*= {re.escape(lam)} is too large"):
         sample_noise(model, horizon, horizon, seed=3)
+
+
+def test_event_count_beyond_the_cap_is_a_domain_error():
+    # numpy can draw a count this large; the event array could not be held
+    cap = noise_module.MAX_EXPECTED_EVENTS
+    model = CoefficientSet(b=lambda x: -x, sigma=lambda x: 0.0 * x,
+                           c1=lambda x, u: u, nu1=lebesgue(1.0, 1.0 + 2 * cap),
+                           c2=None, nu2=None)
+    with pytest.raises(DomainError, match=r"nu1 .*= 2e\+07 is too large"):
+        sample_noise(model, 1.0, 1.0, seed=3)
+
+
+def test_event_cap_admits_a_rate_at_the_cap(monkeypatch):
+    monkeypatch.setattr(noise_module, "MAX_EXPECTED_EVENTS", 50.0)
+    model = CoefficientSet(b=lambda x: -x, sigma=lambda x: 0.0 * x,
+                           c1=lambda x, u: u, nu1=lebesgue(0.0, 50.0),
+                           c2=None, nu2=None)
+    assert len(sample_noise(model, 1.0, 1.0, seed=3).events) > 0
+    with pytest.raises(DomainError, match="above the cap of 50 expected"):
+        sample_noise(model, 1.5, 1.5, seed=3)

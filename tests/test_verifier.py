@@ -2,6 +2,7 @@
 and falsification witnesses on deliberately broken models."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from jsde_lab.exprs import parse_expression
 from jsde_lab.model import (
     CoefficientSet,
     GAMMA,
+    GROWTH_CATALOG,
     MarkMeasure,
     affine_modulus,
     builtin_growth,
@@ -104,6 +106,20 @@ def test_check_growth_cubic_violated_with_witness():
     assert w["lhs"] > w["rhs"]
     assert w["reconfirmed"] is True
     assert w["recomputed_lhs"] == pytest.approx(2.0 * w["x"] ** 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_CATALOG))
+def test_growth_decade_increments_equal_the_81_point_loop(name):
+    upsilon = builtin_growth(name)
+    glx, glw = np.polynomial.legendre.leggauss(81)
+    want = []
+    for k in range(1, 13):
+        a, b = (k - 1) * math.log(10.0), k * math.log(10.0)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        s = np.exp(mid + half * glx)
+        want.append(half * float(np.dot(glw, s / (s * np.asarray(
+            upsilon(s), dtype=float) + 1.0))))
+    assert verifier._growth_decade_increments(upsilon).tolist() == want
 
 
 def test_check_growth_rejects_negative_mu():
@@ -346,6 +362,23 @@ def test_state_free_jump_coefficient_gives_one_value_per_pair():
     assert cond.verdict == NO_VIOLATION
     assert cond.worst["lhs"] == 0.0
     assert cond.worst["gap"] == pytest.approx(1e-3)
+
+
+def test_state_free_small_jump_coefficient_passes_the_monotonicity_scan():
+    # c1 = u (as a config expression gives it) is one row over the anchors
+    m = CoefficientSet(
+        b=lambda x: -np.asarray(x, dtype=float), sigma=_zeros,
+        c1=parse_expression("u", ("x", "u")), nu1=lebesgue(-1.0, 1.0),
+        c2=None, nu2=None, label="state-free c1",
+    )
+    grid = _small_grid()
+    rep = check_corollary_conditions(m, builtin_modulus("identity"),
+                                     builtin_modulus("identity"), 1.0,
+                                     grid=grid)
+    cond = next(c for c in rep.conditions if c.name == "c1_monotone_in_state")
+    assert cond.verdict == NO_VIOLATION
+    assert cond.worst["slack"] == 0.0
+    assert cond.worst["x_next"] == grid.anchors[1]
 
 
 @pytest.mark.parametrize("name", ["example_31", "example_41"])

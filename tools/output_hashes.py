@@ -7,8 +7,10 @@ Usage::
 The matrix runs all four experiment kinds on both presets (including runs
 whose paths exit at small radii), five ``jsde-lab simulate --output-dir``
 dumps, each in a temporary directory, then ``jsde-lab verify`` on both
-presets, two ``jsde-lab bound`` calls and a ``verify`` of the inline u3
-model.  It prints one ``name sha256`` line per output: ``summary.json``
+presets, two ``jsde-lab bound`` calls, a ``verify`` of the inline u3
+model, a ``verify`` of an inline model that violates every A24..A26
+condition (so every witness is reconfirmed through the scalar path) and a
+``verify --assumption`` on a preset.  It prints one ``name sha256`` line per output: ``summary.json``
 whole, ``data.csv`` and every dumped CSV one line per column, and each CLI
 call's exit code and stdout.  The listing goes to ``OUT`` when given, else
 to stdout, so that "only this column moved" between two checkouts is a
@@ -63,6 +65,18 @@ restrict_to_u3 = true
 h = 2^-6
 """
 
+# violates all eleven A24..A26 conditions at the small moduli set below, so
+# every reconfirmation path runs, the sampled separation scan included
+VIOL_MODEL = """[model]
+b = x^3
+sigma = x
+c1 = u*x
+nu1 = lebesgue(-1, 1)
+c2 = u*x
+nu2 = atoms(1:0.5, 2:0.25)
+u3 = 1.5:3
+"""
+
 # (name, argv after "simulate"); each writes into its own directory
 SIMULATIONS = (
     ("simulate_31_noise", ["--preset", "example_31", "--paths", "3",
@@ -93,6 +107,17 @@ REPORTS = (
                    "--set", "analysis.delta0=1", "--set", "analysis.alpha=0",
                    "--set", "analysis.delta=0.5",
                    "--set", "analysis.growth=one", "--set", "analysis.mu=10"]),
+    ("verify_violations", ["verify", "--config", "{viol}", "--check", "local",
+                           "--check", "corollary", "--check", "nonconfluence",
+                           "--set", "analysis.modulus=0.01*identity",
+                           "--set", "analysis.rho1=0.01*identity",
+                           "--set", "analysis.rho2=0.01*identity",
+                           "--set", "analysis.alpha=0.5",
+                           "--set", "analysis.delta0=1",
+                           "--set", "analysis.delta=0.5"]),
+    ("verify_41_assumptions", ["verify", "--preset", "example_41",
+                               "--assumption", "A26",
+                               "--assumption", "A23"]),
 )
 
 
@@ -145,6 +170,8 @@ def listing(work):
             lines.extend(_dir_lines(run, out_dir))
     u3 = work / "u3.cfg"
     u3.write_text(U3_MODEL)
+    viol = work / "viol.cfg"
+    viol.write_text(VIOL_MODEL)
     for name, argv in SIMULATIONS:
         out_dir = work / name
         argv = [a.format(u3=u3) for a in argv]
@@ -155,7 +182,7 @@ def listing(work):
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
         lines.extend(_dir_lines(name, out_dir))
     for name, argv in REPORTS:
-        rc, stdout = _run_cli([a.format(u3=u3) for a in argv])
+        rc, stdout = _run_cli([a.format(u3=u3, viol=viol) for a in argv])
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     return lines
 
