@@ -71,13 +71,12 @@ class PathResult:
 
 
 def _coeff(value, x, name, where=None):
-    """``value`` as floats shaped like the state ``x``.  A non-finite entry
-    raises; ``where = (rows, times, seeds, steps)`` locates entry ``i`` as
-    batch row ``rows[i]`` at time ``times[rows[i]]``."""
-    v = np.broadcast_to(np.asarray(value, dtype=float), np.shape(x))
-    bad = np.flatnonzero(~np.isfinite(v))
+    """``value``, a coefficient's floats at the states ``x``; a non-finite
+    entry raises.  ``where = (rows, times, seeds, steps)`` locates entry
+    ``i`` as batch row ``rows[i]`` at time ``times[rows[i]]``."""
+    bad = np.flatnonzero(~np.isfinite(value))
     if not bad.size:
-        return v
+        return value
     state = float(np.ravel(x)[bad[0]])
     located = {}
     if where is not None:
@@ -271,15 +270,9 @@ def _nu1_functional(model, f, fp, x):
     ``integral {f(x+c1) - f(x)} dnu1``."""
     if model.nu1 is None:
         return 0.0, 0.0
-    u, w = model.nu1.nodes_and_weights()
-    if u.size == 0:
-        return 0.0, 0.0
-    c = np.asarray(model.c1(x, u), dtype=float)
     fx = f(x)
-    shifted = np.asarray(f(x + c), dtype=float)
-    j2 = float(np.dot(shifted - fx, w))
-    j1 = j2 - fp(x) * float(np.dot(c, w))
-    return j1, j2
+    j2 = model.nu1.integrate(lambda u: f(x + model.c1(x, u)) - fx)
+    return j2 - fp(x) * model.nu1.integrate(lambda u: model.c1(x, u)), j2
 
 
 def ito_levy_apply(f, path, model, noise, scheme):

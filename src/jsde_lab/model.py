@@ -106,8 +106,8 @@ class MarkMeasure:
     nonnegative vectorized density, and/or a list of atoms ``(u, w)`` with
     weights ``w > 0``.  Pieces straddling 0 are split there so piecewise
     quadrature never integrates across the ``|u|`` kink.  ``total_mass`` is
-    computed by adaptive quadrature on its first read (and kept) unless it
-    is given.
+    computed on its first read (and kept) unless it is given: ``hi - lo``
+    for a :func:`lebesgue` piece, adaptive quadrature for other densities.
     """
 
     def __init__(self, pieces=(), atoms=(), label="", total_mass=None):
@@ -138,9 +138,13 @@ class MarkMeasure:
         return self._total_mass
 
     def _quadrature_mass(self):
-        from scipy.integrate import quad
         m = sum(w for _, w in self.atoms)
         for lo, hi, dens in self.pieces:
+            if dens is _unit_density:
+                # equal to the adaptive quadrature of 1 bit for bit
+                m += hi - lo
+                continue
+            from scipy.integrate import quad
             val, _ = quad(lambda u: float(np.asarray(dens(u))), lo, hi, limit=200)
             m += val
         return m
@@ -252,8 +256,12 @@ def _component_marks(table, rng, size):
     return np.full(size, table)
 
 
+def _unit_density(u):
+    return np.ones_like(np.asarray(u, dtype=float))
+
+
 def lebesgue(lo, hi, label=""):
-    return MarkMeasure(pieces=[(lo, hi, lambda u: np.ones_like(np.asarray(u, dtype=float)))],
+    return MarkMeasure(pieces=[(lo, hi, _unit_density)],
                        label=label or f"lebesgue[{lo},{hi}]")
 
 
@@ -562,8 +570,27 @@ def builtin_growth(name):
 # coefficient sets and presets
 # ---------------------------------------------------------------------------
 
+def _float_array_valued(fn):
+    """``fn`` returning a float array shaped like its broadcast arguments: a
+    value of another shape is broadcast (a read-only view), one of the right
+    dtype and shape is returned as is."""
+    if fn is None:
+        return None
+
+    @functools.wraps(fn)
+    def call(*args):
+        value = np.asarray(fn(*args), dtype=float)
+        shape = np.broadcast(*args).shape
+        return value if value.shape == shape else np.broadcast_to(value, shape)
+    return call
+
+
 class CoefficientSet:
     """One jump-SDE model: drift, diffusion, jump coefficients, mark measures.
+
+    Every coefficient returns a float array shaped like its broadcast
+    arguments, whatever the callable given returns, so a constant, a
+    state-free (``c = u``) or a mark-free (``c = g(x)``) coefficient is fine.
 
     Parameters
     ----------
@@ -582,15 +609,15 @@ class CoefficientSet:
 
     def __init__(self, b, sigma, c1, c2, nu1, nu2, u3=None, label="",
                  c1_mean=None):
-        self.b = b
-        self.sigma = sigma
-        self.c1 = c1
-        self.c2 = c2
+        self.b = _float_array_valued(b)
+        self.sigma = _float_array_valued(sigma)
+        self.c1 = _float_array_valued(c1)
+        self.c2 = _float_array_valued(c2)
         self.nu1 = nu1
         self.nu2 = nu2
         self.u3 = _as_bands(u3)
         self.label = label
-        self._c1_mean = c1_mean
+        self._c1_mean = _float_array_valued(c1_mean)
 
     def __repr__(self):
         return f"CoefficientSet({self.label!r})"
@@ -602,9 +629,7 @@ class CoefficientSet:
         u, w = self.nu1.nodes_and_weights()
         if u.size == 0:
             return np.zeros_like(np.asarray(x, dtype=float))
-        x = np.asarray(x, dtype=float)
-        vals = np.broadcast_to(np.asarray(self.c1(x[..., None], u),
-                                          dtype=float), x.shape + u.shape)
+        vals = self.c1(np.asarray(x, dtype=float)[..., None], u)
         # one dot product per state: a matrix-vector product sums in an
         # order that depends on how many states are evaluated together
         return (vals[..., None, :] @ w)[..., 0]

@@ -221,7 +221,8 @@ def _pair_measure_integral(measure, integrand, x, y):
     working arrays stay at ``_PAIR_BLOCK x nodes`` floats however many pairs
     there are.  ``integrand(xs, ys, u)`` receives a block's states as
     ``(rows, 1)`` columns and the marks as a ``(1, nodes)`` row, and returns
-    an array that broadcasts to ``(rows, nodes)``.
+    a ``(rows, nodes)`` array, as any function of the model's coefficient
+    values there does.
     """
     if measure is None:
         return np.zeros_like(x)
@@ -251,16 +252,15 @@ def _scalar_measure_integral(measure, g):
     total = 0.0
     for lo, hi, dens in measure.pieces:
         us = np.linspace(lo, hi, 4097)
-        vals = np.asarray(g(us), dtype=float) * np.asarray(dens(us), dtype=float)
+        vals = g(us) * np.asarray(dens(us), dtype=float)
         total += float(simpson(vals, x=us))
     for u0, w0 in measure.atoms:
-        total += w0 * float(np.asarray(g(np.array([u0])), dtype=float)[0])
+        total += w0 * float(g(np.array([u0]))[0])
     return total
 
 
 def _dc(cfunc, x, y, u):
-    return (np.asarray(cfunc(x, u), dtype=float)
-            - np.asarray(cfunc(y, u), dtype=float))
+    return cfunc(x, u) - cfunc(y, u)
 
 
 def _dc_integral(measure, cfunc, shape, x, y):
@@ -412,8 +412,8 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
 
 def _growth_lhs(model, x):
     x = np.asarray(x, dtype=float)
-    b = np.asarray(model.b(x), dtype=float)
-    sig = np.asarray(model.sigma(x), dtype=float)
+    b = model.b(x)
+    sig = model.sigma(x)
     for name, arr in (("drift", b), ("diffusion", sig)):
         if not np.all(np.isfinite(arr)):
             i = int(np.argmax(~np.isfinite(arr)))
@@ -422,13 +422,11 @@ def _growth_lhs(model, x):
     lhs = 2.0 * x * b + sig ** 2
     if model.nu1 is not None:
         lhs = lhs + _pair_measure_integral(
-            model.nu1, lambda xs, ys, u: np.abs(
-                np.asarray(model.c1(xs, u), dtype=float)) ** 2, x, x)
+            model.nu1, lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2, x, x)
     u3_measure = model.u3_measure()
     if u3_measure is not None:
         lhs = lhs + 2.0 * _pair_measure_integral(
-            u3_measure, lambda xs, ys, u: np.abs(
-                np.asarray(model.c2(xs, u), dtype=float)) ** 2, x, x)
+            u3_measure, lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2, x, x)
     return lhs
 
 
@@ -467,10 +465,9 @@ def check_growth(model, upsilon, mu, anchors=None,
         x = w["x"]
         l = 2.0 * x * float(model.b(x)) + float(model.sigma(x)) ** 2
         l += _scalar_measure_integral(
-            model.nu1, lambda u: np.abs(np.asarray(model.c1(x, u))) ** 2)
+            model.nu1, lambda u: np.abs(model.c1(x, u)) ** 2)
         l += 2.0 * _scalar_measure_integral(
-            model.u3_measure(),
-            lambda u: np.abs(np.asarray(model.c2(x, u))) ** 2)
+            model.u3_measure(), lambda u: np.abs(model.c2(x, u)) ** 2)
         r = mu * (x * x * float(np.asarray(upsilon(x * x))) + 1.0)
         return l, r
 
@@ -541,12 +538,10 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
     d = np.abs(x - y)
     conditions = []
 
-    bx = np.asarray(model.b(x), dtype=float)
-    by = np.asarray(model.b(y), dtype=float)
     u3_measure = model.u3_measure()
     conditions.append(_pair_condition(
         "drift_plus_large_jump_first_moment", x, y,
-        (x - y) * (bx - by)
+        (x - y) * (model.b(x) - model.b(y))
         + _dc_integral(u3_measure, model.c2, _abs_shape, x, y),
         d * np.asarray(rho1.rho(d), dtype=float),
         lambda xx, yy: (
@@ -555,11 +550,9 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
             abs(xx - yy) * float(np.asarray(rho1.rho(abs(xx - yy))))),
         tolerance))
 
-    sx = np.asarray(model.sigma(x), dtype=float)
-    sy = np.asarray(model.sigma(y), dtype=float)
     conditions.append(_pair_condition(
         "diffusion_plus_small_jump_second_moment", x, y,
-        (sx - sy) ** 2
+        (model.sigma(x) - model.sigma(y)) ** 2
         + _dc_integral(model.nu1, model.c1, _square_shape, x, y),
         np.asarray(rho2.rho(d), dtype=float),
         lambda xx, yy: (
@@ -571,10 +564,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
     if include_monotonicity and model.nu1 is not None:
         marks = _mark_grid(model.nu1)
         anchors = np.sort(np.unique(np.asarray(grid.anchors, dtype=float)))
-        # a c1 that ignores the state (a config c1 = u) gives a single row
-        c = np.broadcast_to(
-            np.asarray(model.c1(anchors[:, None], marks[None, :]),
-                       dtype=float), (anchors.size, marks.size))
+        c = model.c1(anchors[:, None], marks[None, :])
         lhs = c[:-1, :].reshape(-1)
         rhs = c[1:, :].reshape(-1)
         xi = np.repeat(anchors[:-1], marks.size)
@@ -587,8 +577,8 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
                  "sampled mark")
 
         def recompute3(w):
-            return (float(np.asarray(model.c1(w["x"], w["mark"]))),
-                    float(np.asarray(model.c1(w["x_next"], w["mark"]))))
+            return (float(model.c1(w["x"], w["mark"])),
+                    float(model.c1(w["x_next"], w["mark"])))
 
         conditions.append(_reconfirm(cond3, recompute3))
 
@@ -637,13 +627,10 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
     def scalar_rho(xx, yy):
         return float(np.asarray(modulus.rho(abs(xx - yy) ** alpha)))
 
-    bx = np.asarray(model.b(x), dtype=float)
-    by = np.asarray(model.b(y), dtype=float)
-    sx = np.asarray(model.sigma(x), dtype=float)
-    sy = np.asarray(model.sigma(y), dtype=float)
     conditions = [_pair_condition(
         "drift_or_diffusion_local", x, y,
-        np.maximum((x - y) * (bx - by), (sx - sy) ** 2),
+        np.maximum((x - y) * (model.b(x) - model.b(y)),
+                   (model.sigma(x) - model.sigma(y)) ** 2),
         d ** (2.0 - alpha) * rho_da,
         lambda xx, yy: (
             max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
@@ -703,21 +690,17 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
         gap = abs(xx - yy)
         return gap ** power * float(np.asarray(modulus.rho(gap ** (-alpha))))
 
-    bx = np.asarray(model.b(x), dtype=float)
-    by = np.asarray(model.b(y), dtype=float)
     conditions = [_pair_condition(
         "drift_global", x, y,
-        (x - y) * (bx - by), d ** (2.0 + alpha) * rho_inv,
+        (x - y) * (model.b(x) - model.b(y)), d ** (2.0 + alpha) * rho_inv,
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
             scalar_rhs(xx, yy, 2.0 + alpha)),
         tolerance)]
 
-    sx = np.asarray(model.sigma(x), dtype=float)
-    sy = np.asarray(model.sigma(y), dtype=float)
     conditions.append(_pair_condition(
         "diffusion_global", x, y,
-        (sx - sy) ** 2, d ** (2.0 + alpha) * rho_inv,
+        (model.sigma(x) - model.sigma(y)) ** 2, d ** (2.0 + alpha) * rho_inv,
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2,
             scalar_rhs(xx, yy, 2.0 + alpha)),
@@ -774,9 +757,8 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
             gaps = np.asarray(grid.gaps, dtype=float)[::8]
             x = np.repeat(xs, gaps.size)
             y = x - np.tile(gaps, xs.size)
-            cx = np.asarray(cfunc(x[:, None], marks[None, :]), dtype=float)
-            cy = np.asarray(cfunc(y[:, None], marks[None, :]), dtype=float)
-            moved = np.abs((x - y)[:, None] + cx - cy)
+            moved = np.abs((x - y)[:, None] + cfunc(x[:, None], marks)
+                           - cfunc(y[:, None], marks))
             lhs = delta * np.abs(x - y)[:, None] - moved
             flat = int(np.argmax(lhs))
             pi, mi = divmod(flat, marks.size)
@@ -808,8 +790,7 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
         else:
             mdl = dict((t, c) for t, _, c in sources)[worst["source"]]
             xx, yy, uu = worst["x"], worst["y"], worst["mark"]
-            moved = abs(xx - yy + float(np.asarray(mdl(xx, uu)))
-                        - float(np.asarray(mdl(yy, uu))))
+            moved = abs(xx - yy + float(mdl(xx, uu)) - float(mdl(yy, uu)))
             cond.worst["reconfirmed"] = bool(
                 delta * abs(xx - yy) - moved > tolerance)
     return cond

@@ -141,6 +141,14 @@ def test_moment_bound_leaves_scipy_unloaded():
     assert _scipy_modules_after(code) == "[]"
 
 
+def test_verify_presets_leave_scipy_unloaded():
+    # lebesgue masses are closed-form, so A26's window masses need no quad
+    code = ("from jsde_lab import cli\n"
+            "for name in ('example_31', 'example_41'):\n"
+            "    assert cli.main(['verify', '--preset', name]) == 0")
+    assert _scipy_modules_after(code) == "[]"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -444,3 +452,88 @@ def test_seed_env_must_be_integer(monkeypatch, capsys):
                    "--set", "scheme.h=2^-3"])
     assert rc == 1
     assert "JSDE_LAB_SEED" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# degenerate inline models: every subcommand exits with a documented code
+# ---------------------------------------------------------------------------
+
+# constant, zero, state-free, mark-free, and non-finite at 0
+DEGENERATE_COEFFICIENTS = ("2", "0", "u", "x", "1/x")
+# name -> (measure, u3 for the c2 slot); 1e15 expected events is beyond the
+# event cap, so it is refused before any draw
+DEGENERATE_MEASURES = {
+    "atoms": ("atoms(0.5:1)", "0:2"),
+    "tiny": ("lebesgue(0, 1e-300)", "0:1"),
+    "unit": ("lebesgue(-1, 1)", "0:2"),
+    "u3_outside": ("atoms(0.5:1)", "5:6"),
+    "capped": ("lebesgue(1, 1e15)", "0:2"),
+}
+DEGENERATE_MODELS = (
+    [(f"c1={c},nu1={name}", [f"model.c1={c}", f"model.nu1={nu}"])
+     for c in DEGENERATE_COEFFICIENTS
+     for name, (nu, _) in DEGENERATE_MEASURES.items()
+     if name != "u3_outside"]
+    + [(f"c2={c},nu2={name}",
+        [f"model.c2={c}", f"model.nu2={nu}", f"model.u3={u3}"])
+       for c in DEGENERATE_COEFFICIENTS
+       for name, (nu, u3) in DEGENERATE_MEASURES.items()])
+DEGENERATE_SETTINGS = (
+    "model.b=-x", "model.sigma=0.5",
+    "analysis.growth=one", "analysis.mu=10", "analysis.modulus=identity",
+    "analysis.rho1=identity", "analysis.rho2=identity",
+    "scheme.h=2^-6", "experiment.N=3", "experiment.y0=0",
+    "experiment.steps=2^-3, 2^-4, 2^-5, 2^-6")
+DEGENERATE_RUNS = (
+    [["simulate", "--paths", "2"]]
+    + [["verify", "--check", name] for name in cli.CHECK_NAMES]
+    + [["experiment", "--kind", kind,
+        "--set", f"experiment.skip_checks={skip}"]
+       for kind in ("explosion", "nonconfluence") for skip in ("1", "0")]
+    + [["experiment", "--kind", kind, "--set", "experiment.skip_checks=1"]
+       for kind in ("uniqueness", "convergence")]
+    + [["bound", "--growth", "one", "--mu", "10"]])
+
+
+def _degenerate_argv(run, keys):
+    sets = [arg for kv in DEGENERATE_SETTINGS + tuple(keys)
+            for arg in ("--set", kv)]
+    return run[:1] + sets + run[1:]
+
+
+@pytest.mark.parametrize("keys", [keys for _, keys in DEGENERATE_MODELS],
+                         ids=[label for label, _ in DEGENERATE_MODELS])
+def test_degenerate_inline_model_never_raises(keys, capsys):
+    bad = []
+    for run in DEGENERATE_RUNS:
+        try:
+            rc = cli.main(_degenerate_argv(run, keys))
+        except Exception as exc:    # escaping main prints a traceback
+            rc = repr(exc)
+        if rc not in (0, 1, 2, 3):
+            bad.append((" ".join(run), rc))
+        capsys.readouterr()
+    assert bad == []
+
+
+@pytest.mark.parametrize("keys, argv, rc", [
+    # a constant c1 used to break the pair-grid mark integral's matmul, in
+    # the growth check and in the explosion precheck
+    (["model.c1=0", "model.nu1=lebesgue(-1, 1)"],
+     ["verify", "--check", "growth"], 0),
+    (["model.c1=0", "model.nu1=lebesgue(-1, 1)"],
+     ["experiment", "--kind", "explosion"], 0),
+    (["model.c1=2", "model.nu1=lebesgue(-1, 1)"],
+     ["verify", "--check", "local"], 0),
+    # a mark-free c2 over atoms: the drift-plus-jump bound fails near the
+    # diagonal, and the witness is reconfirmed on the atom
+    (["model.c2=x", "model.nu2=atoms(0.5:1)", "model.u3=0:2"],
+     ["verify", "--check", "corollary"], 2),
+])
+def test_degenerate_model_verdicts(keys, argv, rc, capsys):
+    assert cli.main(_degenerate_argv(argv, keys)) == rc
+    out = capsys.readouterr().out
+    if rc == 2:
+        report, = json.loads(out[out.index("\n["):])
+        worst = report["worst_witness"]
+        assert worst["reconfirmed"] is True

@@ -185,6 +185,22 @@ def test_ito_identity_follows_a_restrict_to_u3_path():
         assert np.array_equal(y.states, path.states)
 
 
+def test_ito_identity_with_constant_coefficients():
+    # library callables returning plain floats: the small-jump functionals
+    # see c1 as one value per node
+    model = CoefficientSet(b=lambda x: -x, sigma=lambda x: 0.5,
+                           c1=lambda x, u: 0.1, c2=None,
+                           nu1=lebesgue(-1.0, 1.0), nu2=None, label="const")
+    h = 2.0 ** -6
+    noise = sample_noise(model, 1.0, h, seed=3)
+    assert len(noise.events_from(SMALL)) > 0
+    scheme = SchemeConfig(base_step=h)
+    path = simulate(model, noise, scheme, 1.0)
+    f = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    y = ito_levy_apply(f, path, model, noise, scheme)
+    assert np.allclose(y.states, path.states, rtol=1e-10, atol=1e-12)
+
+
 def test_ito_square_converges_on_drift_model():
     model = _drift_only(lambda x: -np.asarray(x, dtype=float))
     f = (lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)

@@ -101,6 +101,20 @@ def test_total_mass_is_the_quadrature_sum_bit_for_bit():
     assert half.total_mass == want
 
 
+def test_lebesgue_mass_is_hi_minus_lo_and_equals_quad(monkeypatch):
+    rng = np.random.default_rng(5)
+    ends = np.sort(rng.uniform(-10.0, 10.0, size=(200, 2)), axis=1)
+    want = [quad(lambda u: float(np.asarray(_unit(u))), lo, hi,
+                 limit=200)[0] for lo, hi in ends]
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "quad", None)
+    for (lo, hi), mass in zip(ends, want):
+        assert lebesgue(lo, hi).total_mass == mass == hi - lo
+    nu = MarkMeasure(pieces=lebesgue(1.0, 2.0).pieces, atoms=[(3.0, 0.25)])
+    assert nu.restricted(Band(0.0, 1.5)).total_mass == 0.5
+    assert nu.total_mass == 0.25 + 1.0
+
+
 def test_total_mass_is_computed_once_on_first_read(monkeypatch):
     calls = []
     original = MarkMeasure._quadrature_mass
@@ -328,6 +342,31 @@ def test_example_41_coefficients():
     assert float(np.asarray(m.sigma(3.0))) == pytest.approx(6.0)
     assert float(np.asarray(m.c1(2.0, -0.5))) == pytest.approx(GAMMA * 0.5 * 2.0)
     assert m.nu2.total_mass == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("name, fn, args, shape", [
+    ("constant", lambda x, u: 2, (np.zeros(3), np.zeros((4, 1))), (4, 3)),
+    ("state-free", lambda x, u: u, (np.zeros((3, 1)), np.ones(5)), (3, 5)),
+    ("mark-free", lambda x, u: x, (np.zeros((3, 1)), np.ones(5)), (3, 5)),
+    ("scalar", lambda x, u: x * u, (1.0, 2.0), ()),
+])
+def test_coefficients_return_floats_shaped_like_their_arguments(
+        name, fn, args, shape):
+    m = CoefficientSet(b=None, sigma=None, c1=fn, c2=fn, nu1=None,
+                       nu2=None, c1_mean=lambda x: 1)
+    for value in (m.c1(*args), m.c2(*args)):
+        assert value.dtype == float and value.shape == shape
+    assert m.b is None and m.sigma is None
+    x = np.arange(3.0)
+    assert m.c1_mean(x).dtype == float and m.c1_mean(x).shape == (3,)
+    assert not m.c1_mean(x).flags.writeable
+
+
+def test_coefficient_values_of_the_right_shape_are_not_copied():
+    out = np.arange(4.0)
+    m = CoefficientSet(b=lambda x: out, sigma=None, c1=None, c2=None,
+                       nu1=None, nu2=None)
+    assert m.b(np.zeros(4)) is out
 
 
 def test_c1_mean_quadrature_fallback():

@@ -9,12 +9,14 @@ whose paths exit at small radii), five ``jsde-lab simulate --output-dir``
 dumps, each in a temporary directory, then ``jsde-lab verify`` on both
 presets, two ``jsde-lab bound`` calls, a ``verify`` of the inline u3
 model, a ``verify`` of an inline model that violates every A24..A26
-condition (so every witness is reconfirmed through the scalar path) and a
-``verify --assumption`` on a preset.  It prints one ``name sha256`` line per output: ``summary.json``
-whole, ``data.csv`` and every dumped CSV one line per column, and each CLI
-call's exit code and stdout.  The listing goes to ``OUT`` when given, else
-to stdout, so that "only this column moved" between two checkouts is a
-single ``diff`` of their listings.
+condition (so every witness is reconfirmed through the scalar path), a
+``verify --assumption`` on a preset, and a ``simulate`` and one
+``experiment`` of each kind on an inline model with a constant ``c1`` and a
+state-free ``c2``.  It prints one ``name sha256`` line per output:
+``summary.json`` whole, ``data.csv`` and every dumped CSV one line per
+column, and each CLI call's exit code and stdout.  The listing goes to
+``OUT`` when given, else to stdout, so that "only this column moved"
+between two checkouts is a single ``diff`` of their listings.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -77,6 +79,21 @@ nu2 = atoms(1:0.5, 2:0.25)
 u3 = 1.5:3
 """
 
+# a constant (mark-free) c1 and a state-free c2
+DEGENERATE_MODEL = """[model]
+b = -x
+sigma = 0.5
+c1 = 0
+nu1 = lebesgue(-1, 1)
+c2 = u
+nu2 = atoms(0.5:1, 1.5:0.5)
+u3 = 1:2
+
+[experiment]
+N = 50
+y0 = 0
+"""
+
 # (name, argv after "simulate"); each writes into its own directory
 SIMULATIONS = (
     ("simulate_31_noise", ["--preset", "example_31", "--paths", "3",
@@ -89,6 +106,20 @@ SIMULATIONS = (
                             "--set", "scheme.explosion_radius=1.5",
                             "--set", "experiment.x0=2"]),
     ("simulate_u3", ["--config", "{u3}", "--paths", "3", "--dump-noise"]),
+)
+
+# (name, argv) of CLI calls on the degenerate model, each writing into its
+# own directory; listed after the reports
+DEGENERATE_RUNS = (
+    ("degenerate_simulate", ["simulate", "--paths", "3", "--dump-noise"]),
+    ("degenerate_explosion", ["experiment", "--kind", "explosion",
+                              "--set", "experiment.skip_checks=true",
+                              "--set", "analysis.growth=one",
+                              "--set", "analysis.mu=10"]),
+    ("degenerate_nonconfluence", ["experiment", "--kind", "nonconfluence",
+                                  "--set", "experiment.skip_checks=true"]),
+    ("degenerate_uniqueness", ["experiment", "--kind", "uniqueness"]),
+    ("degenerate_convergence", ["experiment", "--kind", "convergence"]),
 )
 
 # (name, argv) of CLI calls whose exit code and stdout are hashed
@@ -158,6 +189,16 @@ def _dir_lines(name, out_dir):
     return lines
 
 
+def _output_run(name, argv, out_dir):
+    """Exit code and stdout of one CLI call, then the files it wrote."""
+    rc, stdout = _run_cli(argv[:1] + ["--seed", "5", "--output-dir",
+                                      str(out_dir)] + argv[1:])
+    # the stdout names the temporary directory; hash it without that
+    stdout = stdout.replace(str(out_dir), "<out>")
+    return ([f"{name}/stdout rc={rc} {_sha(stdout.encode())}"]
+            + _dir_lines(name, out_dir))
+
+
 def listing(work):
     lines = []
     for preset in PRESETS:
@@ -172,18 +213,18 @@ def listing(work):
     u3.write_text(U3_MODEL)
     viol = work / "viol.cfg"
     viol.write_text(VIOL_MODEL)
+    degenerate = work / "degenerate.cfg"
+    degenerate.write_text(DEGENERATE_MODEL)
     for name, argv in SIMULATIONS:
-        out_dir = work / name
-        argv = [a.format(u3=u3) for a in argv]
-        rc, stdout = _run_cli(["simulate", "--seed", "5", "--output-dir",
-                               str(out_dir)] + argv)
-        # the stdout names the temporary directory; hash it without that
-        stdout = stdout.replace(str(out_dir), "<out>")
-        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
-        lines.extend(_dir_lines(name, out_dir))
+        lines.extend(_output_run(
+            name, ["simulate"] + [a.format(u3=u3) for a in argv], work / name))
     for name, argv in REPORTS:
         rc, stdout = _run_cli([a.format(u3=u3, viol=viol) for a in argv])
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
+    for name, argv in DEGENERATE_RUNS:
+        lines.extend(_output_run(
+            name, argv[:1] + ["--config", str(degenerate)] + argv[1:],
+            work / name))
     return lines
 
 
