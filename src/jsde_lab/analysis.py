@@ -117,7 +117,7 @@ class OmegaTransform:
         if base_point <= 0:
             raise DomainError("base_point must be positive")
         probe = np.geomspace(base_point * 1e-12, base_point, 64)
-        vals = np.asarray(modulus.rho(probe), dtype=float)
+        vals = modulus.rho(probe)
         if np.any(vals <= 0.0):
             bad = float(probe[np.argmax(vals <= 0.0)])
             raise DomainError(
@@ -236,7 +236,7 @@ def _phi_exponent(upsilon, x):
     mid = 0.5 * ends[:, :1] + 0.5 * ends[:, 1:]
     half = 0.5 * ends[:, 1:] - 0.5 * ends[:, :1]
     s = mid + half * _GLX
-    u = np.asarray(upsilon(s), dtype=float)
+    u = upsilon(s)
     with np.errstate(over="ignore"):
         f = 1.0 / (s * u + 1.0)
     # near the top of float range s*u overflows; 1/(s*u) is the value there
@@ -293,13 +293,18 @@ def moment_bound(upsilon, mu, M, second_moment_x0, t):
     ``phi(E[x0^2]) * exp(mu * (M + 1) * t)``.
 
     ``mu`` is the growth-condition constant and ``M`` bounds the restricted
-    large-jump mass.
+    large-jump mass.  A bound past float range is ``inf``: vacuous, not an
+    error.
     """
     for name, v in (("mu", mu), ("M", M),
                     ("second_moment_x0", second_moment_x0), ("t", t)):
         if not 0.0 <= v < math.inf:
             raise DomainError(f"{name} must be finite and nonnegative")
-    return phi_growth(upsilon, second_moment_x0) * math.exp(mu * (M + 1.0) * t)
+    try:
+        growth = math.exp(mu * (M + 1.0) * t)
+    except OverflowError:
+        return math.inf
+    return phi_growth(upsilon, second_moment_x0) * growth
 
 
 def implied_state_bound(upsilon, mu, M, second_moment_x0, t):

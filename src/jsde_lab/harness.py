@@ -183,6 +183,14 @@ def _mean_se(values):
     return mean, se, n
 
 
+def _square(x):
+    """``x ** 2`` of a float, ``inf`` past float range."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _resolve_model(spec):
     if isinstance(spec, CoefficientSet):
         return spec
@@ -383,14 +391,19 @@ def run_explosion(config):
         raise AssertionError(
             f"radius monotonicity violated for seed {seeds[broken[0]]}")
 
-    phis = phi_growth(growth,
-                      [path.state_at_end() ** 2 for path in paths]).tolist()
+    squares = np.array([_square(path.state_at_end()) for path in paths])
+    phis = np.full(len(paths), math.inf)
+    finite = np.isfinite(squares)
+    phis[finite] = phi_growth(growth, squares[finite])
+    phis = phis.tolist()
     phi_mean, phi_se, phi_n = _mean_se(phis)
     if model.nu2 is None or model.u3 is None:
         m_rate = 0.0          # no large jumps, or none handled by interlacing
     else:
         m_rate = model.nu2.total_mass - model.u3_measure().total_mass
-    bound = moment_bound(growth, mu, m_rate, config.x0 ** 2, config.horizon)
+    x0_square = _square(config.x0)
+    bound = (moment_bound(growth, mu, m_rate, x0_square, config.horizon)
+             if math.isfinite(x0_square) else math.inf)
     bound_row = {
         "mc_mean": phi_mean, "mc_se": phi_se, "n": phi_n,
         "bound": bound, "interlaced_rate": m_rate,

@@ -13,8 +13,10 @@ The module also carries two catalogs used throughout the laboratory:
 * growth envelopes ``Upsilon`` (nondecreasing, >= 1), used by the moment
   bound.
 
-All callables here are numpy-vectorized: they accept scalars or arrays and
-return the same shape.
+Every callable evaluated here (coefficients, a modulus's ``rho`` and
+``log_weight``, a growth envelope's ``upsilon`` and ``upsilon_prime``, mark
+densities) is wrapped by ``_float_array_valued``: it gets float arrays and
+returns a float array shaped like its broadcast arguments, even a constant.
 """
 
 from __future__ import annotations
@@ -60,6 +62,24 @@ def gauss_legendre(n):
     return rule
 
 
+def _float_array_valued(fn):
+    """``fn`` called with its arguments as float arrays and returning a float
+    array shaped like their broadcast: a value of another shape is broadcast
+    (a read-only view), one of the right dtype and shape is returned as is.
+    None stays None, and a callable already wrapped comes back unchanged."""
+    if fn is None or getattr(fn, "_float_array_valued", False):
+        return fn
+
+    @functools.wraps(fn)
+    def call(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        value = np.asarray(fn(*args), dtype=float)
+        shape = np.broadcast(*args).shape
+        return value if value.shape == shape else np.broadcast_to(value, shape)
+    call._float_array_valued = True
+    return call
+
+
 # ---------------------------------------------------------------------------
 # mark measures
 # ---------------------------------------------------------------------------
@@ -103,7 +123,8 @@ class MarkMeasure:
     """A finite (or explicitly infinite) measure on real marks.
 
     Supported forms: a list of density pieces ``(lo, hi, d)`` with ``d`` a
-    nonnegative vectorized density, and/or a list of atoms ``(u, w)`` with
+    nonnegative density (any callable of the mark, wrapped to return float
+    arrays shaped like its argument), and/or a list of atoms ``(u, w)`` with
     weights ``w > 0``.  Pieces straddling 0 are split there so piecewise
     quadrature never integrates across the ``|u|`` kink.  ``total_mass`` is
     computed on its first read (and kept) unless it is given: ``hi - lo``
@@ -114,6 +135,7 @@ class MarkMeasure:
         split = []
         for lo, hi, dens in pieces:
             lo, hi = float(lo), float(hi)
+            dens = _float_array_valued(dens)
             if hi <= lo:
                 raise DomainError(f"empty density piece [{lo}, {hi}]")
             if lo < 0.0 < hi:
@@ -145,7 +167,7 @@ class MarkMeasure:
                 m += hi - lo
                 continue
             from scipy.integrate import quad
-            val, _ = quad(lambda u: float(np.asarray(dens(u))), lo, hi, limit=200)
+            val, _ = quad(lambda u: float(dens(u)), lo, hi, limit=200)
             m += val
         return m
 
@@ -166,7 +188,7 @@ class MarkMeasure:
                 mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
                 u = mid + half * gl_x
                 xs.append(u)
-                ws.append(half * gl_w * np.asarray(dens(u), dtype=float))
+                ws.append(half * gl_w * dens(u))
             for u, w in self.atoms:
                 xs.append(np.array([u]))
                 ws.append(np.array([w]))
@@ -210,7 +232,7 @@ class MarkMeasure:
         comp_mass, tables = [], []
         for lo, hi, dens in self.pieces:
             grid = np.linspace(lo, hi, _CDF_TABLE)
-            vals = np.maximum(np.asarray(dens(grid), dtype=float), 0.0)
+            vals = np.maximum(dens(grid), 0.0)
             cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
             comp_mass.append(cdf[-1])
             tables.append((grid, cdf / cdf[-1] if cdf[-1] > 0 else cdf))
@@ -256,8 +278,9 @@ def _component_marks(table, rng, size):
     return np.full(size, table)
 
 
+@_float_array_valued
 def _unit_density(u):
-    return np.ones_like(np.asarray(u, dtype=float))
+    return 1.0
 
 
 def lebesgue(lo, hi, label=""):
@@ -286,12 +309,13 @@ class Modulus:
     def __init__(self, rho, domain_hint, label, concave=True,
                  closed_form_omega=None, log_weight=None,
                  log_weight_breaks=()):
-        self.rho = rho
+        self.rho = _float_array_valued(rho)
         self.domain_hint = float(domain_hint)
         self.label = label
         self.concave = bool(concave)
         self.closed_form_omega = closed_form_omega
-        self._log_weight = log_weight
+        self.log_weight = _float_array_valued(
+            self._rho_log_weight if log_weight is None else log_weight)
         self.log_weight_breaks = tuple(log_weight_breaks)
 
     def __call__(self, x):
@@ -300,17 +324,15 @@ class Modulus:
     def __repr__(self):
         return f"Modulus({self.label!r})"
 
-    def log_weight(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        if self._log_weight is not None:
-            return self._log_weight(ell)
+    def _rho_log_weight(self, ell):
+        # log_weight straight from rho, for a modulus given without one
         x = np.exp(-ell)
         if np.any(x == 0.0):
             raise DomainError(
                 f"modulus {self.label!r} has no stable log-domain form and "
                 f"exp(-ell) underflows at ell={float(np.max(ell)):g}"
             )
-        return x / np.asarray(self.rho(x), dtype=float)
+        return x / self.rho(x)
 
 
 def scale_modulus(modulus, c):
@@ -323,7 +345,7 @@ def scale_modulus(modulus, c):
         fwd, inv = modulus.closed_form_omega
         cf = (lambda t, tb: fwd(t, tb) / c, lambda y, tb: inv(c * y, tb))
     return Modulus(
-        rho=lambda x, _m=modulus, _c=c: _c * np.asarray(_m.rho(x), dtype=float),
+        rho=lambda x, _m=modulus, _c=c: _c * _m.rho(x),
         domain_hint=modulus.domain_hint,
         label=f"{c:g}*{modulus.label}",
         concave=modulus.concave,
@@ -340,28 +362,23 @@ def affine_modulus(k1, k2, modulus, label=None):
     if k1 < 0 or k2 < 0 or k1 + k2 == 0:
         raise DomainError("affine modulus needs nonnegative k1, k2, not both 0")
 
-    def rho0(x, _m=modulus):
-        x = np.asarray(x, dtype=float)
-        return k1 * x + k2 * np.asarray(_m.rho(x), dtype=float)
-
     def w0(ell, _m=modulus):
         # 1 / (k1 + k2 / W(ell)) with W = exp(-ell)/rho(exp(-ell))
-        w = np.asarray(_m.log_weight(ell), dtype=float)
-        return 1.0 / (k1 + k2 / w)
+        return 1.0 / (k1 + k2 / _m.log_weight(ell))
 
     return Modulus(
-        rho=rho0,
+        rho=lambda x, _m=modulus: k1 * x + k2 * _m.rho(x),
         domain_hint=modulus.domain_hint,
         label=label or f"{k1:g}*x+{k2:g}*{modulus.label}",
         concave=modulus.concave,
-        log_weight=w0 if k2 > 0 else (lambda ell: np.full_like(np.asarray(ell, dtype=float), 1.0 / k1)),
+        log_weight=w0 if k2 > 0 else (lambda ell: 1.0 / k1),
         log_weight_breaks=modulus.log_weight_breaks if k2 > 0 else (),
     )
 
 
 def _identity_modulus():
     def rho(x):
-        return np.asarray(x, dtype=float) + 0.0
+        return x + 0.0
 
     def _inv(y, tb):
         with np.errstate(over="ignore"):
@@ -369,8 +386,7 @@ def _identity_modulus():
 
     cf = (lambda t, tb: np.log(t / tb), _inv)
     return Modulus(rho, domain_hint=math.inf, label="identity",
-                   closed_form_omega=cf,
-                   log_weight=lambda ell: np.ones_like(np.asarray(ell, dtype=float)))
+                   closed_form_omega=cf, log_weight=lambda ell: 1.0)
 
 
 def _neg_x_log_x_modulus():
@@ -378,7 +394,6 @@ def _neg_x_log_x_modulus():
     peak = 1.0 / math.e
 
     def rho(x):
-        x = np.asarray(x, dtype=float)
         out = np.full(x.shape, peak)
         inner = (x > 0) & (x <= edge)
         xv = np.where(inner, x, 0.5)
@@ -386,7 +401,6 @@ def _neg_x_log_x_modulus():
         return np.where(x <= 0, 0.0, out)
 
     def w(ell):
-        ell = np.asarray(ell, dtype=float)
         safe = np.maximum(ell, 1.0)
         return np.where(ell >= 1.0, 1.0 / safe, np.exp(1.0 - ell) * (ell < 1.0))
 
@@ -414,7 +428,6 @@ _X_STAR_VALUE = _X_STAR / _L_STAR      # x* * ln(L*) with ln(L*) = 1/L*
 
 def _x_log_log_modulus():
     def rho(x):
-        x = np.asarray(x, dtype=float)
         out = np.full(x.shape, _X_STAR_VALUE)
         inner = (x > 0) & (x <= _X_STAR)
         xv = np.where(inner, x, 0.5 * _X_STAR)
@@ -422,7 +435,6 @@ def _x_log_log_modulus():
         return np.where(x <= 0, 0.0, out)
 
     def w(ell):
-        ell = np.asarray(ell, dtype=float)
         safe = np.maximum(ell, _L_STAR)
         inner = 1.0 / (np.log(safe))
         outer = np.exp(-np.minimum(ell, 700.0)) / _X_STAR_VALUE
@@ -437,7 +449,6 @@ def _one_minus_x_pow_x_modulus():
     peak = 1.0 - math.exp(-1.0 / math.e)
 
     def rho(x):
-        x = np.asarray(x, dtype=float)
         out = np.full(x.shape, peak)
         inner = (x > 0) & (x <= edge)
         xv = np.where(inner, x, 0.5)
@@ -447,7 +458,6 @@ def _one_minus_x_pow_x_modulus():
     def w(ell):
         # exp(-ell) / (1 - exp(-t)) with t = ell*exp(-ell); for tiny t the
         # ratio collapses to 1/ell exactly at double precision
-        ell = np.asarray(ell, dtype=float)
         outer = np.exp(-np.minimum(ell, 700.0)) / peak
         safe = np.maximum(ell, 1.0)
         t = safe * np.exp(-safe)
@@ -496,8 +506,8 @@ class GrowthFunction:
     """
 
     def __init__(self, upsilon, upsilon_prime, label, kinks=()):
-        self.upsilon = upsilon
-        self.upsilon_prime = upsilon_prime
+        self.upsilon = _float_array_valued(upsilon)
+        self.upsilon_prime = _float_array_valued(upsilon_prime)
         self.label = label
         self.kinks = tuple(kinks)
 
@@ -509,22 +519,16 @@ class GrowthFunction:
 
 
 def _growth_one():
-    return GrowthFunction(
-        upsilon=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        upsilon_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        label="one",
-    )
+    return GrowthFunction(lambda x: 1.0, lambda x: 0.0, label="one")
 
 
 def _growth_log():
     e = math.e
 
     def ups(x):
-        x = np.asarray(x, dtype=float)
         return np.where(x <= e, 1.0, np.log(np.maximum(x, e)))
 
     def dups(x):
-        x = np.asarray(x, dtype=float)
         return np.where(x <= e, 0.0, 1.0 / np.maximum(x, e))
 
     return GrowthFunction(ups, dups, label="log", kinks=(e,))
@@ -535,12 +539,10 @@ def _growth_log_loglog():
     floor = 2.0 * math.log(2.0)      # value at x = e^2
 
     def ups(x):
-        x = np.asarray(x, dtype=float)
         xs = np.maximum(x, e2)
         return np.where(x <= e2, floor, np.log(xs) * np.log(np.log(xs)))
 
     def dups(x):
-        x = np.asarray(x, dtype=float)
         xs = np.maximum(x, e2)
         return np.where(x <= e2, 0.0, (np.log(np.log(xs)) + 1.0) / xs)
 
@@ -569,21 +571,6 @@ def builtin_growth(name):
 # ---------------------------------------------------------------------------
 # coefficient sets and presets
 # ---------------------------------------------------------------------------
-
-def _float_array_valued(fn):
-    """``fn`` returning a float array shaped like its broadcast arguments: a
-    value of another shape is broadcast (a read-only view), one of the right
-    dtype and shape is returned as is."""
-    if fn is None:
-        return None
-
-    @functools.wraps(fn)
-    def call(*args):
-        value = np.asarray(fn(*args), dtype=float)
-        shape = np.broadcast(*args).shape
-        return value if value.shape == shape else np.broadcast_to(value, shape)
-    return call
-
 
 class CoefficientSet:
     """One jump-SDE model: drift, diffusion, jump coefficients, mark measures.
@@ -658,21 +645,18 @@ def preset_example_31():
     conditions would otherwise defeat every admissible modulus.)
     """
     def b(x):
-        x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         safe = np.where(ax > 0, ax, 1.0)
         return np.where(ax > 0, -ax * np.log(safe), 0.0)
 
     def sigma(x):
-        return np.sqrt(np.abs(np.asarray(x, dtype=float)))
+        return np.sqrt(np.abs(x))
 
     def c1(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
         return np.sqrt(np.abs(x)) * np.ones_like(u)
 
     def c2(x, u):
-        return GAMMA * np.abs(np.asarray(u, dtype=float)) * np.asarray(x, dtype=float)
+        return GAMMA * np.abs(u) * x
 
     return CoefficientSet(
         b=b, sigma=sigma, c1=c1, c2=c2,
@@ -680,7 +664,7 @@ def preset_example_31():
         nu2=lebesgue(1.0, 2.0, label="nu2:unit(1,2]"),
         u3=(),
         label="example_31",
-        c1_mean=lambda x: 2.0 * np.sqrt(np.abs(np.asarray(x, dtype=float))),
+        c1_mean=lambda x: 2.0 * np.sqrt(np.abs(x)),
     )
 
 
@@ -693,14 +677,13 @@ def preset_example_41():
     sub-support is empty, as in the sibling preset.
     """
     def b(x):
-        x = np.asarray(x, dtype=float)
         return -(x ** 3 + np.cbrt(x))
 
     def sigma(x):
-        return 2.0 * np.asarray(x, dtype=float)
+        return 2.0 * x
 
     def cj(x, u):
-        return GAMMA * np.abs(np.asarray(u, dtype=float)) * np.asarray(x, dtype=float)
+        return GAMMA * np.abs(u) * x
 
     return CoefficientSet(
         b=b, sigma=sigma, c1=cj, c2=cj,
@@ -708,7 +691,7 @@ def preset_example_41():
         nu2=lebesgue(1.0, 2.0, label="nu2:unit(1,2]"),
         u3=(),
         label="example_41",
-        c1_mean=lambda x: GAMMA * np.asarray(x, dtype=float),
+        c1_mean=lambda x: GAMMA * x,
     )
 
 

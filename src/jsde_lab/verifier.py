@@ -37,8 +37,8 @@ import numpy as np
 
 from .analysis import _gl_panel, omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
-from .model import (GAMMA, Band, builtin_growth, builtin_modulus,
-                    scale_modulus)
+from .model import (GAMMA, Band, _float_array_valued, builtin_growth,
+                    builtin_modulus, scale_modulus)
 
 NO_VIOLATION = "no_violation_found"
 VIOLATED = "violated"
@@ -246,14 +246,13 @@ def _pair_measure_integral(measure, integrand, x, y):
 def _scalar_measure_integral(measure, g):
     """Simpson-on-uniform-nodes integral of ``g`` against the measure —
     deliberately a different quadrature from the Gauss-Legendre fast path."""
-    from scipy.integrate import simpson
     if measure is None:
         return 0.0
     total = 0.0
     for lo, hi, dens in measure.pieces:
+        from scipy.integrate import simpson
         us = np.linspace(lo, hi, 4097)
-        vals = g(us) * np.asarray(dens(us), dtype=float)
-        total += float(simpson(vals, x=us))
+        total += float(simpson(g(us) * dens(us), x=us))
     for u0, w0 in measure.atoms:
         total += w0 * float(g(np.array([u0]))[0])
     return total
@@ -317,12 +316,12 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
     if points is None:
         points = np.geomspace(1e-12, 1.0, 601)
     points = np.asarray(points, dtype=float)
-    vals = np.asarray(modulus.rho(points), dtype=float)
+    vals = modulus.rho(points)
     conditions = []
     notes = []
 
     def rho1(t):
-        return float(np.asarray(modulus.rho(np.array([t])), dtype=float)[0])
+        return float(modulus.rho(t))
 
     conditions.append(_reconfirm(
         _condition_from_arrays(
@@ -341,9 +340,8 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
         xi, xj = np.meshgrid(sub, sub, indexing="ij")
         xi, xj = xi.reshape(-1), xj.reshape(-1)
         mid = 0.5 * (xi + xj)
-        lhs = 0.5 * (np.asarray(modulus.rho(xi), dtype=float)
-                     + np.asarray(modulus.rho(xj), dtype=float))
-        rhs = np.asarray(modulus.rho(mid), dtype=float)
+        lhs = 0.5 * (modulus.rho(xi) + modulus.rho(xj))
+        rhs = modulus.rho(mid)
         conditions.append(_reconfirm(
             _condition_from_arrays(
                 "midpoint_concavity", {"x": xi, "y": xj}, lhs, rhs,
@@ -375,8 +373,7 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
             for k in (11, 12):
                 rs = np.geomspace(base * 10.0 ** (-k),
                                   base * 10.0 ** (-(k - 1)), 200001)
-                g.append(float(np.trapezoid(
-                    1.0 / np.asarray(modulus.rho(rs), dtype=float), rs)))
+                g.append(float(np.trapezoid(1.0 / modulus.rho(rs), rs)))
             re_ratio = g[1] / g[0] if g[0] > 0 else 0.0
             worst["reconfirmed"] = bool(
                 not (g[0] > 0 and g[1] > 0)
@@ -392,7 +389,7 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
         ))
     except DomainError as exc:
         probe = np.geomspace(1e-12, base, 101)
-        pv = np.asarray(modulus.rho(probe), dtype=float)
+        pv = modulus.rho(probe)
         conditions.append(ConditionResult(
             "reciprocal_divergence", VIOLATED,
             worst={"lhs": 1.0, "rhs": 0.0, "slack": 1.0, "error": str(exc),
@@ -435,7 +432,7 @@ def _growth_decade_increments(upsilon, k_max=12):
     10^k]``, as ``integral e^v / (e^v Upsilon(e^v) + 1) dv``."""
     def integrand(v):
         s = np.exp(v)
-        return s / (s * np.asarray(upsilon(s), dtype=float) + 1.0)
+        return s / (s * upsilon(s) + 1.0)
 
     return np.asarray([_gl_panel(integrand, (k - 1) * math.log(10.0),
                                  k * math.log(10.0))
@@ -446,7 +443,8 @@ def check_growth(model, upsilon, mu, anchors=None,
                  tolerance=DEFAULT_TOLERANCE):
     """One-sided growth bound against ``mu [x^2 Upsilon(x^2) + 1]`` plus the
     envelope's own divergence certificate; the unboundedness condition is
-    reported as a note (the constant envelope is itself a cataloged case)."""
+    reported as a note (the constant envelope is itself a cataloged case).
+    ``upsilon`` is a :class:`~jsde_lab.model.GrowthFunction`."""
     if mu < 0:
         raise DomainError("mu must be nonnegative")
     if anchors is None:
@@ -456,8 +454,7 @@ def check_growth(model, upsilon, mu, anchors=None,
     notes = []
 
     lhs = _growth_lhs(model, anchors)
-    rhs = mu * (anchors ** 2 * np.asarray(upsilon(anchors ** 2), dtype=float)
-                + 1.0)
+    rhs = mu * (anchors ** 2 * upsilon(anchors ** 2) + 1.0)
     cond = _condition_from_arrays(
         "growth_bound", {"x": anchors}, lhs, rhs, tolerance)
 
@@ -468,7 +465,7 @@ def check_growth(model, upsilon, mu, anchors=None,
             model.nu1, lambda u: np.abs(model.c1(x, u)) ** 2)
         l += 2.0 * _scalar_measure_integral(
             model.u3_measure(), lambda u: np.abs(model.c2(x, u)) ** 2)
-        r = mu * (x * x * float(np.asarray(upsilon(x * x))) + 1.0)
+        r = mu * (x * x * float(upsilon(x * x)) + 1.0)
         return l, r
 
     conditions.append(_reconfirm(cond, recompute))
@@ -486,8 +483,7 @@ def check_growth(model, upsilon, mu, anchors=None,
         g = []
         for k in (11, 12):
             s = np.geomspace(10.0 ** (k - 1), 10.0 ** k, 200001)
-            g.append(float(np.trapezoid(
-                1.0 / (s * np.asarray(upsilon(s), dtype=float) + 1.0), s)))
+            g.append(float(np.trapezoid(1.0 / (s * upsilon(s) + 1.0), s)))
         re_ratio = g[1] / g[0] if g[0] > 0 else 0.0
         worst["reconfirmed"] = bool(not np.all(np.isfinite(g))
                                     or re_ratio < GROWTH_RATIO_MIN)
@@ -499,7 +495,7 @@ def check_growth(model, upsilon, mu, anchors=None,
         note=("certificate: decade increments of the reciprocal growth "
               f"integral keep a tail ratio >= {GROWTH_RATIO_MIN}")))
 
-    tail = np.asarray(upsilon(np.geomspace(10.0, 1e9, 17)), dtype=float)
+    tail = upsilon(np.geomspace(10.0, 1e9, 17))
     if tail[-1] <= tail[0] * (1.0 + 1e-9):
         notes.append("envelope appears bounded on the sampled tail; the "
                      "constant envelope is an accepted cataloged case, so "
@@ -518,7 +514,7 @@ def growth_ratio_supremum(model, upsilon, anchors=None):
         anchors = np.linspace(-10.0, 10.0, 101)
     anchors = np.asarray(anchors, dtype=float)
     lhs = _growth_lhs(model, anchors)
-    rhs = anchors ** 2 * np.asarray(upsilon(anchors ** 2), dtype=float) + 1.0
+    rhs = anchors ** 2 * upsilon(anchors ** 2) + 1.0
     ratio = lhs / rhs
     i = int(np.argmax(ratio))
     return float(ratio[i]), float(anchors[i])
@@ -543,22 +539,22 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
         "drift_plus_large_jump_first_moment", x, y,
         (x - y) * (model.b(x) - model.b(y))
         + _dc_integral(u3_measure, model.c2, _abs_shape, x, y),
-        d * np.asarray(rho1.rho(d), dtype=float),
+        d * rho1.rho(d),
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy)))
             + _scalar_dc_integral(u3_measure, model.c2, _abs_shape, xx, yy),
-            abs(xx - yy) * float(np.asarray(rho1.rho(abs(xx - yy))))),
+            abs(xx - yy) * float(rho1.rho(abs(xx - yy)))),
         tolerance))
 
     conditions.append(_pair_condition(
         "diffusion_plus_small_jump_second_moment", x, y,
         (model.sigma(x) - model.sigma(y)) ** 2
         + _dc_integral(model.nu1, model.c1, _square_shape, x, y),
-        np.asarray(rho2.rho(d), dtype=float),
+        rho2.rho(d),
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2
             + _scalar_dc_integral(model.nu1, model.c1, _square_shape, xx, yy),
-            float(np.asarray(rho2.rho(abs(xx - yy))))),
+            float(rho2.rho(abs(xx - yy)))),
         tolerance))
 
     if include_monotonicity and model.nu1 is not None:
@@ -622,10 +618,10 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
         grid = PairGrid.default(delta0)
     x, y = grid.pairs(gap_cap=delta0)
     d = np.abs(x - y)
-    rho_da = np.asarray(modulus.rho(d ** alpha), dtype=float)
+    rho_da = modulus.rho(d ** alpha)
 
     def scalar_rho(xx, yy):
-        return float(np.asarray(modulus.rho(abs(xx - yy) ** alpha)))
+        return float(modulus.rho(abs(xx - yy) ** alpha))
 
     conditions = [_pair_condition(
         "drift_or_diffusion_local", x, y,
@@ -680,15 +676,16 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
         raise DomainError("delta must be positive")
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
+    affine_k = _float_array_valued(affine_k)
     if grid is None:
         grid = PairGrid.default(20.0)
     x, y = grid.pairs()
     d = np.abs(x - y)
-    rho_inv = np.asarray(modulus.rho(d ** (-alpha)), dtype=float)
+    rho_inv = modulus.rho(d ** (-alpha))
 
     def scalar_rhs(xx, yy, power):
         gap = abs(xx - yy)
-        return gap ** power * float(np.asarray(modulus.rho(gap ** (-alpha))))
+        return gap ** power * float(modulus.rho(gap ** (-alpha)))
 
     conditions = [_pair_condition(
         "drift_global", x, y,
@@ -744,7 +741,7 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
             continue
         if affine_k is not None:
             marks = _mark_grid(measure, 1001)
-            margin = np.abs(1.0 + np.asarray(affine_k(marks), dtype=float))
+            margin = np.abs(1.0 + affine_k(marks))
             lhs = delta - margin          # violated when >= 0 (margin <= delta)
             i = int(np.argmax(lhs))
             cand = {"mark": float(marks[i]), "source": tag,
@@ -785,7 +782,7 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
     if bad:
         if affine_k is not None:
             cond.worst["reconfirmed"] = bool(
-                delta - abs(1.0 + float(np.asarray(affine_k(worst["mark"]))))
+                delta - abs(1.0 + float(affine_k(worst["mark"])))
                 > tolerance)
         else:
             mdl = dict((t, c) for t, _, c in sources)[worst["source"]]
@@ -833,8 +830,7 @@ def designated_sets(label):
                     gaps=np.geomspace(1e-6, 10.0, 401),
                     label="101 anchors in [-5,5] x 401 log-spaced gaps, "
                           "both directions"),
-                affine_k=lambda u: GAMMA * np.abs(np.asarray(u,
-                                                             dtype=float)))),
+                affine_k=lambda u: GAMMA * np.abs(u))),
         },
     }
     return table.get(label, {})

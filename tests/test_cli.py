@@ -141,6 +141,19 @@ def test_moment_bound_leaves_scipy_unloaded():
     assert _scipy_modules_after(code) == "[]"
 
 
+def test_atoms_only_witness_reconfirmation_leaves_scipy_unloaded():
+    # the Simpson rule of the scalar path is imported only for a density
+    code = ("from jsde_lab import cli\n"
+            "sets = ['model.b=-x', 'model.sigma=0.5', 'model.c2=x',\n"
+            "        'model.nu2=atoms(0.5:1)', 'model.u3=0:2',\n"
+            "        'analysis.rho1=identity', 'analysis.rho2=identity']\n"
+            "argv = ['verify', '--check', 'corollary']\n"
+            "for kv in sets:\n"
+            "    argv += ['--set', kv]\n"
+            "assert cli.main(argv) == 2")
+    assert _scipy_modules_after(code) == "[]"
+
+
 def test_verify_presets_leave_scipy_unloaded():
     # lebesgue masses are closed-form, so A26's window masses need no quad
     code = ("from jsde_lab import cli\n"
@@ -537,3 +550,25 @@ def test_degenerate_model_verdicts(keys, argv, rc, capsys):
         report, = json.loads(out[out.index("\n["):])
         worst = report["worst_witness"]
         assert worst["reconfirmed"] is True
+
+
+@pytest.mark.parametrize("keys, argv", [
+    ([], ["bound", "--growth", "one", "--mu", "1000"]),
+    ([], ["bound", "--growth", "one", "--mu", "1", "--t", "1000"]),
+    (["analysis.mu=1000", "scheme.h=1", "experiment.steps=1"],
+     ["experiment", "--kind", "explosion"]),
+    (["experiment.T=800", "scheme.h=1", "experiment.steps=1"],
+     ["experiment", "--kind", "explosion"]),
+    # an end state (and a start) whose square is past float range
+    (["experiment.x0=1e200", "experiment.skip_checks=1"],
+     ["experiment", "--kind", "explosion"]),
+])
+def test_moment_bound_past_float_range_is_vacuous(keys, argv, capsys):
+    assert cli.main(_degenerate_argv(argv, keys)) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "bound":
+        assert out == "inf\n"
+    else:
+        row = json.loads(out)["bound_row"]
+        assert row["bound"] == float("inf")
+        assert row["satisfied_within_3se"] is None

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,11 +8,17 @@ from scipy.optimize import brentq
 
 from jsde_lab import model as model_module
 from jsde_lab.errors import CatalogError, DomainError
+from jsde_lab.analysis import moment_bound, phi_growth
 from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
-                            MODULUS_CATALOG, Band, CoefficientSet, MarkMeasure,
+                            MODULUS_CATALOG, Band, CoefficientSet,
+                            GrowthFunction, MarkMeasure, Modulus,
                             affine_modulus, builtin_growth, builtin_modulus,
                             gauss_legendre, in_bands, lebesgue, preset,
                             scale_modulus)
+from jsde_lab.noise import sample_noise
+from jsde_lab.verifier import (check_corollary_conditions, check_growth,
+                               check_local_conditions, check_modulus,
+                               check_nonconfluence_conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +374,74 @@ def test_coefficient_values_of_the_right_shape_are_not_copied():
     m = CoefficientSet(b=lambda x: out, sigma=None, c1=None, c2=None,
                        nu1=None, nu2=None)
     assert m.b(np.zeros(4)) is out
+
+
+def test_wrapped_callables_get_float_arrays_and_are_not_rewrapped():
+    seen = []
+
+    def one(u):
+        seen.append(u)
+        return 1
+
+    wrapped = model_module._float_array_valued(one)
+    assert wrapped(2).dtype == float and seen[0].dtype == float
+    assert model_module._float_array_valued(wrapped) is wrapped
+    unit = model_module._unit_density
+    nu = lebesgue(0.0, 2.0)
+    for measure in (nu, nu.restricted(Band(0.5, 1.0)),
+                    MarkMeasure(pieces=nu.pieces)):
+        assert measure.pieces[0][2] is unit
+
+
+def _constant_modulus():
+    return Modulus(lambda r: 0.5, 1.0, "const")
+
+
+CONSTANT_GROWTHS = (GrowthFunction(lambda x: 1, lambda x: 0, "one"),
+                    GrowthFunction(lambda x: 2.0, lambda x: 0.0, "two"))
+GROWTH_RUNS = {
+    "check_growth": lambda g: check_growth(preset("example_41"), g, 10.0),
+    "phi_growth": lambda g: phi_growth(g, [0.0, 1.0, 1e6]),
+    "moment_bound": lambda g: moment_bound(g, 1.0, 0.0, 1.0, 1.0),
+}
+
+
+def _noise_with_density(dens):
+    m = CoefficientSet(b=lambda x: -x, sigma=lambda x: 0.5, c1=None,
+                       c2=lambda x, u: u, nu1=None,
+                       nu2=MarkMeasure(pieces=[(1.0, 2.0, dens)]))
+    return sample_noise(m, 10.0, 2.0 ** -4, 7).events["mark"]
+
+
+# constant moduli, growth envelopes, mark densities and A26 affine maps:
+# each row returns a verdict or a value
+CONTRACT_MATRIX = {
+    "modulus/check_modulus": lambda: check_modulus(_constant_modulus()),
+    "modulus/local_alpha_0": lambda: check_local_conditions(
+        preset("example_41"), _constant_modulus(), 0.0, 1.0),
+    "modulus/local_alpha_0.5": lambda: check_local_conditions(
+        preset("example_41"), _constant_modulus(), 0.5, 1.0),
+    "modulus/corollary": lambda: check_corollary_conditions(
+        preset("example_41"), _constant_modulus(), _constant_modulus(), 1.0),
+    "modulus/scaled": lambda: check_modulus(
+        scale_modulus(_constant_modulus(), 2)),
+    **{f"growth_{g.label}/{name}": functools.partial(run, g)
+       for g in CONSTANT_GROWTHS for name, run in GROWTH_RUNS.items()},
+    "density_2.0/sample_noise": lambda: _noise_with_density(lambda u: 2.0),
+    "density_1/sample_noise": lambda: _noise_with_density(lambda u: 1),
+    "affine_k/nonconfluence": lambda: check_nonconfluence_conditions(
+        preset("example_41"), scale_modulus(builtin_modulus("identity"), 5.0),
+        0.0, 0.5, affine_k=lambda u: 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_MATRIX))
+def test_constant_callables_never_raise(name):
+    result = CONTRACT_MATRIX[name]()
+    verdict = getattr(result, "verdict", None)
+    assert verdict in (None, "no_violation_found", "violated")
+    if verdict is None:
+        assert np.all(np.isfinite(result))
 
 
 def test_c1_mean_quadrature_fallback():

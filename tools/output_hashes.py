@@ -12,8 +12,11 @@ model, a ``verify`` of an inline model that violates every A24..A26
 condition (so every witness is reconfirmed through the scalar path), a
 ``verify --assumption`` on a preset, and a ``simulate`` and one
 ``experiment`` of each kind on an inline model with a constant ``c1`` and a
-state-free ``c2``.  It prints one ``name sha256`` line per output:
-``summary.json`` whole, ``data.csv`` and every dumped CSV one line per
+state-free ``c2``; last come ``verify --check modulus`` and two ``bound``
+calls on each catalog modulus (and a scaled one), ``bound --growth`` and
+``verify --check growth`` on each growth envelope, and an explosion run
+under the ``log_loglog`` envelope.  It prints one ``name sha256`` line per
+output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per
 column, and each CLI call's exit code and stdout.  The listing goes to
 ``OUT`` when given, else to stdout, so that "only this column moved"
 between two checkouts is a single ``diff`` of their listings.
@@ -151,6 +154,31 @@ REPORTS = (
                                "--assumption", "A23"]),
 )
 
+# every catalog modulus and growth envelope, listed after the degenerate runs
+MODULI = ("identity", "neg_x_log_x", "x_log_log", "one_minus_x_pow_x",
+          "0.5*neg_x_log_x")
+GROWTHS = (("one", "1"), ("log", "2"), ("log_loglog", "1"))
+CATALOG_REPORTS = (
+    [(f"verify_modulus_{m}", ["verify", "--preset", "example_31", "--check",
+                              "modulus", "--set", f"analysis.modulus={m}"])
+     for m in MODULI]
+    + [(f"bound_{m}_{fg}", ["bound", "--modulus", m] + args)
+       for m in MODULI
+       for fg, args in (("f1_g1", ["--f", "1", "--g", "1"]),
+                        ("f0.01_g3_t2", ["--f", "0.01", "--g", "3",
+                                         "--t", "2"]))]
+    + [(f"bound_growth_{g}", ["bound", "--growth", g, "--mu", mu,
+                              "--x0sq", "100", "--t", "2"])
+       for g, mu in GROWTHS]
+    + [(f"verify_growth_{g}_{p}", ["verify", "--preset", p, "--check",
+                                   "growth", "--set", f"analysis.growth={g}",
+                                   "--set", f"analysis.mu={mu}"])
+       for g, mu in GROWTHS for p in PRESETS])
+CATALOG_EXPLOSION = ["experiment", "--kind", "explosion", "--preset",
+                     "example_31", "--set", "experiment.N=50",
+                     "--set", "analysis.growth=log_loglog",
+                     "--set", "analysis.mu=3"]
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -225,6 +253,11 @@ def listing(work):
         lines.extend(_output_run(
             name, argv[:1] + ["--config", str(degenerate)] + argv[1:],
             work / name))
+    for name, argv in CATALOG_REPORTS:
+        rc, stdout = _run_cli(argv)
+        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
+    lines.extend(_output_run("catalog_explosion", CATALOG_EXPLOSION,
+                             work / "catalog_explosion"))
     return lines
 
 
