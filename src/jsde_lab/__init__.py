@@ -21,14 +21,15 @@ from .harness import (DEFAULT_SEED, ExperimentConfig, ExperimentSummary,
                       run_convergence, run_experiment, run_explosion,
                       run_nonconfluence, run_uniqueness)
 from .integrator import (TAMING_MODES, PathResult, SchemeConfig,
-                         dump_path_csv, first_exit_time, ito_levy_apply,
-                         simulate, simulate_paths)
+                         dump_path_csv, exit_times, first_exit_time,
+                         ito_levy_apply, simulate, simulate_paths)
 from .model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
                     CoefficientSet, GrowthFunction, MarkMeasure, Modulus,
                     affine_modulus, builtin_growth, builtin_modulus, lebesgue,
                     preset, scale_modulus)
-from .noise import (NoiseRealization, derive_path_seed, sample_noise,
-                    split_large_jumps, truncate_small_jumps)
+from .noise import (NoiseBatch, NoiseRealization, derive_path_seed,
+                    sample_batch, sample_noise, split_large_jumps,
+                    truncate_small_jumps)
 from .verifier import (NO_VIOLATION, VIOLATED, AssumptionReport,
                        ConditionResult, check_corollary_conditions,
                        check_growth, check_local_conditions, check_modulus,
@@ -44,21 +45,21 @@ __all__ = [
     "DomainError", "ExperimentConfig", "ExperimentSummary", "Expression",
     "ExpressionError", "GAMMA", "GROWTH_CATALOG", "GrowthFunction",
     "MODULUS_CATALOG", "MarkMeasure", "Modulus",
-    "NO_VIOLATION", "NoiseRealization", "NumericalDomainError",
+    "NO_VIOLATION", "NoiseBatch", "NoiseRealization", "NumericalDomainError",
     "OmegaTransform", "PathResult", "PsiFamily", "ResourceLimitError",
     "SchemeConfig", "TAMING_MODES", "TransformRangeError", "UsageError",
     "VIOLATED", "a_sequence", "affine_modulus", "bihari_bound",
     "builtin_growth", "builtin_modulus", "check_corollary_conditions",
     "check_growth", "check_local_conditions", "check_modulus",
     "check_nonconfluence_conditions", "derive_path_seed",
-    "designated_checks", "dump_path_csv", "first_exit_time",
+    "designated_checks", "dump_path_csv", "exit_times", "first_exit_time",
     "format_report_table", "growth_ratio_supremum", "implied_state_bound",
     "ito_levy_apply", "lebesgue", "moment_bound", "nonconfluence_constants",
     "omega_build", "p_alpha", "parse_config", "parse_expression",
     "parse_scalar", "phi_growth", "phi_inverse", "preset", "psi_build",
     "r_inequality_check", "reciprocal_mass", "reports_to_json",
     "resolve_seed", "run_convergence", "run_experiment", "run_explosion",
-    "run_nonconfluence", "run_uniqueness", "sample_noise", "scale_modulus",
-    "simulate", "simulate_paths", "split_large_jumps",
+    "run_nonconfluence", "run_uniqueness", "sample_batch", "sample_noise",
+    "scale_modulus", "simulate", "simulate_paths", "split_large_jumps",
     "truncate_small_jumps", "w_integral",
 ]

@@ -33,7 +33,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, TransformRangeError
-from .model import Modulus, affine_modulus, gauss_legendre
+from .model import (Modulus, _float_array_valued, affine_modulus,
+                    gauss_legendre)
 
 __all__ = [
     "OmegaTransform",
@@ -259,11 +260,14 @@ def phi_growth(upsilon, x):
     about 1e-14 relative for moderate ``x``, the error growing with the
     number of panels (about 3e-13 at ``x = 1e40`` for the constant
     envelope).  A negative or non-finite entry is a :class:`DomainError`.
+    ``upsilon`` is a :class:`~jsde_lab.model.GrowthFunction` or a bare
+    callable, taken as an envelope without kinks.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0.0) & (xs < math.inf)):
         raise DomainError("phi is defined on finite x >= 0")
-    phi = np.exp(_phi_exponent(upsilon, xs.ravel())).reshape(xs.shape)
+    phi = np.exp(_phi_exponent(_float_array_valued(upsilon),
+                               xs.ravel())).reshape(xs.shape)
     return float(phi) if phi.ndim == 0 else phi
 
 

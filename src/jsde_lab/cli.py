@@ -19,7 +19,7 @@ from .errors import (AssumptionViolationError, CatalogError, DomainError,
 from .harness import ExperimentConfig, run_experiment
 from .integrator import SchemeConfig, dump_path_csv, simulate_paths
 from .model import builtin_growth, builtin_modulus, scale_modulus
-from .noise import derive_path_seed, sample_noise
+from .noise import derive_path_seed, sample_batch
 from .verifier import (NO_VIOLATION, check_corollary_conditions, check_growth,
                        check_local_conditions, check_modulus,
                        check_nonconfluence_conditions, designated_checks,
@@ -172,8 +172,7 @@ def _cmd_simulate(ns):
     if outdir:
         os.makedirs(outdir, exist_ok=True)
     seeds = [derive_path_seed(seed, i) for i in range(ns.paths)]
-    noises = [sample_noise(model, horizon, scheme.base_step, path_seed)
-              for path_seed in seeds]
+    noises = sample_batch(model, horizon, scheme.base_step, seeds)
     paths = simulate_paths(model, noises, scheme, x0)
     for i, (path_seed, noise, path) in enumerate(zip(seeds, noises, paths)):
         tail = (f"exploded at t={path.exit_time:g}" if path.exploded

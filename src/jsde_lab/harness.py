@@ -31,10 +31,9 @@ import numpy as np
 from .analysis import moment_bound, nonconfluence_constants, phi_growth
 from .errors import (AssumptionViolationError, DomainError,
                      NumericalDomainError, ResourceLimitError, UsageError)
-from .integrator import (TAMING_MODES, SchemeConfig, first_exit_time,
-                         simulate_paths)
+from .integrator import TAMING_MODES, SchemeConfig, exit_times, simulate_paths
 from .model import CoefficientSet, builtin_growth, builtin_modulus, preset
-from .noise import derive_path_seed, sample_noise
+from .noise import derive_path_seed, sample_batch
 from .verifier import (NO_VIOLATION, check_growth,
                        check_nonconfluence_conditions, designated_sets,
                        growth_ratio_supremum)
@@ -236,11 +235,11 @@ def _resolve_growth(config, model):
 
 
 def _sample_paths(config, model, base_step):
-    """Per-path seeds and one noise realization per path, in path order."""
+    """Per-path seeds and a :class:`NoiseBatch` of one realization per
+    path, in path order."""
     seeds = [derive_path_seed(config.master_seed, i)
              for i in range(config.paths)]
-    return seeds, [sample_noise(model, config.horizon, base_step, seed)
-                   for seed in seeds]
+    return seeds, sample_batch(model, config.horizon, base_step, seeds)
 
 
 def _scheme(config, h, taming, radius=None):
@@ -281,7 +280,8 @@ def _ladder_gaps(config, model, taming, h_ref, factors):
     ``h_ref`` itself reuses the reference paths.  The reference paths and
     every coarser level are integrated in one batch."""
     seeds, noises = _sample_paths(config, model, h_ref)
-    batch = list(noises)
+    noises = list(noises)
+    batch = noises.copy()
     schemes = [_scheme(config, h_ref, taming)] * config.paths
     for h, f in zip(config.step_ladder, factors):
         if f != 1:
@@ -374,9 +374,7 @@ def run_explosion(config):
 
     seeds, noises = _sample_paths(config, model, h)
     paths, = _simulate_blocks(config, model, noises, scheme, config.x0)
-    exits = np.array([[math.inf if t is None else t
-                       for t in (first_exit_time(path, r) for r in radii)]
-                      for path in paths])
+    exits = exit_times(paths, radii)
 
     ladder = []
     for j, r in enumerate(radii):
@@ -530,7 +528,7 @@ def run_nonconfluence(config):
     scheme = _scheme(config, h, taming)
 
     seeds, noises = _sample_paths(config, model, h)
-    xs, ys = _simulate_blocks(config, model, noises + noises, scheme,
+    xs, ys = _simulate_blocks(config, model, list(noises) * 2, scheme,
                               [config.x0] * config.paths + [y0] * config.paths)
     mins = []
     for px, py in zip(xs, ys):

@@ -13,14 +13,15 @@ nothing else.  Explosion is operationalized as the first recorded state with
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .model import in_bands
-from .noise import EVENT_DTYPE, SMALL, SOURCES
+from .noise import EVENT_DTYPE, LARGE, SMALL, SOURCES, NoiseBatch
 
 TAMING_MODES = ("off", "drift_tamed")
 
@@ -46,6 +47,7 @@ class SchemeConfig:
 # ``PathResult.event_codes`` values, by code; a jump's code is its event's
 KIND_NAMES = ("grid", "small_jump", "large_jump", "exit")
 SMALL_CODE = SOURCES.index(SMALL)
+LARGE_CODE = SOURCES.index(LARGE)
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,10 @@ def _coeff(value, x, name, where=None):
     """``value``, a coefficient's floats at the states ``x``; a non-finite
     entry raises.  ``where = (rows, times, seeds, steps)`` locates entry
     ``i`` as batch row ``rows[i]`` at time ``times[rows[i]]``."""
-    bad = np.flatnonzero(~np.isfinite(value))
-    if not bad.size:
+    finite = np.isfinite(value)
+    if np.count_nonzero(finite) == finite.size:
         return value
+    bad = np.flatnonzero(~finite)
     state = float(np.ravel(x)[bad[0]])
     located = {}
     if where is not None:
@@ -107,35 +110,67 @@ def _continuous_step(x, dt, dw, model, tamed, where=None):
     return x_new
 
 
-def _event_layers(noises, u3, restrict_to_u3):
-    """The jumps the scheme applies, as ``{s: [layer_0, layer_1, ...]}``.
+class _Stacked(NamedTuple):
+    """Realizations stacked in order, laid out as a :class:`NoiseBatch`."""
 
-    Every event time is a union time ``s + 1`` (the realization checks it),
-    and the event lands at the end of step ``s``.  Layer ``r`` is the arrays
-    ``(paths, marks, codes)`` of each path's ``r``-th event at a step, in
-    ``events`` order, so applying the layers in turn keeps that order.
+    seeds: tuple
+    offsets: np.ndarray
+    union_times: np.ndarray
+    union_increments: np.ndarray
+    event_offsets: np.ndarray
+    events: np.ndarray
+    event_steps: np.ndarray
+
+
+def _stacked(noises):
+    """A :class:`NoiseBatch` as it is, or a nonempty list of realizations as
+    one set of the same ragged arrays."""
+    if isinstance(noises, NoiseBatch):
+        return noises
+    offsets = np.zeros(len(noises) + 1, np.intp)
+    np.cumsum([len(noise.union_times) for noise in noises], out=offsets[1:])
+    event_offsets = np.zeros(len(noises) + 1, np.intp)
+    np.cumsum([len(noise.events) for noise in noises],
+              out=event_offsets[1:])
+    return _Stacked(
+        tuple(noise.seed for noise in noises), offsets,
+        np.concatenate([noise.union_times for noise in noises]),
+        np.concatenate([noise.union_increments for noise in noises]),
+        event_offsets,
+        np.concatenate([noise.events for noise in noises], dtype=EVENT_DTYPE),
+        np.concatenate([noise.event_steps for noise in noises]))
+
+
+def _event_layers(stack, u3, restrict_to_u3):
+    """The jumps the scheme applies to the ``stack`` of noises, as
+    ``{s: [(paths, marks, code), ...]}``.
+
+    An event lands at the end of its step ``s``.  A step's groups hold each
+    path's first event there, then each path's second, and so on, in
+    ``events`` order, so applying them in turn keeps that order; the events
+    of one group share a ``code``.
     """
-    events = np.concatenate([noise.events for noise in noises],
-                            dtype=EVENT_DTYPE)
-    paths = np.repeat(np.arange(len(noises)),
-                      [len(noise.events) for noise in noises])
-    steps = np.concatenate(
-        [noise.union_times.searchsorted(noise.events["time"])
-         for noise in noises]) - 1
+    n = len(stack.seeds)
+    events, steps = stack.events, stack.event_steps
+    paths = np.repeat(np.arange(n), np.diff(stack.event_offsets))
     if restrict_to_u3:
         keep = (events["code"] == SMALL_CODE) | in_bands(u3, events["mark"])
         events, paths, steps = events[keep], paths[keep], steps[keep]
     # rank each event among its path's earlier events at the same step
-    key = steps * len(noises) + paths
+    key = steps * n + paths
     order = np.argsort(key, kind="stable")
     ranks = np.arange(len(key)) - np.searchsorted(key[order], key[order])
-    by_layer = np.lexsort((ranks, steps[order]))
-    order, ranks = order[by_layer], ranks[by_layer]
+    codes = events["code"][order]
+    by_group = np.lexsort((codes, ranks, steps[order]))
+    order, ranks, codes = order[by_group], ranks[by_group], codes[by_group]
+    steps, paths, marks = steps[order], paths[order], events["mark"][order]
+    cuts = np.flatnonzero(np.diff(steps) | np.diff(ranks) | np.diff(codes))
+    bounds = [0, *(cuts + 1).tolist(), len(order)] if order.size else [0]
+    steps, codes = steps.tolist(), codes.tolist()
     layers = {}
-    cuts = np.flatnonzero(np.diff(steps[order]) | np.diff(ranks)) + 1
-    for layer in np.split(order, cuts) if order.size else ():
-        layers.setdefault(int(steps[layer[0]]), []).append(
-            (paths[layer], events["mark"][layer], events["code"][layer]))
+    for a, b in zip(bounds, bounds[1:]):
+        layers.setdefault(steps[a], []).append(
+            (paths[a:b], marks[a:b], codes[a]))
     return layers
 
 
@@ -153,6 +188,7 @@ def _per_noise(value, n):
 def simulate_paths(model, noises, scheme, x0):
     """Run the scheme over each noise realization.
 
+    ``noises`` is a :class:`NoiseBatch` or a sequence of realizations;
     ``scheme`` and the initial state ``x0`` are given once or once per
     noise.  Each noise's base grid must match its own scheme's
     ``base_step``, so one call can mix a realization with its coarsenings;
@@ -168,18 +204,24 @@ def simulate_paths(model, noises, scheme, x0):
     ``noises``), that path's ``seed`` and base ``step``, ``t`` and
     ``state``.
     """
-    noises = list(noises)
+    if not isinstance(noises, NoiseBatch):
+        noises = list(noises)
     n = len(noises)
     schemes = _per_noise(scheme, n)
     x = np.array(_per_noise(x0, n), dtype=float)
-    for noise, sch in zip(noises, schemes):
-        steps = np.diff(noise.base_grid)
-        if steps[:-1].size and np.max(np.abs(steps[:-1] - sch.base_step)) \
-                > 1e-9 * sch.base_step:
+    if isinstance(noises, NoiseBatch):          # one grid for every row
+        grids = [(noises.base_grid, h)
+                 for h in {sch.base_step for sch in schemes}]
+    else:
+        grids = [(noise.base_grid, sch.base_step)
+                 for noise, sch in zip(noises, schemes)]
+    for grid, h in grids:
+        steps = np.diff(grid)
+        if steps[:-1].size and np.max(np.abs(steps[:-1] - h)) > 1e-9 * h:
             raise DomainError(
                 "scheme base_step does not match the noise base grid"
             )
-    if not noises:
+    if not n:
         return []
     shared = {(sch.taming, sch.explosion_radius, sch.restrict_to_u3)
               for sch in schemes}
@@ -189,18 +231,21 @@ def simulate_paths(model, noises, scheme, x0):
     scheme = schemes[0]
     radius = scheme.explosion_radius
     tamed = scheme.taming == "drift_tamed"
-    seeds = [noise.seed for noise in noises]
+    stack = _stacked(noises)
+    seeds = stack.seeds
     base_steps = [sch.base_step for sch in schemes]
-    lengths = np.array([len(noise.union_times) - 1 for noise in noises])
+    lengths = np.diff(stack.offsets) - 1
     m = int(lengths.max())
-    # step-major, so that one step of every path is one contiguous row
+    # step-major, so that one step of every path is one contiguous row; a
+    # path's grid is padded with its end time and zero increments
+    step = np.arange(m + 1)[:, None]
     times = np.empty((m + 1, n))
+    times[:] = stack.union_times[stack.offsets[1:] - 1]
+    times.T[(step <= lengths).T] = stack.union_times
     dws = np.zeros((m, n))
-    for p, noise in enumerate(noises):
-        times[:, p] = noise.union_times[-1]
-        times[:lengths[p] + 1, p] = noise.union_times
-        dws[:lengths[p], p] = noise.union_increments
-    layers = _event_layers(noises, model.u3, scheme.restrict_to_u3)
+    dws.T[(step[:-1] < lengths).T] = stack.union_increments
+    layers = _event_layers(stack, model.u3, scheme.restrict_to_u3)
+    del stack           # frees a list's stacked copies before the states
 
     states = np.empty((m + 1, n))
     states[0] = x
@@ -211,29 +256,38 @@ def simulate_paths(model, noises, scheme, x0):
     ends = np.where(exploded, 0, lengths)
     grid_ends = set(lengths.tolist())
     live = np.flatnonzero(~exploded)
+    jumps = {SMALL_CODE: (model.c1, "jump c1"),
+             LARGE_CODE: (model.c2, "jump c2")}
     for s in range(m):
         if s in grid_ends:
             live = live[lengths[live] > s]
         if not live.size:
             break
-        start = x[live]
-        dt = times[s + 1, live] - times[s, live]
-        x[live] = _continuous_step(start, dt, dws[s, live], model, tamed,
-                                   (live, times[s], seeds, base_steps))
-        for paths, marks, kinds in layers.get(s, ()):
-            codes[s + 1, paths] = kinds
-            small = kinds == SMALL_CODE
-            running = ~exploded[paths]
-            for fn, name, sel in ((model.c1, "jump c1", small & running),
-                                  (model.c2, "jump c2", ~small & running)):
-                if sel.any():
-                    rows = paths[sel]
-                    xr = x[rows]
-                    x[rows] = xr + _coeff(
-                        fn(xr, marks[sel]), xr, name,
-                        (rows, times[s + 1], seeds, base_steps))
-        xs = x[live]
-        states[s + 1, live] = xs
+        # while no path has exited or ended, a step reads and writes whole
+        # rows instead of gathering the live paths
+        every = live.size == n
+        cols = slice(None) if every else live
+        start = x[cols]
+        dt = times[s + 1, cols] - times[s, cols]
+        new = _continuous_step(start, dt, dws[s, cols], model, tamed,
+                               (live, times[s], seeds, base_steps))
+        if every:
+            x = new
+        else:
+            x[live] = new
+        for paths, marks, code in layers.get(s, ()):
+            codes[s + 1, paths] = code
+            if not every:
+                running = ~exploded[paths]
+                paths, marks = paths[running], marks[running]
+            if paths.size:
+                fn, name = jumps[code]
+                xr = x[paths]
+                x[paths] = xr + _coeff(fn(xr, marks), xr, name,
+                                       (paths, times[s + 1], seeds,
+                                        base_steps))
+        xs = x[cols]
+        states[s + 1, cols] = xs
         inside = np.abs(xs) < radius            # False on nan too
         if np.count_nonzero(inside) < live.size:
             where = (live, times[s + 1], seeds, base_steps)
@@ -264,6 +318,24 @@ def first_exit_time(path, radius):
     return float(path.times[hits[0]]) if hits.size else None
 
 
+def exit_times(paths, radii):
+    """Each path's :func:`first_exit_time` at each radius, ``inf`` where it
+    has none, as a ``(paths, radii)`` array read from one pass over the
+    stacked ``|state|``."""
+    if min(radii) <= 0:
+        raise DomainError("radius must be positive")
+    rows = np.repeat(np.arange(len(paths)), [len(p.states) for p in paths])
+    size = np.abs(np.concatenate([p.states for p in paths]))
+    times = np.concatenate([p.times for p in paths])
+    exits = np.full((len(paths), len(radii)), math.inf)
+    for j, radius in enumerate(radii):
+        hits = np.flatnonzero(size >= radius)
+        # the first hit of each row that has one
+        first = hits[np.diff(rows[hits], prepend=-1) != 0]
+        exits[rows[first], j] = times[first]
+    return exits
+
+
 def _nu1_functional(model, f, fp, x):
     """The two small-jump functionals of the expansion at state ``x``:
     ``integral {f(x+c1) - f(x) - f'(x) c1} dnu1`` and
@@ -289,7 +361,8 @@ def ito_levy_apply(f, path, model, noise, scheme):
     """
     fn, fp, fpp = f
     tamed = scheme.taming == "drift_tamed"
-    layers = _event_layers([noise], model.u3, scheme.restrict_to_u3)
+    layers = _event_layers(_stacked([noise]), model.u3,
+                           scheme.restrict_to_u3)
     idx = np.searchsorted(noise.union_times, path.times)
     y = float(fn(path.states[0]))
     ys = [y]
@@ -306,7 +379,7 @@ def ito_levy_apply(f, path, model, noise, scheme):
         events = layers.get(idx[i + 1] - 1)
         if events:
             xm = _continuous_step(x, dt, dw, model, tamed)
-            for _, (mark,), (kind,) in events:
+            for _, (mark,), kind in events:
                 c = model.c1(xm, mark) if kind == SMALL_CODE \
                     else model.c2(xm, mark)
                 y = y + (float(fn(xm + c)) - float(fn(xm)))

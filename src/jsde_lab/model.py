@@ -151,7 +151,6 @@ class MarkMeasure:
         self.label = label
         self._total_mass = None if total_mass is None else float(total_mass)
         self._nw = None
-        self._sampler = None
 
     @property
     def total_mass(self):
@@ -226,7 +225,8 @@ class MarkMeasure:
             return self.total_mass
         return self.restricted(bands).total_mass
 
-    def _build_sampler(self):
+    @functools.cached_property
+    def _sampler(self):
         # categorical over (pieces..., atoms...) by mass, inverse-CDF within
         # a piece via a tabulated normalized CDF
         comp_mass, tables = [], []
@@ -246,7 +246,9 @@ class MarkMeasure:
         return comp_cdf, tables
 
     def sample(self, rng, size):
-        """Draw ``size`` marks from the normalized measure."""
+        """Draw ``size`` marks from the normalized measure: ``size``
+        component uniforms, then one uniform per mark on a density piece
+        (see :meth:`marks`)."""
         if not self.is_finite:
             raise DomainError(
                 "cannot sample marks from an infinite measure; apply "
@@ -254,28 +256,42 @@ class MarkMeasure:
             )
         if size == 0:
             return np.zeros(0)
-        if self._sampler is None:
-            self._sampler = self._build_sampler()
-        comp_cdf, tables = self._sampler
-        # the uniforms Generator.choice would draw; with one component they
-        # only keep the stream where it was
-        comp = comp_cdf.searchsorted(rng.random(size), side="right")
-        if len(tables) == 1:
-            return _component_marks(tables[0], rng, size)
-        out = np.empty(size, dtype=float)
+        comp = self.components(rng.random(size))
+        on_pieces = int(np.count_nonzero(comp < len(self.pieces)))
+        return self.marks(comp, np.zeros(size, np.intp),
+                          rng.random(on_pieces), [0])
+
+    def components(self, uniforms):
+        """The component of each mark from its uniform, as
+        ``Generator.choice`` picks it: an index into the pieces, then the
+        atoms, with probabilities proportional to their masses."""
+        return self._sampler[0].searchsorted(uniforms, side="right")
+
+    def marks(self, comp, rows, uniforms, starts):
+        """The marks of components ``comp``, from uniforms drawn beforehand.
+
+        Mark ``i`` belongs to draw ``rows[i]`` (ascending).  A draw's marks
+        on density pieces take the uniforms from ``uniforms[starts[row]]``
+        on in turn, ordered by component and then by position, through the
+        piece's tabulated inverse CDF; a mark on an atom is the atom, and
+        takes no uniform.
+        """
+        tables = self._sampler[1]
+        on_pieces = np.flatnonzero(comp < len(self.pieces))
+        on_pieces = on_pieces[np.lexsort((comp[on_pieces], rows[on_pieces]))]
+        r = rows[on_pieces]
+        u = np.empty(len(comp))
+        u[on_pieces] = uniforms[np.asarray(starts)[r] + np.arange(len(r))
+                                - r.searchsorted(r)]
+        out = np.empty(len(comp))
         for k, table in enumerate(tables):
-            mask = comp == k
-            if np.any(mask):
-                out[mask] = _component_marks(table, rng, int(mask.sum()))
+            sel = comp == k
+            if isinstance(table, tuple):
+                grid, cdf = table
+                out[sel] = np.interp(u[sel], cdf, grid)
+            else:
+                out[sel] = table
         return out
-
-
-def _component_marks(table, rng, size):
-    """``size`` marks from one component: an atom, or a ``(grid, cdf)`` table."""
-    if isinstance(table, tuple):
-        grid, cdf = table
-        return np.interp(rng.random(size), cdf, grid)
-    return np.full(size, table)
 
 
 @_float_array_valued
@@ -504,6 +520,10 @@ class GrowthFunction:
     ``kinks`` lists points where the piecewise definition switches; finite
     difference checks exclude them.
     """
+
+    # calls return ``upsilon``'s float arrays, so the envelope is not wrapped
+    # again where a bare callable would be
+    _float_array_valued = True
 
     def __init__(self, upsilon, upsilon_prime, label, kinks=()):
         self.upsilon = _float_array_valued(upsilon)

@@ -14,6 +14,12 @@ Enlarging one stream never perturbs the others, which is what coupling and
 refinement studies need.  Multi-resolution coupling goes through
 :meth:`NoiseRealization.coarsen`: sample once at the finest step, then
 aggregate increments upward so every resolution rides the same Brownian path.
+
+:func:`sample_batch` draws the noise of many paths as one
+:class:`NoiseBatch` of ragged arrays: each row draws from its own keys, and
+the work after the draws runs on all rows at once.  ``batch[i]`` is row
+``i`` as a :class:`NoiseRealization` viewing the batch's arrays, and
+:func:`sample_noise` is the batch of one.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -79,8 +86,10 @@ class NoiseRealization:
     all event times (the jump-adapted grid the integrator walks), and
     :attr:`brownian_increments` exposes the per-base-step sums.  ``events``
     rows (an array or a list or tuple of row tuples) are applied in order,
-    each at a union time in ``(0, T]``.  The arrays are read-only copies
-    (unless already sealed, see :func:`_frozen`), so the sums stay valid.
+    each at a union time in ``(0, T]``: event ``j`` lands at the end of step
+    ``event_steps[j]``, ``union_times[event_steps[j] + 1]``.  The arrays are
+    read-only copies (unless already sealed, see :func:`_frozen`), so the
+    sums stay valid.
     """
 
     def __init__(self, horizon, base_grid, union_times, union_increments,
@@ -96,8 +105,11 @@ class NoiseRealization:
         self.seed = int(seed)
         t = self.events["time"]
         ends = self.union_times[1:]
-        if ends.take(ends.searchsorted(t), mode="clip").tolist() != t.tolist():
+        steps = ends.searchsorted(t)
+        if ends.take(steps, mode="clip").tolist() != t.tolist():
             raise DomainError("an event time is not a union time in (0, T]")
+        steps.setflags(write=False)
+        self.event_steps = steps
 
     @functools.cached_property
     def _cumulative(self):
@@ -155,6 +167,61 @@ class NoiseRealization:
                 w.writerow([f"{times[i]:.17g}", kinds[i], f"{values[i]:.17g}"])
 
 
+class NoiseBatch:
+    """The noise of several paths on one base grid, as read-only ragged
+    arrays; made by :func:`sample_batch`.
+
+    Row ``i`` is the realization of ``seeds[i]``: its union times are
+    ``union_times[offsets[i]:offsets[i + 1]]``, its union increments
+    ``union_increments[offsets[i] - i:offsets[i + 1] - i - 1]`` (one fewer
+    per row), its events ``events[event_offsets[i]:event_offsets[i + 1]]``
+    and their steps ``event_steps`` likewise, each local to the row as in
+    :class:`NoiseRealization`.  ``batch[i]`` is that row as a
+    :class:`NoiseRealization` viewing these arrays, without a copy.
+    """
+
+    def __init__(self, horizon, base_grid, seeds, compensator_rate, offsets,
+                 union_times, union_increments, event_offsets, events,
+                 event_steps):
+        self.horizon = float(horizon)
+        self.base_grid = _frozen(base_grid)
+        self.seeds = tuple(int(seed) for seed in seeds)
+        self.compensator_rate = float(compensator_rate)
+        self.offsets = _frozen(offsets, np.intp)
+        self.union_times = _frozen(union_times)
+        self.union_increments = _frozen(union_increments)
+        self.event_offsets = _frozen(event_offsets, np.intp)
+        self.events = _frozen(events, EVENT_DTYPE)
+        self.event_steps = _frozen(event_steps, np.intp)
+        rows = np.repeat(np.arange(len(self.seeds)),
+                         np.diff(self.event_offsets))
+        at = self.offsets[rows] + self.event_steps + 1
+        lands = ((self.event_steps >= 0) & (at < self.offsets[rows + 1])
+                 & (self.union_times.take(at, mode="clip")
+                    == self.events["time"]))
+        if not lands.all():
+            raise DomainError("an event time is not a union time in (0, T]")
+
+    def __len__(self):
+        return len(self.seeds)
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        a, b = self.offsets[i:i + 2].tolist()
+        e, f = self.event_offsets[i:i + 2].tolist()
+        noise = NoiseRealization.__new__(NoiseRealization)
+        vars(noise).update(
+            horizon=self.horizon, base_grid=self.base_grid,
+            union_times=self.union_times[a:b],
+            union_increments=self.union_increments[a - i:b - i - 1],
+            events=self.events[e:f], event_steps=self.event_steps[e:f],
+            compensator_rate=self.compensator_rate, seed=self.seeds[i])
+        return noise
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def _sealed(arr):
     """Read-only, and no writable array reaches its memory through a base."""
     return (isinstance(arr, np.ndarray) and not arr.flags.writeable
@@ -180,38 +247,61 @@ def _base_grid(horizon, base_step):
     return _frozen(grid)
 
 
-def _draw_events(measure, horizon, seed, code):
-    if measure is None or measure.total_mass == 0.0:
-        return np.empty(0, EVENT_DTYPE)
-    rng = _stream(seed, code)
+def _draw_events(measure, horizon, seeds, code):
+    """Stream ``code`` of each seed's row: the events, grouped by row and
+    sorted by time within one, and the row of each.
+
+    A row draws from its own key ``(seed, code)``: a Poisson count ``k``,
+    then ``3 k`` uniforms in one call, read in the order of a one-path draw:
+    ``k`` times, ``k`` component choices, then one uniform per mark on a
+    density piece (:meth:`~jsde_lab.model.MarkMeasure.marks`).  The stream
+    draws nothing more, so the uniforms left over are never read.
+    """
+    if measure is None or measure.total_mass == 0.0 or not seeds:
+        return np.empty(0, EVENT_DTYPE), np.empty(0, np.intp)
     lam = measure.total_mass * horizon
+    counts = np.empty(len(seeds), np.intp)
+    draws = []
     try:
         if not lam <= MAX_EXPECTED_EVENTS:
             raise ValueError(f"above the cap of {MAX_EXPECTED_EVENTS:g} "
                              "expected events per stream")
-        count = int(rng.poisson(lam))
+        for i, seed in enumerate(seeds):
+            rng = _stream(seed, code)
+            counts[i] = k = rng.poisson(lam)
+            draws.append(rng.random(3 * k))
     except ValueError as exc:
         raise DomainError(
             f"jump measure nu{code} ({measure.label}): rate x horizon = "
             f"{lam:g} is too large for a Poisson event count ({exc})"
         ) from exc
-    events = np.empty(count, EVENT_DTYPE)
-    times = np.sort(rng.random(len(events))) * horizon
+    uniforms = np.concatenate(draws)
+    rows = np.repeat(np.arange(len(seeds)), counts)
+    first = np.cumsum(counts) - counts          # each row's first event
+    at = np.arange(len(rows)) + 2 * first[rows]     # its time's uniform
+    times = uniforms[at]
+    times = times[np.lexsort((times, rows))] * horizon
+    events = np.empty(len(rows), EVENT_DTYPE)
     events["time"] = np.maximum(times, np.nextafter(0.0, 1.0))
-    events["mark"] = measure.sample(rng, len(events))
+    events["mark"] = measure.marks(
+        measure.components(uniforms[at + counts[rows]]), rows, uniforms,
+        3 * first + 2 * counts)
     events["code"] = code
-    return events
+    return events, rows
 
 
-def sample_noise(model, horizon, base_step, seed):
-    """Draw one :class:`NoiseRealization` for a model.
+def sample_batch(model, horizon, base_step, seeds):
+    """Draw one noise realization per seed, as a :class:`NoiseBatch`.
 
     Event counts are Poisson with rate (total mass x horizon); marks come
     from the normalized measure (inverse-CDF for density pieces, categorical
     for atoms); Brownian increments are centered Gaussians with variance
-    equal to the step width.  Everything is a deterministic function of
-    ``seed`` through the per-stream counters.  A rate x horizon above
-    ``MAX_EXPECTED_EVENTS`` or numpy's Poisson limit is a :class:`DomainError`.
+    equal to the step width.  Row ``i`` is a deterministic function of
+    ``seeds[i]`` through its per-stream counters, the same to the bit in
+    any batch: the draws are made row by row, and everything after them
+    works on each row's own entries.  A rate x horizon above
+    ``MAX_EXPECTED_EVENTS`` or numpy's Poisson limit is a
+    :class:`DomainError`.
     """
     horizon = float(horizon)
     base_step = float(base_step)
@@ -231,21 +321,59 @@ def sample_noise(model, horizon, base_step, seed):
             raise DomainError("large-jump measure has infinite mass even "
                               "restricted to the interlacing sub-support")
         nu2 = restricted
+    seeds = tuple(int(seed) for seed in seeds)
+    n = len(seeds)
 
-    # a stable sort keeps a small jump before a large one at equal times
-    events = np.concatenate([_draw_events(nu1, horizon, seed, 1),
-                             _draw_events(nu2, horizon, seed, 2)],
-                            dtype=EVENT_DTYPE)
-    events = events[events["time"].argsort(kind="stable")]
+    small, small_rows = _draw_events(nu1, horizon, seeds, 1)
+    large, large_rows = _draw_events(nu2, horizon, seeds, 2)
+    events = np.concatenate([small, large], dtype=EVENT_DTYPE)
+    rows = np.concatenate([small_rows, large_rows])
+    # by row, then time; the stable sort keeps a small jump before a large
+    # one at equal times
+    order = np.lexsort((events["time"], rows))
+    events, rows = events[order], rows[order]
+    event_offsets = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=event_offsets[1:])
 
+    # a row's union times: the base grid, and each event time off it once
     grid = _base_grid(horizon, base_step)
-    union = np.unique(np.concatenate([grid, events["time"]]))
-    dts = np.diff(union)
-    rng0 = _stream(seed, 0)
-    dW = rng0.standard_normal(len(dts)) * np.sqrt(dts)
+    t = events["time"]
+    below = grid.searchsorted(t)                # base-grid times below t
+    on_grid = grid.take(below, mode="clip") == t
+    new = ~on_grid
+    new[1:] &= (t[1:] != t[:-1]) | (rows[1:] != rows[:-1])
+    added = np.bincount(rows[new], minlength=n)
+    offsets = np.zeros(n + 1, np.intp)
+    np.cumsum(len(grid) + added, out=offsets[1:])
+    # an event's union index: the base-grid and new times below it
+    index = below + np.cumsum(new) - (np.cumsum(added) - added)[rows]
+    index[~on_grid] -= 1                        # the count included it
+    at = offsets[rows] + index
+    union = np.empty(offsets[-1])
+    union[at[new]] = t[new]
+    from_grid = np.ones(len(union), bool)
+    from_grid[at[new]] = False
+    union[from_grid] = np.tile(grid, n)
+
+    # drop the differences across row ends
+    dts = np.delete(np.diff(union), offsets[1:-1] - 1)
+    increments = np.empty(len(dts))
+    starts = (offsets - np.arange(n + 1)).tolist()
+    for seed, a, b in zip(seeds, starts, starts[1:]):
+        _stream(seed, 0).standard_normal(out=increments[a:b])
+    increments *= np.sqrt(dts)
 
     rate = 0.0 if nu1 is None else nu1.total_mass
-    return NoiseRealization(horizon, grid, union, dW, events, rate, seed)
+    arrays = (offsets, union, increments, event_offsets, events, index - 1)
+    for arr in arrays:
+        arr.setflags(write=False)       # sealed: the batch keeps, not copies
+    return NoiseBatch(horizon, grid, seeds, rate, *arrays)
+
+
+def sample_noise(model, horizon, base_step, seed):
+    """Draw one :class:`NoiseRealization` for a model: the row of ``seed``
+    in :func:`sample_batch`."""
+    return sample_batch(model, horizon, base_step, [seed])[0]
 
 
 def truncate_small_jumps(model_measure, epsilon):

@@ -444,9 +444,11 @@ def check_growth(model, upsilon, mu, anchors=None,
     """One-sided growth bound against ``mu [x^2 Upsilon(x^2) + 1]`` plus the
     envelope's own divergence certificate; the unboundedness condition is
     reported as a note (the constant envelope is itself a cataloged case).
-    ``upsilon`` is a :class:`~jsde_lab.model.GrowthFunction`."""
+    ``upsilon`` is a :class:`~jsde_lab.model.GrowthFunction` or a bare
+    callable (an envelope without kinks)."""
     if mu < 0:
         raise DomainError("mu must be nonnegative")
+    upsilon = _float_array_valued(upsilon)
     if anchors is None:
         anchors = np.linspace(-10.0, 10.0, 101)
     anchors = np.asarray(anchors, dtype=float)
@@ -510,6 +512,7 @@ def check_growth(model, upsilon, mu, anchors=None,
 def growth_ratio_supremum(model, upsilon, anchors=None):
     """Grid supremum of LHS/RHS-at-mu=1 — the smallest admissible ``mu`` on
     the grid (used to calibrate experiment presets)."""
+    upsilon = _float_array_valued(upsilon)
     if anchors is None:
         anchors = np.linspace(-10.0, 10.0, 101)
     anchors = np.asarray(anchors, dtype=float)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from jsde_lab.errors import DomainError, NumericalDomainError
-from jsde_lab.integrator import (SchemeConfig, dump_path_csv,
-                                 first_exit_time, ito_levy_apply, simulate,
-                                 simulate_paths)
+from jsde_lab.integrator import (PathResult, SchemeConfig, dump_path_csv,
+                                 exit_times, first_exit_time, ito_levy_apply,
+                                 simulate, simulate_paths)
 from jsde_lab.model import (Band, CoefficientSet, MarkMeasure, in_bands,
                             lebesgue, preset)
 from jsde_lab.noise import (LARGE, SMALL, SOURCES, NoiseRealization,
-                            derive_path_seed, sample_noise)
+                            derive_path_seed, sample_batch, sample_noise)
 
 
 def _zeros(x):
@@ -407,3 +407,55 @@ def test_batch_checks_each_grid_against_its_own_scheme():
         simulate_paths(model, noises, schemes, 1.0)
     with pytest.raises(DomainError, match="6 noise"):
         simulate_paths(model, noises, schemes[0], [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# exit times of a batch in one pass
+# ---------------------------------------------------------------------------
+
+def test_exit_times_equal_first_exit_time_per_path_and_radius():
+    model = preset("example_31")
+    seeds = [derive_path_seed(8, i) for i in range(60)]
+    noises = sample_batch(model, 1.0, 2.0 ** -6, seeds)
+    radii = (1.5, 2.0, 3.0)
+    scheme = SchemeConfig(base_step=2.0 ** -6, explosion_radius=radii[-1])
+    # the third path starts beyond every radius and exits at t = 0
+    x0 = [1.0, 0.5, 20.0] + [1.0] * 57
+    paths = simulate_paths(model, noises, scheme, x0)
+    # one more path hits the scheme's radius exactly at t = 0.5
+    paths.append(PathResult(np.array([0.0, 0.5]), np.array([1.5, -3.0]),
+                            True, 0.5, 0, np.array([0, 3], dtype=np.int8)))
+    exits = exit_times(paths, radii)
+    assert exits.shape == (len(paths), len(radii))
+    for path, row in zip(paths, exits.tolist()):
+        for radius, got in zip(radii, row):
+            t = first_exit_time(path, radius)
+            assert got == (math.inf if t is None else t)
+    assert exits[2].tolist() == [0.0, 0.0, 0.0]
+    assert exits[-1].tolist() == [0.0, 0.5, 0.5]
+    # paths that never exit, exit at the smaller radii only, or reach the
+    # scheme's radius later on
+    assert np.isinf(exits[:, 0]).any()
+    assert (np.isfinite(exits[:, 0]) & np.isinf(exits[:, -1])).any()
+    late = exits[:-1, -1]
+    assert np.count_nonzero((late > 0) & (late < math.inf)) > 1
+    with pytest.raises(DomainError):
+        exit_times(paths, (0.0, 1.0))
+
+
+def test_a_batch_runs_as_its_rows_run():
+    model = preset("example_41")
+    noises = sample_batch(model, 1.0, 2.0 ** -7,
+                          [derive_path_seed(9, i) for i in range(30)])
+    scheme = SchemeConfig(base_step=2.0 ** -7, taming="drift_tamed",
+                          explosion_radius=4.0)
+    batch = simulate_paths(model, noises, scheme, 1.0)
+    rows = simulate_paths(model, list(noises), scheme, 1.0)
+    for a, b in zip(batch, rows):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.event_codes.tobytes() == b.event_codes.tobytes()
+        assert (a.exploded, a.exit_time) == (b.exploded, b.exit_time)
+    assert any(path.exploded for path in batch)
+    with pytest.raises(DomainError, match="base_step"):
+        simulate_paths(model, noises, SchemeConfig(base_step=2.0 ** -6), 1.0)

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from jsde_lab import model as model_module
 from jsde_lab.errors import CatalogError, DomainError
-from jsde_lab.analysis import moment_bound, phi_growth
+from jsde_lab.analysis import implied_state_bound, moment_bound, phi_growth
 from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
                             MODULUS_CATALOG, Band, CoefficientSet,
                             GrowthFunction, MarkMeasure, Modulus,
@@ -432,6 +432,14 @@ CONTRACT_MATRIX = {
     "affine_k/nonconfluence": lambda: check_nonconfluence_conditions(
         preset("example_41"), scale_modulus(builtin_modulus("identity"), 5.0),
         0.0, 0.5, affine_k=lambda u: 0.2),
+    # a bare callable as the growth envelope, not a GrowthFunction
+    "bare_growth/phi_growth": lambda: phi_growth(lambda x: 1.0, 2.0),
+    "bare_growth/moment_bound": lambda: moment_bound(
+        lambda x: 1.0, 1.0, 0.0, 1.0, 1.0),
+    "bare_growth/implied_state_bound": lambda: implied_state_bound(
+        lambda x: 1.0, 1.0, 0.0, 1.0, 1.0),
+    "bare_growth/check_growth": lambda: check_growth(
+        preset("example_31"), lambda x: 1.0, 1.0),
 }
 
 

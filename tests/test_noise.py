@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -307,3 +308,186 @@ def test_event_cap_admits_a_rate_at_the_cap(monkeypatch):
     assert len(sample_noise(model, 1.0, 1.0, seed=3).events) > 0
     with pytest.raises(DomainError, match="above the cap of 50 expected"):
         sample_noise(model, 1.5, 1.5, seed=3)
+
+
+# ---------------------------------------------------------------------------
+# batches of paths
+# ---------------------------------------------------------------------------
+
+def _inline(nu1=None, nu2=None, u3=None):
+    return CoefficientSet(
+        b=lambda x: -x, sigma=lambda x: 0.5,
+        c1=None if nu1 is None else (lambda x, u: u), nu1=nu1,
+        c2=None if nu2 is None else (lambda x, u: u), nu2=nu2, u3=u3)
+
+
+# (model, horizon, base step) per case
+BATCH_CASES = {
+    **{f"{name}_h{k}": (lambda name=name: preset(name), 1.0, 2.0 ** -k)
+       for name in ("example_31", "example_41") for k in (8, 9)},
+    "atoms_only_nu2": (lambda: _inline(
+        nu2=MarkMeasure(atoms=[(0.5, 1.5), (1.5, 2.5)])), 2.0, 2.0 ** -5),
+    "density_and_atoms": (lambda: _inline(
+        nu1=lebesgue(-1.0, 1.0), nu2=MarkMeasure(
+            pieces=[(0.5, 3.0, lambda u: np.exp(-u))],
+            atoms=[(-1.0, 0.3), (4.0, 0.2)])), 3.0, 2.0 ** -4),
+    "no_nu1": (lambda: _inline(nu2=lebesgue(1.0, 2.0)), 1.0, 2.0 ** -6),
+    "zero_mass": (lambda: _inline(nu1=MarkMeasure(label="empty"),
+                                  nu2=lebesgue(1.0, 2.0)), 1.0, 2.0 ** -6),
+    "infinite_nu2_on_u3": (lambda: _inline(
+        nu2=MarkMeasure(pieces=[(1.0, 3.0, lambda u: 1.0)],
+                        atoms=[(0.1, 2.0), (2.5, 0.5)], total_mass=math.inf),
+        u3=Band(1.5, 3.0)), 2.0, 2.0 ** -5),
+}
+
+
+def _reference_noise(model, horizon, base_step, seed):
+    """One path's noise drawn as the one-path sampler did it: the draws of
+    each stream in order, then a sort, ``np.unique`` and ``np.diff``."""
+    grid = noise_module._base_grid(horizon, base_step)
+    nu2 = model.nu2
+    if nu2 is not None and not nu2.is_finite:
+        nu2 = model.u3_measure()
+    events = []
+    for code, measure in ((1, model.nu1), (2, nu2)):
+        if measure is None or measure.total_mass == 0.0:
+            continue
+        rng = noise_module._stream(seed, code)
+        count = int(rng.poisson(measure.total_mass * horizon))
+        times = np.sort(rng.random(count)) * horizon
+        drawn = np.empty(count, EVENT_DTYPE)
+        drawn["time"] = np.maximum(times, np.nextafter(0.0, 1.0))
+        drawn["mark"] = measure.sample(rng, count)
+        drawn["code"] = code
+        events.append(drawn)
+    events = np.concatenate([np.empty(0, EVENT_DTYPE)] + events)
+    events = events[events["time"].argsort(kind="stable")]
+    union = np.unique(np.concatenate([grid, events["time"]]))
+    rng = noise_module._stream(seed, 0)
+    dw = rng.standard_normal(len(union) - 1) * np.sqrt(np.diff(union))
+    return union, dw, events
+
+
+def _same_noise(a, b):
+    return (a.union_times.tobytes() == b.union_times.tobytes()
+            and a.union_increments.tobytes() == b.union_increments.tobytes()
+            and a.events.tobytes() == b.events.tobytes())
+
+
+@pytest.mark.parametrize("size", [1, 7, 20])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_rows_equal_single_draws_bit_for_bit(case, size):
+    make, horizon, step = BATCH_CASES[case]
+    model = make()
+    seeds = [derive_path_seed(size, i) for i in range(size)]
+    batch = noise_module.sample_batch(model, horizon, step, seeds)
+    assert len(batch) == size and batch.seeds == tuple(seeds)
+    for seed, row in zip(seeds, batch):
+        alone = sample_noise(model, horizon, step, seed)
+        assert _same_noise(row, alone)
+        union, dw, events = _reference_noise(model, horizon, step, seed)
+        assert row.union_times.tobytes() == union.tobytes()
+        assert row.union_increments.tobytes() == dw.tobytes()
+        assert row.events.tobytes() == events.tobytes()
+        assert row.seed == seed and row.base_grid is batch.base_grid
+        assert row.compensator_rate == batch.compensator_rate
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_cases_draw_what_they_name(case):
+    make, horizon, step = BATCH_CASES[case]
+    seeds = [derive_path_seed(20, i) for i in range(20)]
+    events = noise_module.sample_batch(make(), horizon, step, seeds).events
+    small = events[events["code"] == 1]
+    large = events[events["code"] == 2]
+    assert len(large) > 0
+    if case in ("no_nu1", "zero_mass", "atoms_only_nu2",
+                "infinite_nu2_on_u3"):
+        assert len(small) == 0
+    else:
+        assert len(small) > 0
+    if case == "atoms_only_nu2":
+        assert set(large["mark"].tolist()) == {0.5, 1.5}
+    if case == "density_and_atoms":
+        assert {-1.0, 4.0} <= set(large["mark"].tolist())
+        assert ((large["mark"] > 0.5) & (large["mark"] < 3.0)).any()
+    if case == "infinite_nu2_on_u3":
+        assert (large["mark"] > 1.5).all() and 2.5 in large["mark"]
+
+
+class _LatticeStream:
+    """A stand-in generator whose uniforms sit on the lattice k/8, so event
+    times fall on base-grid times, on each other and (at k = 0) on 0."""
+
+    def __init__(self, seed, stream):
+        self.rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, stream], dtype=np.uint64)))
+
+    def poisson(self, lam):
+        return 6
+
+    def random(self, size):
+        return self.rng.integers(0, 8, size) / 8.0
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.rng.standard_normal(size)
+        out[:] = self.rng.standard_normal(len(out))
+        return out
+
+
+@pytest.mark.parametrize("step", [0.25, 0.375])
+def test_batch_merges_times_on_the_grid_and_on_each_other(step, monkeypatch):
+    monkeypatch.setattr(noise_module, "_stream", _LatticeStream)
+    model = _inline(nu1=lebesgue(-1.0, 1.0), nu2=MarkMeasure(
+        pieces=[(1.0, 2.0, lambda u: 1.0)], atoms=[(3.0, 1.0)]))
+    seeds = list(range(12))
+    batch = noise_module.sample_batch(model, 1.0, step, seeds)
+    for seed, row in zip(seeds, batch):
+        union, dw, events = _reference_noise(model, 1.0, step, seed)
+        assert row.union_times.tobytes() == union.tobytes()
+        assert row.union_increments.tobytes() == dw.tobytes()
+        assert row.events.tobytes() == events.tobytes()
+        t = row.events["time"]
+        assert row.union_times[row.event_steps + 1].tolist() == t.tolist()
+    times = batch.events["time"]
+    assert np.isin(times, noise_module._base_grid(1.0, step)).any()
+    assert (times == np.nextafter(0.0, 1.0)).any()
+
+
+def test_batch_rows_are_read_only_views_of_the_batch():
+    batch = noise_module.sample_batch(preset("example_31"), 1.0, 2.0 ** -6,
+                                      [derive_path_seed(2, i)
+                                       for i in range(5)])
+    for name in ("offsets", "union_times", "union_increments",
+                 "event_offsets", "events", "event_steps"):
+        assert not getattr(batch, name).flags.writeable
+    for i in (0, 3, -1):
+        row = batch[i]
+        for name in ("union_times", "union_increments", "events",
+                     "event_steps"):
+            arr = getattr(row, name)
+            assert not arr.flags.writeable
+            assert np.shares_memory(arr, getattr(batch, name))
+        assert row.base_grid is batch.base_grid
+        assert row.coarsen(2).events is row.events
+    with pytest.raises(IndexError):
+        batch[5]
+    assert _same_noise(batch[-1], batch[4])
+
+
+def test_batch_checks_where_each_event_lands():
+    batch = noise_module.sample_batch(preset("example_31"), 1.0, 2.0 ** -4,
+                                      [1, 2])
+    fields = dict(vars(batch))
+    steps = batch.event_steps.copy()
+    steps[-1] += 1
+    fields["event_steps"] = steps
+    with pytest.raises(DomainError, match="union time"):
+        noise_module.NoiseBatch(**fields)
+
+
+def test_empty_batch():
+    batch = noise_module.sample_batch(preset("example_31"), 1.0, 0.25, [])
+    assert len(batch) == 0 and list(batch) == []
+    assert batch.union_times.size == batch.events.size == 0

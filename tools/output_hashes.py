@@ -15,7 +15,9 @@ condition (so every witness is reconfirmed through the scalar path), a
 state-free ``c2``; last come ``verify --check modulus`` and two ``bound``
 calls on each catalog modulus (and a scaled one), ``bound --growth`` and
 ``verify --check growth`` on each growth envelope, and an explosion run
-under the ``log_loglog`` envelope.  It prints one ``name sha256`` line per
+under the ``log_loglog`` envelope; then an explosion and a nonconfluence
+run on the inline u3 model and a one-path ``simulate --dump-noise`` on the
+degenerate model.  It prints one ``name sha256`` line per
 output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per
 column, and each CLI call's exit code and stdout.  The listing goes to
 ``OUT`` when given, else to stdout, so that "only this column moved"
@@ -179,6 +181,19 @@ CATALOG_EXPLOSION = ["experiment", "--kind", "explosion", "--preset",
                      "--set", "analysis.growth=log_loglog",
                      "--set", "analysis.mu=3"]
 
+# (name, model, argv) of CLI calls listed last, on the inline models
+INLINE_RUNS = (
+    ("u3_explosion", "u3", ["experiment", "--kind", "explosion",
+                            "--set", "experiment.N=50",
+                            "--set", "experiment.skip_checks=true"]),
+    ("u3_nonconfluence", "u3", ["experiment", "--kind", "nonconfluence",
+                                "--set", "experiment.N=50",
+                                "--set", "experiment.y0=0",
+                                "--set", "experiment.skip_checks=true"]),
+    ("degenerate_simulate_one", "degenerate",
+     ["simulate", "--paths", "1", "--dump-noise"]),
+)
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -258,6 +273,11 @@ def listing(work):
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     lines.extend(_output_run("catalog_explosion", CATALOG_EXPLOSION,
                              work / "catalog_explosion"))
+    configs = {"u3": u3, "degenerate": degenerate}
+    for name, config, argv in INLINE_RUNS:
+        lines.extend(_output_run(
+            name, argv[:1] + ["--config", str(configs[config])] + argv[1:],
+            work / name))
     return lines
 
 
