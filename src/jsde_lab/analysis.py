@@ -179,10 +179,10 @@ class OmegaTransform:
         ell = brentq(lambda l: self._g(l) - y, lo, hi, rtol=1e-15, maxiter=200)
         return math.exp(-ell)
 
-    def decade_values(self, k_max=12):
-        """``forward(base * 10^-k)`` for k = 0..k_max — the divergence probe."""
+    def decade_values(self):
+        """``forward(base * 10^-k)`` for k = 0..12 — the divergence probe."""
         return np.array([self.forward(self.base_point * 10.0 ** (-k))
-                         for k in range(k_max + 1)])
+                         for k in range(13)])
 
 
 def omega_build(modulus, base_point):
@@ -271,8 +271,9 @@ def phi_growth(upsilon, x):
     return float(phi) if phi.ndim == 0 else phi
 
 
-def phi_inverse(upsilon, y, expand_cap=1e12):
-    """Numeric inverse of :func:`phi_growth` on ``y >= 1``."""
+def phi_inverse(upsilon, y):
+    """Numeric inverse of :func:`phi_growth` on ``y >= 1``, searched for in
+    ``[0, 1e12]``."""
     y = float(y)
     if not math.isfinite(y):
         raise DomainError("y must be finite")
@@ -283,10 +284,9 @@ def phi_inverse(upsilon, y, expand_cap=1e12):
     hi = 1.0
     while phi_growth(upsilon, hi) < y:
         hi *= 4.0
-        if hi > expand_cap:
+        if hi > 1e12:
             raise TransformRangeError(
-                f"phi_inverse({y:g}) exceeds the search range {expand_cap:g}"
-            )
+                f"phi_inverse({y:g}) exceeds the search range 1e+12")
     from scipy.optimize import brentq
     return brentq(lambda x: phi_growth(upsilon, x) - y, 0.0, hi,
                   rtol=1e-14, maxiter=200)
@@ -447,13 +447,8 @@ class PsiFamily:
         self._t0 = self.lam * t0      # tail mass from node to l_hi
         self._t1 = self.lam * t1      # tail first moment (in r units)
         self.mean = float(self._t1[0])
-        self.total = float(self._t0[0])
 
     # -- derived quantities ------------------------------------------------
-
-    @property
-    def a_seq(self):
-        return np.exp(-self.ell_seq)
 
     @property
     def support(self):
@@ -524,10 +519,11 @@ class PsiFamily:
             total += val
         return total
 
-    def gap_mass_check(self, nodes=200001):
+    def gap_mass_check(self):
         """Reciprocal-modulus mass of (a_n, a_{n-1}) by dense trapezoid in the
-        tau domain — an independent check that it equals ``n``."""
-        tau = np.linspace(self._tau_lo, self._tau_hi, nodes)
+        tau domain, on 200001 nodes — an independent check that it equals
+        ``n``."""
+        tau = np.linspace(self._tau_lo, self._tau_hi, 200001)
         ell = np.expm1(tau)
         wv = self.modulus.log_weight(ell)
         return float(np.trapezoid(wv * (1.0 + ell), tau))

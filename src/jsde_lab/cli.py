@@ -16,7 +16,7 @@ from .analysis import bihari_bound, moment_bound, omega_build
 from .config import (describe_keys, parse_config, resolve_seed)
 from .errors import (AssumptionViolationError, CatalogError, DomainError,
                      NumericalDomainError, UsageError)
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, _charge_budget, _steps, run_experiment
 from .integrator import SchemeConfig, dump_path_csv, simulate_paths
 from .model import builtin_growth, builtin_modulus, scale_modulus
 from .noise import derive_path_seed, sample_batch
@@ -149,11 +149,10 @@ def _require_model(cfg):
     return model
 
 
-def _scheme(cfg, explosion_radius=None):
+def _scheme(cfg):
     return SchemeConfig(
         base_step=cfg["scheme.h"],
-        explosion_radius=(cfg["scheme.explosion_radius"]
-                          if explosion_radius is None else explosion_radius),
+        explosion_radius=cfg["scheme.explosion_radius"],
         taming=cfg["scheme.taming"],
         restrict_to_u3=cfg["scheme.restrict_to_u3"],
     )
@@ -168,6 +167,8 @@ def _cmd_simulate(ns):
     x0 = cfg["experiment.x0"]
     if ns.paths < 1:
         raise UsageError("--paths must be at least 1")
+    _charge_budget("simulate", ns.paths, _steps(horizon, scheme.base_step),
+                   cfg["experiment.budget_cap"])
     outdir = ns.output_dir
     if outdir:
         os.makedirs(outdir, exist_ok=True)
@@ -224,8 +225,6 @@ def _run_checks(cfg, model, names):
             reports.append(check_nonconfluence_conditions(
                 model, _analysis_modulus(cfg), cfg["analysis.alpha"],
                 cfg["analysis.delta"]))
-        else:
-            raise UsageError(f"unknown check {name!r}")
     return reports
 
 

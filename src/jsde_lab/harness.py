@@ -107,8 +107,8 @@ class ExperimentConfig:
             raise DomainError("y0 must be finite")
         if self.budget_cap < 1:
             raise DomainError("budget_cap must be positive")
-        if self.delta <= 0:
-            raise DomainError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise DomainError("delta must be positive and finite")
 
     def echo(self, model_label):
         out = {
@@ -316,12 +316,12 @@ def _check_coupling(fine, coarse, factor):
             f"at coarsening factor {factor}")
 
 
-def _charge_budget(config, steps_per_path, what):
-    total = config.paths * steps_per_path
-    if total > config.budget_cap:
+def _charge_budget(what, paths, steps_per_path, budget_cap):
+    total = paths * steps_per_path
+    if total > budget_cap:
         raise ResourceLimitError(
-            f"{what}: {config.paths} paths x {steps_per_path} grid steps "
-            f"= {total} exceeds budget_cap {config.budget_cap}")
+            f"{what}: {paths} paths x {steps_per_path} grid steps "
+            f"= {total} exceeds budget_cap {budget_cap}")
 
 
 def _steps(horizon, h):
@@ -359,7 +359,8 @@ def run_explosion(config):
     taming = _resolve_taming(config, model)
     growth, mu, notes = _resolve_growth(config, model)
     h = config.step_ladder[-1]
-    _charge_budget(config, _steps(config.horizon, h), "explosion")
+    _charge_budget("explosion", config.paths, _steps(config.horizon, h),
+                   config.budget_cap)
 
     check_echo = None
     if not config.skip_checks:
@@ -446,8 +447,9 @@ def run_uniqueness(config):
                           "levels")
     h_ref = ladder[-1]
     factors = _coarsening_factors(ladder, h_ref)
-    _charge_budget(config, sum(_steps(config.horizon, h) for h in ladder),
-                   "uniqueness")
+    _charge_budget("uniqueness", config.paths,
+                   sum(_steps(config.horizon, h) for h in ladder),
+                   config.budget_cap)
 
     seeds, gaps = _ladder_gaps(config, model, taming, h_ref, factors)
     gaps = [[g ** config.alpha for g in level] for level in gaps]
@@ -517,7 +519,8 @@ def run_nonconfluence(config):
     if y0 == config.x0:
         raise DomainError("nonconfluence requires x0 != y0")
     h = config.step_ladder[-1]
-    _charge_budget(config, 2 * _steps(config.horizon, h), "nonconfluence")
+    _charge_budget("nonconfluence", config.paths,
+                   2 * _steps(config.horizon, h), config.budget_cap)
 
     check_echo = None
     if not config.skip_checks:
@@ -595,10 +598,10 @@ def run_convergence(config):
                           "levels")
     h_ref = ladder[-1] / 4.0
     factors = _coarsening_factors(ladder, h_ref)
-    _charge_budget(config,
+    _charge_budget("convergence", config.paths,
                    _steps(config.horizon, h_ref)
                    + sum(_steps(config.horizon, h) for h in ladder),
-                   "convergence")
+                   config.budget_cap)
 
     seeds, errors = _ladder_gaps(config, model, taming, h_ref, factors)
     per_path = [[col[i] for col in errors] for i in range(config.paths)]

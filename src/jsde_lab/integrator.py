@@ -322,8 +322,12 @@ def exit_times(paths, radii):
     """Each path's :func:`first_exit_time` at each radius, ``inf`` where it
     has none, as a ``(paths, radii)`` array read from one pass over the
     stacked ``|state|``."""
+    if len(radii) == 0:
+        raise DomainError("exit_times needs at least one radius")
     if min(radii) <= 0:
         raise DomainError("radius must be positive")
+    if len(paths) == 0:
+        return np.empty((0, len(radii)))
     rows = np.repeat(np.arange(len(paths)), [len(p.states) for p in paths])
     size = np.abs(np.concatenate([p.states for p in paths]))
     times = np.concatenate([p.times for p in paths])

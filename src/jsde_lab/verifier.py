@@ -99,15 +99,14 @@ class AssumptionReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+
+def _tol_line(rhs):
+    """The slack above which a condition counts as violated: absolute plus
+    relative to the bound, for verdicts and reconfirmations alike."""
+    return DEFAULT_TOLERANCE + DEFAULT_TOLERANCE * np.abs(rhs)
 
 
-def _tol_line(rhs, tolerance):
-    return tolerance + tolerance * np.abs(rhs)
-
-
-def _condition_from_arrays(name, inputs, lhs, rhs, tolerance, note=None):
+def _condition_from_arrays(name, inputs, lhs, rhs, note=None):
     """Reduce vectorized lhs/rhs samples to a ConditionResult (max slack,
     ties to the lowest index)."""
     lhs = np.asarray(lhs, dtype=float)
@@ -117,12 +116,12 @@ def _condition_from_arrays(name, inputs, lhs, rhs, tolerance, note=None):
     worst = {k: float(np.asarray(v).reshape(-1)[i]) for k, v in inputs.items()}
     worst.update(lhs=float(lhs.reshape(-1)[i]), rhs=float(rhs.reshape(-1)[i]),
                  slack=float(slack.reshape(-1)[i]))
-    bad = slack.reshape(-1)[i] > _tol_line(rhs.reshape(-1)[i], tolerance)
+    bad = slack.reshape(-1)[i] > _tol_line(rhs.reshape(-1)[i])
     return ConditionResult(name, VIOLATED if bad else NO_VIOLATION,
                            worst=worst, note=note)
 
 
-def _assemble(assumption_id, conditions, grid_spec, tolerance, notes=()):
+def _assemble(assumption_id, conditions, grid_spec, notes=()):
     violated = [c for c in conditions if c.verdict == VIOLATED]
     worst = None
     if violated:
@@ -132,7 +131,7 @@ def _assemble(assumption_id, conditions, grid_spec, tolerance, notes=()):
         verdict=VIOLATED if violated else NO_VIOLATION,
         worst_witness=worst,
         grid_spec=grid_spec,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         conditions=tuple(conditions),
         notes=tuple(notes),
     )
@@ -154,21 +153,20 @@ class PairGrid:
     label: str = ""
 
     @staticmethod
-    def default(gap_max, lo=-10.0, hi=10.0, n_anchors=101, n_gaps=401,
-                gap_min=1e-6):
+    def default(gap_max):
         return PairGrid(
-            anchors=np.linspace(lo, hi, n_anchors),
-            gaps=np.geomspace(gap_min, gap_max, n_gaps),
-            label=(f"{n_anchors} anchors in [{lo:g},{hi:g}] x {n_gaps} "
-                   f"log-spaced gaps in [{gap_min:g},{gap_max:g}], "
-                   "both directions"),
+            anchors=np.linspace(-10.0, 10.0, 101),
+            gaps=np.geomspace(1e-6, gap_max, 401),
+            label=("101 anchors in [-10,10] x 401 log-spaced gaps in "
+                   f"[1e-06,{gap_max:g}], both directions"),
         )
 
     def pairs(self, gap_cap=None):
         gaps = np.asarray(self.gaps, dtype=float)
         if np.any(gaps <= 0):
             raise DomainError("pair grid contains a non-positive gap")
-        if gap_cap is not None and gaps.max() > gap_cap * (1 + 1e-12):
+        if (gap_cap is not None
+                and np.max(gaps, initial=0.0) > gap_cap * (1 + 1e-12)):
             raise DomainError(
                 f"pair grid gap {gaps.max():g} exceeds the condition's "
                 f"admissible range {gap_cap:g}"
@@ -182,6 +180,8 @@ class PairGrid:
             keep = (xs > lo) & (xs < hi) & (ys > lo) & (ys < hi)
             xs, ys = xs[keep], ys[keep]
         keep = xs != ys
+        if not np.any(keep):
+            raise DomainError(f"pair grid ({self.describe()}) has no pairs")
         return xs[keep], ys[keep]
 
     def describe(self):
@@ -290,19 +290,18 @@ def _reconfirm(condition, recompute):
     if condition.verdict != VIOLATED or condition.worst is None:
         return condition
     lhs, rhs = recompute(condition.worst)
-    condition.worst["reconfirmed"] = bool(
-        lhs - rhs > _tol_line(rhs, DEFAULT_TOLERANCE))
+    condition.worst["reconfirmed"] = bool(lhs - rhs > _tol_line(rhs))
     condition.worst["recomputed_lhs"] = float(lhs)
     condition.worst["recomputed_rhs"] = float(rhs)
     return condition
 
 
-def _pair_condition(name, x, y, lhs, rhs, recompute, tolerance):
+def _pair_condition(name, x, y, lhs, rhs, recompute):
     """A pair condition ``lhs <= rhs`` over the pairs ``(x, y)``, its worst
     pair reconfirmed by ``recompute(x, y) -> (lhs, rhs)`` on floats."""
     return _reconfirm(
         _condition_from_arrays(name, {"x": x, "y": y, "gap": np.abs(x - y)},
-                               lhs, rhs, tolerance),
+                               lhs, rhs),
         lambda w: recompute(w["x"], w["y"]))
 
 
@@ -310,12 +309,10 @@ def _pair_condition(name, x, y, lhs, rhs, recompute, tolerance):
 # A22 — modulus admissibility
 # ---------------------------------------------------------------------------
 
-def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
+def check_modulus(modulus):
     """Positivity, nondecrease, midpoint concavity (when claimed), and the
     reciprocal-integral divergence certificate."""
-    if points is None:
-        points = np.geomspace(1e-12, 1.0, 601)
-    points = np.asarray(points, dtype=float)
+    points = np.geomspace(1e-12, 1.0, 601)
     vals = modulus.rho(points)
     conditions = []
     notes = []
@@ -325,14 +322,13 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
 
     conditions.append(_reconfirm(
         _condition_from_arrays(
-            "positivity", {"x": points}, -vals, np.zeros_like(vals),
-            tolerance),
+            "positivity", {"x": points}, -vals, np.zeros_like(vals)),
         lambda w: (-rho1(w["x"]), 0.0)))
 
     conditions.append(_reconfirm(
         _condition_from_arrays(
             "nondecrease", {"x": points[:-1], "x_next": points[1:]},
-            vals[:-1], vals[1:], tolerance),
+            vals[:-1], vals[1:]),
         lambda w: (rho1(w["x"]), rho1(w["x_next"]))))
 
     if modulus.concave:
@@ -344,8 +340,7 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
         rhs = modulus.rho(mid)
         conditions.append(_reconfirm(
             _condition_from_arrays(
-                "midpoint_concavity", {"x": xi, "y": xj}, lhs, rhs,
-                tolerance),
+                "midpoint_concavity", {"x": xi, "y": xj}, lhs, rhs),
             lambda w: (0.5 * (rho1(w["x"]) + rho1(w["y"])),
                        rho1(0.5 * (w["x"] + w["y"])))))
     else:
@@ -354,7 +349,7 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
     base = min(modulus.domain_hint, 1.0)
     try:
         om = omega_build(modulus, base)
-        decades = om.decade_values(12)
+        decades = om.decade_values()
         gains = -np.diff(decades)
         ratio = gains[-1] / gains[-2] if gains[-2] > 0 else 0.0
         ok = bool(np.all(gains > 0)) and ratio >= DIVERGENCE_RATIO_MIN
@@ -400,7 +395,7 @@ def check_modulus(modulus, points=None, tolerance=DEFAULT_TOLERANCE):
     grid_spec = (f"{points.size} log-spaced points in "
                  f"[{points.min():g},{points.max():g}]; divergence probed "
                  "over 12 decades below the base point")
-    return _assemble("A22", conditions, grid_spec, tolerance, notes)
+    return _assemble("A22", conditions, grid_spec, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -427,38 +422,35 @@ def _growth_lhs(model, x):
     return lhs
 
 
-def _growth_decade_increments(upsilon, k_max=12):
+def _growth_decade_increments(upsilon):
     """``integral ds / (s Upsilon(s) + 1)`` over each decade ``[10^(k-1),
-    10^k]``, as ``integral e^v / (e^v Upsilon(e^v) + 1) dv``."""
+    10^k]``, k = 1..12, as ``integral e^v / (e^v Upsilon(e^v) + 1) dv``."""
     def integrand(v):
         s = np.exp(v)
         return s / (s * upsilon(s) + 1.0)
 
     return np.asarray([_gl_panel(integrand, (k - 1) * math.log(10.0),
                                  k * math.log(10.0))
-                       for k in range(1, k_max + 1)])
+                       for k in range(1, 13)])
 
 
-def check_growth(model, upsilon, mu, anchors=None,
-                 tolerance=DEFAULT_TOLERANCE):
+def check_growth(model, upsilon, mu):
     """One-sided growth bound against ``mu [x^2 Upsilon(x^2) + 1]`` plus the
     envelope's own divergence certificate; the unboundedness condition is
     reported as a note (the constant envelope is itself a cataloged case).
     ``upsilon`` is a :class:`~jsde_lab.model.GrowthFunction` or a bare
     callable (an envelope without kinks)."""
-    if mu < 0:
-        raise DomainError("mu must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError("mu must be nonnegative and finite")
     upsilon = _float_array_valued(upsilon)
-    if anchors is None:
-        anchors = np.linspace(-10.0, 10.0, 101)
-    anchors = np.asarray(anchors, dtype=float)
+    anchors = np.linspace(-10.0, 10.0, 101)
     conditions = []
     notes = []
 
     lhs = _growth_lhs(model, anchors)
     rhs = mu * (anchors ** 2 * upsilon(anchors ** 2) + 1.0)
     cond = _condition_from_arrays(
-        "growth_bound", {"x": anchors}, lhs, rhs, tolerance)
+        "growth_bound", {"x": anchors}, lhs, rhs)
 
     def recompute(w):
         x = w["x"]
@@ -506,7 +498,7 @@ def check_growth(model, upsilon, mu, anchors=None,
     grid_spec = (f"{anchors.size} anchors in [{anchors.min():g},"
                  f"{anchors.max():g}]; envelope divergence probed over 12 "
                  "decades")
-    return _assemble("A23", conditions, grid_spec, tolerance, notes)
+    return _assemble("A23", conditions, grid_spec, notes)
 
 
 def growth_ratio_supremum(model, upsilon, anchors=None):
@@ -527,10 +519,10 @@ def growth_ratio_supremum(model, upsilon, anchors=None):
 # A25 — corollary conditions (also the alpha = 0 route of A24)
 # ---------------------------------------------------------------------------
 
-def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
+def _corollary_conditions(model, rho1, rho2, delta0, grid,
                           include_monotonicity):
-    if delta0 <= 0:
-        raise DomainError("delta0 must be positive")
+    if not 0.0 < delta0 < math.inf:
+        raise DomainError("delta0 must be positive and finite")
     if grid is None:
         grid = PairGrid.default(delta0)
     x, y = grid.pairs(gap_cap=delta0)
@@ -546,8 +538,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy)))
             + _scalar_dc_integral(u3_measure, model.c2, _abs_shape, xx, yy),
-            abs(xx - yy) * float(rho1.rho(abs(xx - yy)))),
-        tolerance))
+            abs(xx - yy) * float(rho1.rho(abs(xx - yy))))))
 
     conditions.append(_pair_condition(
         "diffusion_plus_small_jump_second_moment", x, y,
@@ -557,8 +548,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2
             + _scalar_dc_integral(model.nu1, model.c1, _square_shape, xx, yy),
-            float(rho2.rho(abs(xx - yy)))),
-        tolerance))
+            float(rho2.rho(abs(xx - yy))))))
 
     if include_monotonicity and model.nu1 is not None:
         marks = _mark_grid(model.nu1)
@@ -571,7 +561,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
         uu = np.tile(marks, anchors.size - 1)
         cond3 = _condition_from_arrays(
             "c1_monotone_in_state", {"x": xi, "x_next": xj, "mark": uu},
-            lhs, rhs, tolerance,
+            lhs, rhs,
             note="scan: c1(x, u) must be nondecreasing in x for each "
                  "sampled mark")
 
@@ -584,36 +574,34 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid, tolerance,
     return conditions, grid
 
 
-def check_corollary_conditions(model, rho1, rho2, delta0, grid=None,
-                               tolerance=DEFAULT_TOLERANCE):
+def check_corollary_conditions(model, rho1, rho2, delta0, grid=None):
     """Drift/large-jump condition against ``rho_1``, diffusion/small-jump
     condition against ``rho_2``, and the c1 monotonicity scan."""
     conditions, grid = _corollary_conditions(
-        model, rho1, rho2, delta0, grid, tolerance, True)
-    return _assemble("A25", conditions, grid.describe(), tolerance)
+        model, rho1, rho2, delta0, grid, True)
+    return _assemble("A25", conditions, grid.describe())
 
 
 # ---------------------------------------------------------------------------
 # A24 — local alpha-indexed conditions
 # ---------------------------------------------------------------------------
 
-def check_local_conditions(model, modulus, alpha, delta0, grid=None,
-                           tolerance=DEFAULT_TOLERANCE):
+def check_local_conditions(model, modulus, alpha, delta0, grid=None):
     """Local conditions with exponent ``alpha`` on gaps in ``(0, delta0]``.
 
     ``alpha = 0`` is routed to the Lipschitz-style condition set (the
     corollary inequalities with the one modulus in both roles, monotonicity
     scan excluded) and reported under this assumption id.
     """
-    if delta0 <= 0:
-        raise DomainError("delta0 must be positive")
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
+    if not 0.0 < delta0 < math.inf:
+        raise DomainError("delta0 must be positive and finite")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("alpha must be nonnegative and finite")
     if alpha == 0:
         conditions, grid = _corollary_conditions(
-            model, modulus, modulus, delta0, grid, tolerance, False)
+            model, modulus, modulus, delta0, grid, False)
         return _assemble(
-            "A24", conditions, grid.describe(), tolerance,
+            "A24", conditions, grid.describe(),
             notes=("alpha = 0 routed to the Lipschitz-style condition set "
                    "(one modulus in both roles)",))
 
@@ -634,8 +622,7 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
         lambda xx, yy: (
             max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
                 (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2),
-            abs(xx - yy) ** (2.0 - alpha) * scalar_rho(xx, yy)),
-        tolerance)]
+            abs(xx - yy) ** (2.0 - alpha) * scalar_rho(xx, yy)))]
 
     def shape(dc, gap):
         dc = np.abs(dc)
@@ -646,8 +633,7 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
             name, x, y, _dc_integral(measure, cfunc, shape, x, y), rho_da,
             lambda xx, yy: (
                 _scalar_dc_integral(measure, cfunc, shape, xx, yy),
-                scalar_rho(xx, yy)),
-            tolerance)
+                scalar_rho(xx, yy)))
 
     if model.nu1 is not None:
         conditions.append(jump_condition(
@@ -657,7 +643,7 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
         conditions.append(jump_condition(
             "large_jump_local", u3_measure, model.c2))
 
-    return _assemble("A24", conditions, grid.describe(), tolerance)
+    return _assemble("A24", conditions, grid.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +651,6 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None,
 # ---------------------------------------------------------------------------
 
 def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
-                                   tolerance=DEFAULT_TOLERANCE,
                                    affine_k=None):
     """Global gap conditions through ``rho(|x-y|^-alpha)`` plus the jump
     separation requirement.
@@ -675,10 +660,10 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
     ``c(x, u) = k(u) x`` pass ``affine_k`` — the condition then reduces to
     ``|1 + k(u)| > delta`` scanned densely over marks.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("alpha must be nonnegative and finite")
     affine_k = _float_array_valued(affine_k)
     if grid is None:
         grid = PairGrid.default(20.0)
@@ -695,16 +680,14 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
         (x - y) * (model.b(x) - model.b(y)), d ** (2.0 + alpha) * rho_inv,
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
-            scalar_rhs(xx, yy, 2.0 + alpha)),
-        tolerance)]
+            scalar_rhs(xx, yy, 2.0 + alpha)))]
 
     conditions.append(_pair_condition(
         "diffusion_global", x, y,
         (model.sigma(x) - model.sigma(y)) ** 2, d ** (2.0 + alpha) * rho_inv,
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2,
-            scalar_rhs(xx, yy, 2.0 + alpha)),
-        tolerance))
+            scalar_rhs(xx, yy, 2.0 + alpha))))
 
     for name, measure, cfunc in (("small_jump_first_moment", model.nu1,
                                   model.c1),
@@ -716,27 +699,25 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
                 d ** (1.0 + alpha) * rho_inv,
                 lambda xx, yy: (
                     _scalar_dc_integral(measure, cfunc, _abs_shape, xx, yy),
-                    scalar_rhs(xx, yy, 1.0 + alpha)),
-                tolerance))
+                    scalar_rhs(xx, yy, 1.0 + alpha))))
 
-    conditions.append(_separation_condition(
-        model, delta, grid, tolerance, affine_k))
+    conditions.append(_separation_condition(model, delta, grid, affine_k))
 
-    return _assemble("A26", conditions, grid.describe(), tolerance)
+    return _assemble("A26", conditions, grid.describe())
 
 
-def _window_mass(measure, u, frac=1e-3):
+def _window_mass(measure, u):
     if measure is None:
         return 0.0
     hull = _mark_grid(measure, 2)
     if hull.size == 0:
         return 0.0
-    w = max((hull.max() - hull.min()) * frac, 1e-12)
+    w = max((hull.max() - hull.min()) * 1e-3, 1e-12)
     return float(measure.mass_in((Band(u - w, u + w,
                                        closed_lo=True, closed_hi=True),)))
 
 
-def _separation_condition(model, delta, grid, tolerance, affine_k):
+def _separation_condition(model, delta, grid, affine_k):
     sources = [("small", model.nu1, model.c1), ("large", model.nu2, model.c2)]
     worst = None
     for tag, measure, cfunc in sources:
@@ -773,7 +754,7 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
     if worst is None:
         return ConditionResult("jump_separation", NO_VIOLATION,
                                note="no jump measures present")
-    bad = worst["slack"] > tolerance
+    bad = worst["slack"] > _tol_line(0.0)
     note = ("separation is falsification-only: a bad mark is reported with "
             "the measure mass in a small window around it")
     if affine_k is not None:
@@ -786,13 +767,13 @@ def _separation_condition(model, delta, grid, tolerance, affine_k):
         if affine_k is not None:
             cond.worst["reconfirmed"] = bool(
                 delta - abs(1.0 + float(affine_k(worst["mark"])))
-                > tolerance)
+                > _tol_line(0.0))
         else:
             mdl = dict((t, c) for t, _, c in sources)[worst["source"]]
             xx, yy, uu = worst["x"], worst["y"], worst["mark"]
             moved = abs(xx - yy + float(mdl(xx, uu)) - float(mdl(yy, uu)))
             cond.worst["reconfirmed"] = bool(
-                delta * abs(xx - yy) - moved > tolerance)
+                delta * abs(xx - yy) - moved > _tol_line(0.0))
     return cond
 
 
@@ -839,7 +820,7 @@ def designated_sets(label):
     return table.get(label, {})
 
 
-def designated_checks(model, tolerance=DEFAULT_TOLERANCE):
+def designated_checks(model):
     """The frozen per-preset condition sets.
 
     * ``example_31`` — growth bound with the logarithmic envelope at
@@ -856,16 +837,15 @@ def designated_checks(model, tolerance=DEFAULT_TOLERANCE):
         raise CatalogError(
             f"no designated checks for model {model.label!r}; known: "
             "['example_31', 'example_41']")
-    return [check(model, tolerance=tolerance, **params)
-            for check, params in sets.values()]
+    return [check(model, **params) for check, params in sets.values()]
 
 
 # ---------------------------------------------------------------------------
 # presentation
 # ---------------------------------------------------------------------------
 
-def reports_to_json(reports, indent=2):
-    return json.dumps([r.to_dict() for r in reports], indent=indent)
+def reports_to_json(reports):
+    return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 def format_report_table(reports):

@@ -420,6 +420,16 @@ def test_experiment_budget_cap_exits_one(capsys):
     assert "exceeds budget_cap" in capsys.readouterr().err
 
 
+def test_simulate_over_budget_exits_one(capsys):
+    # 10^12 grid steps: refused before any seed or array is made
+    rc = cli.main(["simulate", "--preset", "example_31",
+                   "--set", "scheme.h=1e-12"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulate: 1 paths x")
+    assert "exceeds budget_cap" in err
+
+
 def test_experiment_needs_kind(capsys):
     rc = cli.main(["experiment", "--preset", "example_41"])
     assert rc == 1

@@ -85,6 +85,13 @@ def test_config_rejects_bad_values(kw):
         ExperimentConfig(model=_contraction_model(), **kw)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_config_rejects_non_finite_delta(delta):
+    with pytest.raises(DomainError, match="delta must be"):
+        ExperimentConfig(model=_contraction_model(), delta=delta)
+
+
 def test_unknown_experiment_kind():
     with pytest.raises(UsageError, match="unknown experiment kind"):
         run_experiment("diffusion", _cfg(_contraction_model()))

@@ -443,6 +443,12 @@ def test_exit_times_equal_first_exit_time_per_path_and_radius():
         exit_times(paths, (0.0, 1.0))
 
 
+def test_exit_times_of_no_paths_and_of_no_radii():
+    assert exit_times([], (1.0, 2.0)).shape == (0, 2)
+    with pytest.raises(DomainError, match="at least one radius"):
+        exit_times([], ())
+
+
 def test_a_batch_runs_as_its_rows_run():
     model = preset("example_41")
     noises = sample_batch(model, 1.0, 2.0 ** -7,

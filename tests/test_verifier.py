@@ -240,6 +240,51 @@ def test_nonconfluence_validation():
             delta=0.0)
 
 
+# checker -> the scalar parameters it validates and valid values for all of
+# them; each test row makes one of them non-finite
+_SCALAR_CHECKS = {
+    "growth": (lambda model, kw: check_growth(
+        model, builtin_growth("one"), **kw), dict(mu=1.0)),
+    "local": (lambda model, kw: check_local_conditions(
+        model, builtin_modulus("identity"), **kw),
+        dict(alpha=0.5, delta0=1.0)),
+    "corollary": (lambda model, kw: check_corollary_conditions(
+        model, builtin_modulus("identity"), builtin_modulus("identity"),
+        **kw), dict(delta0=1.0)),
+    "nonconfluence": (lambda model, kw: check_nonconfluence_conditions(
+        model, builtin_modulus("identity"), **kw),
+        dict(alpha=0.5, delta=0.5)),
+}
+
+
+@pytest.mark.parametrize("checker,param,value", [
+    (checker, param, value)
+    for checker, (_, params) in _SCALAR_CHECKS.items() for param in params
+    for value in (math.nan, math.inf, -math.inf)])
+def test_checkers_reject_non_finite_parameters(checker, param, value):
+    check, params = _SCALAR_CHECKS[checker]
+    with pytest.raises(DomainError, match=f"^{param} must be"):
+        check(preset("example_41"), dict(params, **{param: value}))
+
+
+@pytest.mark.parametrize("grid", [
+    PairGrid(anchors=np.array([]), gaps=np.array([0.1])),
+    PairGrid(anchors=np.array([0.0, 1.0]), gaps=np.array([])),
+    PairGrid(anchors=np.array([0.0, 1.0]), gaps=np.array([0.1]),
+             interval=(5.0, 6.0)),
+], ids=["no_anchors", "no_gaps", "clipped_away"])
+def test_pair_grid_without_pairs_is_a_domain_error(grid):
+    with pytest.raises(DomainError, match="has no pairs"):
+        grid.pairs()
+    model, modulus = preset("example_41"), builtin_modulus("identity")
+    with pytest.raises(DomainError, match="has no pairs"):
+        check_local_conditions(model, modulus, alpha=0.5, delta0=1.0,
+                               grid=grid)
+    with pytest.raises(DomainError, match="has no pairs"):
+        check_nonconfluence_conditions(model, modulus, alpha=0.5, delta=0.5,
+                                       grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # designated check lists and report plumbing
 # ---------------------------------------------------------------------------

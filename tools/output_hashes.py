@@ -17,7 +17,8 @@ calls on each catalog modulus (and a scaled one), ``bound --growth`` and
 ``verify --check growth`` on each growth envelope, and an explosion run
 under the ``log_loglog`` envelope; then an explosion and a nonconfluence
 run on the inline u3 model and a one-path ``simulate --dump-noise`` on the
-degenerate model.  It prints one ``name sha256`` line per
+degenerate model; last, a ``simulate`` whose grid exceeds the paths x steps
+budget, which exits 1 before any output.  It prints one ``name sha256`` line per
 output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per
 column, and each CLI call's exit code and stdout.  The listing goes to
 ``OUT`` when given, else to stdout, so that "only this column moved"
@@ -194,6 +195,12 @@ INLINE_RUNS = (
      ["simulate", "--paths", "1", "--dump-noise"]),
 )
 
+# (name, argv) of CLI calls refused before any output, listed last
+REFUSED = (
+    ("simulate_over_budget", ["simulate", "--preset", "example_31",
+                              "--set", "scheme.h=1e-12"]),
+)
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -278,6 +285,9 @@ def listing(work):
         lines.extend(_output_run(
             name, argv[:1] + ["--config", str(configs[config])] + argv[1:],
             work / name))
+    for name, argv in REFUSED:
+        rc, stdout = _run_cli(argv)
+        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     return lines
 
 
