@@ -540,8 +540,8 @@ def psi_build(modulus, n):
 
 def p_alpha(alpha):
     """Moment-order constant ``|a(a-1)|/2 + |a| + a(2^a + 3) + 2``."""
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("alpha must be nonnegative and finite")
     a = float(alpha)
     return 0.5 * abs(a * (a - 1.0)) + abs(a) + a * (2.0 ** a + 3.0) + 2.0
 
@@ -554,10 +554,10 @@ def nonconfluence_constants(alpha, delta, M):
     """Explicit constants for the separation analysis at exponent ``alpha``
     and jump-separation factor ``delta``; ``M`` bounds the restricted
     large-jump mass."""
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    if alpha < 0 or M < 0:
-        raise DomainError("alpha and M must be nonnegative")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
+    if not (0.0 <= alpha < math.inf and 0.0 <= M < math.inf):
+        raise DomainError("alpha and M must be nonnegative and finite")
     K = delta ** (-alpha) * (1.0 + 2.0 * alpha)
     Kp = delta ** (-alpha) * (1.0 + alpha)
     K1 = M * (K + Kp)

@@ -275,22 +275,20 @@ def _simulate_blocks(config, model, noises, scheme, x0):
 def _ladder_gaps(config, model, taming, h_ref, factors):
     """Seeds and, per ladder level, every path's terminal gap
     ``|X_T - X_T^ref|`` to its reference path at step ``h_ref`` (nan where
-    either exploded).  Each path samples one realization at ``h_ref``; a
-    level runs on its coarsenings, checked to stay coupled, and a level at
-    ``h_ref`` itself reuses the reference paths.  The reference paths and
-    every coarser level are integrated in one batch."""
-    seeds, noises = _sample_paths(config, model, h_ref)
-    noises = list(noises)
-    batch = noises.copy()
+    either exploded).  The paths sample one batch at ``h_ref``; a level
+    runs on its coarsening, checked to stay coupled, both per level on the
+    batch, and a level at ``h_ref`` itself reuses the reference paths.  All
+    levels' batches are integrated in one call."""
+    seeds, fine = _sample_paths(config, model, h_ref)
+    batches = [fine]
     schemes = [_scheme(config, h_ref, taming)] * config.paths
     for h, f in zip(config.step_ladder, factors):
         if f != 1:
-            coarse = [noise.coarsen(f) for noise in noises]
-            for noise, c in zip(noises, coarse):
-                _check_coupling(noise, c, f)
-            batch += coarse
+            coarse = fine.coarsen(f)
+            _check_coupling(fine, coarse, f)
+            batches.append(coarse)
             schemes += [_scheme(config, h, taming)] * config.paths
-    ref, *coarse_levels = _simulate_blocks(config, model, batch, schemes,
+    ref, *coarse_levels = _simulate_blocks(config, model, batches, schemes,
                                            config.x0)
     coarse_levels = iter(coarse_levels)
     gaps = []
@@ -303,17 +301,19 @@ def _ladder_gaps(config, model, taming, h_ref, factors):
 
 
 def _check_coupling(fine, coarse, factor):
-    """A coarsened realization must carry the fine event stream unchanged
-    and Brownian increments equal to the fine ones summed in groups of
-    ``factor``."""
-    fine_sums = fine.brownian_increments.reshape(-1, factor).sum(axis=1)
-    if (coarse.events.tobytes() != fine.events.tobytes()
-            or coarse.brownian_increments.shape != fine_sums.shape
-            or np.max(np.abs(coarse.brownian_increments - fine_sums),
-                      initial=0.0) > 1e-15):
+    """A coarsened batch must carry the fine event stream unchanged and, in
+    each row, Brownian increments equal to the fine ones summed in groups
+    of ``factor``; the error names the first failing row's seed."""
+    sums = fine.brownian_increments.reshape(len(fine), -1, factor).sum(axis=2)
+    got = coarse.brownian_increments
+    bad = np.ones(len(fine), bool)      # a changed event stream or length
+    if coarse.events.tobytes() == fine.events.tobytes() \
+            and got.shape == sums.shape:
+        bad = ~(np.max(np.abs(got - sums), axis=1, initial=0.0) <= 1e-15)
+    if bad.any():
         raise AssertionError(
-            f"noise coupling across resolutions broke for seed {fine.seed} "
-            f"at coarsening factor {factor}")
+            f"noise coupling across resolutions broke for seed "
+            f"{fine.seeds[np.argmax(bad)]} at coarsening factor {factor}")
 
 
 def _charge_budget(what, paths, steps_per_path, budget_cap):
@@ -531,7 +531,7 @@ def run_nonconfluence(config):
     scheme = _scheme(config, h, taming)
 
     seeds, noises = _sample_paths(config, model, h)
-    xs, ys = _simulate_blocks(config, model, list(noises) * 2, scheme,
+    xs, ys = _simulate_blocks(config, model, [noises, noises], scheme,
                               [config.x0] * config.paths + [y0] * config.paths)
     mins = []
     for px, py in zip(xs, ys):

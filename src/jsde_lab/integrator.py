@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .model import in_bands
-from .noise import EVENT_DTYPE, LARGE, SMALL, SOURCES, NoiseBatch
+from .noise import LARGE, SMALL, SOURCES, NoiseBatch, NoiseRealization
 
 TAMING_MODES = ("off", "drift_tamed")
 
@@ -110,39 +110,22 @@ def _continuous_step(x, dt, dw, model, tamed, where=None):
     return x_new
 
 
-class _Stacked(NamedTuple):
-    """Realizations stacked in order, laid out as a :class:`NoiseBatch`."""
-
-    seeds: tuple
-    offsets: np.ndarray
-    union_times: np.ndarray
-    union_increments: np.ndarray
-    event_offsets: np.ndarray
-    events: np.ndarray
-    event_steps: np.ndarray
+def _batches(noises):
+    """``noises`` as a list of :class:`NoiseBatch`: a batch, a realization
+    (a batch of one) or a sequence of either."""
+    if isinstance(noises, (NoiseBatch, NoiseRealization)):
+        noises = [noises]
+    return [noise if isinstance(noise, NoiseBatch) else noise.as_batch()
+            for noise in noises]
 
 
-def _stacked(noises):
-    """A :class:`NoiseBatch` as it is, or a nonempty list of realizations as
-    one set of the same ragged arrays."""
-    if isinstance(noises, NoiseBatch):
-        return noises
-    offsets = np.zeros(len(noises) + 1, np.intp)
-    np.cumsum([len(noise.union_times) for noise in noises], out=offsets[1:])
-    event_offsets = np.zeros(len(noises) + 1, np.intp)
-    np.cumsum([len(noise.events) for noise in noises],
-              out=event_offsets[1:])
-    return _Stacked(
-        tuple(noise.seed for noise in noises), offsets,
-        np.concatenate([noise.union_times for noise in noises]),
-        np.concatenate([noise.union_increments for noise in noises]),
-        event_offsets,
-        np.concatenate([noise.events for noise in noises], dtype=EVENT_DTYPE),
-        np.concatenate([noise.event_steps for noise in noises]))
+def _joined(batches, field):
+    """The ``field`` arrays of ``batches``, laid end to end."""
+    return np.concatenate([getattr(batch, field) for batch in batches])
 
 
-def _event_layers(stack, u3, restrict_to_u3):
-    """The jumps the scheme applies to the ``stack`` of noises, as
+def _event_layers(batches, u3, restrict_to_u3):
+    """The jumps the scheme applies to the rows of ``batches``, in order, as
     ``{s: [(paths, marks, code), ...]}``.
 
     An event lands at the end of its step ``s``.  A step's groups hold each
@@ -150,9 +133,10 @@ def _event_layers(stack, u3, restrict_to_u3):
     ``events`` order, so applying them in turn keeps that order; the events
     of one group share a ``code``.
     """
-    n = len(stack.seeds)
-    events, steps = stack.events, stack.event_steps
-    paths = np.repeat(np.arange(n), np.diff(stack.event_offsets))
+    events, steps = _joined(batches, "events"), _joined(batches, "event_steps")
+    counts = np.concatenate([np.diff(b.event_offsets) for b in batches])
+    n = len(counts)
+    paths = np.repeat(np.arange(n), counts)
     if restrict_to_u3:
         keep = (events["code"] == SMALL_CODE) | in_bands(u3, events["mark"])
         events, paths, steps = events[keep], paths[keep], steps[keep]
@@ -188,11 +172,12 @@ def _per_noise(value, n):
 def simulate_paths(model, noises, scheme, x0):
     """Run the scheme over each noise realization.
 
-    ``noises`` is a :class:`NoiseBatch` or a sequence of realizations;
-    ``scheme`` and the initial state ``x0`` are given once or once per
-    noise.  Each noise's base grid must match its own scheme's
-    ``base_step``, so one call can mix a realization with its coarsenings;
-    the schemes must agree in taming, radius and ``restrict_to_u3``.
+    ``noises`` is a :class:`NoiseBatch` or a sequence of them, whose rows
+    run in order; a :class:`NoiseRealization` counts as a batch of one.
+    ``scheme`` and the initial state ``x0`` are given once or once per row.
+    Each batch's base grid must match its rows' schemes' ``base_step``, so
+    one call can mix a batch with its coarsenings; the schemes must agree
+    in taming, radius and ``restrict_to_u3``.
 
     All paths advance together, one step index at a time.  Each path's
     jump-adapted grid is padded to the longest one with ``dt = dW = 0``
@@ -204,20 +189,14 @@ def simulate_paths(model, noises, scheme, x0):
     ``noises``), that path's ``seed`` and base ``step``, ``t`` and
     ``state``.
     """
-    if not isinstance(noises, NoiseBatch):
-        noises = list(noises)
-    n = len(noises)
+    batches = _batches(noises)
+    n = sum(len(batch) for batch in batches)
     schemes = _per_noise(scheme, n)
     x = np.array(_per_noise(x0, n), dtype=float)
-    if isinstance(noises, NoiseBatch):          # one grid for every row
-        grids = [(noises.base_grid, h)
-                 for h in {sch.base_step for sch in schemes}]
-    else:
-        grids = [(noise.base_grid, sch.base_step)
-                 for noise, sch in zip(noises, schemes)]
-    for grid, h in grids:
-        steps = np.diff(grid)
-        if steps[:-1].size and np.max(np.abs(steps[:-1] - h)) > 1e-9 * h:
+    rows = [batch for batch in batches for _ in batch.seeds]
+    for batch, h in {(b, sch.base_step) for b, sch in zip(rows, schemes)}:
+        steps = np.diff(batch.base_grid)[:-1]
+        if steps.size and np.max(np.abs(steps - h)) > 1e-9 * h:
             raise DomainError(
                 "scheme base_step does not match the noise base grid"
             )
@@ -231,21 +210,21 @@ def simulate_paths(model, noises, scheme, x0):
     scheme = schemes[0]
     radius = scheme.explosion_radius
     tamed = scheme.taming == "drift_tamed"
-    stack = _stacked(noises)
-    seeds = stack.seeds
+    seeds = [seed for batch in batches for seed in batch.seeds]
     base_steps = [sch.base_step for sch in schemes]
-    lengths = np.diff(stack.offsets) - 1
+    lengths = np.concatenate([np.diff(b.offsets) for b in batches]) - 1
     m = int(lengths.max())
     # step-major, so that one step of every path is one contiguous row; a
     # path's grid is padded with its end time and zero increments
     step = np.arange(m + 1)[:, None]
     times = np.empty((m + 1, n))
-    times[:] = stack.union_times[stack.offsets[1:] - 1]
-    times.T[(step <= lengths).T] = stack.union_times
+    union_times = _joined(batches, "union_times")
+    times[:] = union_times[np.cumsum(lengths + 1) - 1]
+    times.T[(step <= lengths).T] = union_times
+    del union_times
     dws = np.zeros((m, n))
-    dws.T[(step[:-1] < lengths).T] = stack.union_increments
-    layers = _event_layers(stack, model.u3, scheme.restrict_to_u3)
-    del stack           # frees a list's stacked copies before the states
+    dws.T[(step[:-1] < lengths).T] = _joined(batches, "union_increments")
+    layers = _event_layers(batches, model.u3, scheme.restrict_to_u3)
 
     states = np.empty((m + 1, n))
     states[0] = x
@@ -307,7 +286,7 @@ def simulate_paths(model, noises, scheme, x0):
 def simulate(model, noise, scheme, x0):
     """Run the scheme over one noise realization from initial state ``x0``:
     :func:`simulate_paths` on a batch of one."""
-    return simulate_paths(model, [noise], scheme, x0)[0]
+    return simulate_paths(model, noise, scheme, x0)[0]
 
 
 def first_exit_time(path, radius):
@@ -365,7 +344,7 @@ def ito_levy_apply(f, path, model, noise, scheme):
     """
     fn, fp, fpp = f
     tamed = scheme.taming == "drift_tamed"
-    layers = _event_layers(_stacked([noise]), model.u3,
+    layers = _event_layers([noise.as_batch()], model.u3,
                            scheme.restrict_to_u3)
     idx = np.searchsorted(noise.union_times, path.times)
     y = float(fn(path.states[0]))

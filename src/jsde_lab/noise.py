@@ -12,8 +12,10 @@ comes from a counter-based generator keyed by ``(seed, stream)``:
 
 Enlarging one stream never perturbs the others, which is what coupling and
 refinement studies need.  Multi-resolution coupling goes through
-:meth:`NoiseRealization.coarsen`: sample once at the finest step, then
-aggregate increments upward so every resolution rides the same Brownian path.
+:meth:`NoiseBatch.coarsen`: sample once at the finest step, then aggregate
+increments upward, one pass over the batch per level (the experiments check
+each level's coupling once on the batch too), so every resolution rides the
+same Brownian path.
 
 :func:`sample_batch` draws the noise of many paths as one
 :class:`NoiseBatch` of ragged arrays: each row draws from its own keys, and
@@ -103,54 +105,30 @@ class NoiseRealization:
                               else list(events), EVENT_DTYPE)
         self.compensator_rate = float(compensator_rate)
         self.seed = int(seed)
-        t = self.events["time"]
-        ends = self.union_times[1:]
-        steps = ends.searchsorted(t)
-        if ends.take(steps, mode="clip").tolist() != t.tolist():
-            raise DomainError("an event time is not a union time in (0, T]")
-        steps.setflags(write=False)
-        self.event_steps = steps
+        self.event_steps = _frozen(self.union_times[1:].searchsorted(
+            self.events["time"]), np.intp)
+        self.as_batch()             # checks that each event lands in (0, T]
 
-    @functools.cached_property
-    def _cumulative(self):
-        """Brownian motion at each union time: ``0`` then the running sums."""
-        return _frozen(np.concatenate([[0.0],
-                                       np.cumsum(self.union_increments)]))
-
-    def _increments_over(self, times):
-        """Brownian increments between consecutive ``times``, each a union
-        time."""
-        idx = np.searchsorted(self.union_times, times)
-        return np.diff(self._cumulative[idx])
+    def as_batch(self):
+        """This realization as a :class:`NoiseBatch` of one, sharing arrays."""
+        return NoiseBatch(
+            self.horizon, self.base_grid, [self.seed], self.compensator_rate,
+            [0, len(self.union_times)], self.union_times, self.union_increments,
+            [0, len(self.events)], self.events, self.event_steps)
 
     @functools.cached_property
     def brownian_increments(self):
         """One increment per base-grid step (sums of the union increments)."""
-        return _frozen(self._increments_over(self.base_grid))
+        return self.as_batch().brownian_increments[0]
 
     def events_from(self, source):
         """The rows of ``events`` from ``source``, in order."""
         return self.events[self.events["code"] == SOURCES.index(source)]
 
     def coarsen(self, factor):
-        """The same noise on a base grid thinned by ``factor``.
-
-        Events are untouched; Brownian increments are regrouped (exact sums),
-        so paths simulated at different resolutions share one Brownian motion
-        and one event stream.
-        """
-        factor = int(factor)
-        m = len(self.base_grid) - 1
-        if factor < 1 or m % factor != 0:
-            raise DomainError(
-                f"coarsening factor {factor} does not divide the "
-                f"{m}-step base grid"
-            )
-        coarse = self.base_grid[::factor]
-        times = np.unique(np.concatenate([coarse, self.events["time"]]))
-        return NoiseRealization(self.horizon, coarse, times,
-                                self._increments_over(times), self.events,
-                                self.compensator_rate, self.seed)
+        """The same noise on a base grid thinned by ``factor``: the row of
+        :meth:`NoiseBatch.coarsen` on this realization as a batch of one."""
+        return self.as_batch().coarsen(factor)[0]
 
     def dump_csv(self, path):
         """Debug/replay dump: (time, kind, value) — per-base-step Brownian
@@ -169,7 +147,7 @@ class NoiseRealization:
 
 class NoiseBatch:
     """The noise of several paths on one base grid, as read-only ragged
-    arrays; made by :func:`sample_batch`.
+    arrays; made by :func:`sample_batch` and :meth:`coarsen`.
 
     Row ``i`` is the realization of ``seeds[i]``: its union times are
     ``union_times[offsets[i]:offsets[i + 1]]``, its union increments
@@ -193,8 +171,7 @@ class NoiseBatch:
         self.event_offsets = _frozen(event_offsets, np.intp)
         self.events = _frozen(events, EVENT_DTYPE)
         self.event_steps = _frozen(event_steps, np.intp)
-        rows = np.repeat(np.arange(len(self.seeds)),
-                         np.diff(self.event_offsets))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.event_offsets))
         at = self.offsets[rows] + self.event_steps + 1
         lands = ((self.event_steps >= 0) & (at < self.offsets[rows + 1])
                  & (self.union_times.take(at, mode="clip")
@@ -214,12 +191,67 @@ class NoiseBatch:
             horizon=self.horizon, base_grid=self.base_grid,
             union_times=self.union_times[a:b],
             union_increments=self.union_increments[a - i:b - i - 1],
-            events=self.events[e:f], event_steps=self.event_steps[e:f],
+            # a batch of one lends its row the event array itself
+            events=self.events if len(self) == 1 else self.events[e:f],
+            event_steps=self.event_steps[e:f],
             compensator_rate=self.compensator_rate, seed=self.seeds[i])
         return noise
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    @functools.cached_property
+    def _motion(self):
+        """Each row's Brownian motion at its union times, laid out as
+        ``union_times``: ``0``, then the row's own ``cumsum`` to the bit."""
+        lengths = np.diff(self.offsets)
+        inside = np.arange(lengths.max(initial=1)) < lengths[:, None]
+        w = np.zeros(inside.shape)
+        w[:, 1:][inside[:, 1:]] = self.union_increments
+        np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
+        return w[inside]
+
+    @functools.cached_property
+    def _grid_at(self):
+        """Where each row's base-grid times sit in ``union_times``, as a
+        ``(rows, grid)`` array."""
+        grid, t = self.base_grid, self.union_times
+        at = np.flatnonzero(grid.take(grid.searchsorted(t), mode="clip") == t)
+        if at.size != len(self) * len(grid):
+            raise DomainError("a row's union times miss a base-grid time")
+        return at.reshape(len(self), len(grid))
+
+    @functools.cached_property
+    def brownian_increments(self):
+        """Each row's increments per base-grid step, ``(rows, steps)``."""
+        return _frozen(np.diff(self._motion[self._grid_at], axis=1))
+
+    def coarsen(self, factor):
+        """The same noise on a base grid thinned by ``factor``, all rows at
+        once: the events (the same array), and the Brownian increments
+        between the coarse grid and event times, so every resolution shares
+        one Brownian motion.  Row ``i`` is the same to the bit in any
+        batch."""
+        factor = int(factor)
+        m = len(self.base_grid) - 1
+        if factor < 1 or m % factor != 0:
+            raise DomainError(
+                f"coarsening factor {factor} does not divide the "
+                f"{m}-step base grid"
+            )
+        rows = np.repeat(np.arange(len(self)), np.diff(self.event_offsets))
+        events_at = self.offsets[rows] + self.event_steps + 1
+        keep = np.zeros(len(self.union_times), bool)
+        keep[self._grid_at[:, ::factor]] = True
+        keep[events_at] = True
+        at = np.flatnonzero(keep)
+        # kept entries before each row, and before each event
+        offsets = at.searchsorted(self.offsets)
+        steps = at.searchsorted(events_at) - offsets[rows] - 1
+        increments = np.delete(np.diff(self._motion[at]), offsets[1:-1] - 1)
+        return NoiseBatch(self.horizon, self.base_grid[::factor], self.seeds,
+                          self.compensator_rate, offsets, self.union_times[at],
+                          increments, self.event_offsets, self.events, steps)
 
 
 def _sealed(arr):

@@ -553,6 +553,9 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
     if include_monotonicity and model.nu1 is not None:
         marks = _mark_grid(model.nu1)
         anchors = np.sort(np.unique(np.asarray(grid.anchors, dtype=float)))
+        if anchors.size < 2:
+            raise DomainError(f"pair grid ({grid.describe()}) has one anchor; "
+                              "the c1 monotonicity scan needs two")
         c = model.c1(anchors[:, None], marks[None, :])
         lhs = c[:-1, :].reshape(-1)
         rhs = c[1:, :].reshape(-1)

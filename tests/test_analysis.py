@@ -311,6 +311,18 @@ def test_nonconfluence_constants_exact():
         nonconfluence_constants(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda v: p_alpha(v), "alpha"),
+    (lambda v: nonconfluence_constants(v, 0.5, 1.0), "alpha and M"),
+    (lambda v: nonconfluence_constants(1.0, v, 1.0), "delta"),
+    (lambda v: nonconfluence_constants(1.0, 0.5, v), "alpha and M"),
+], ids=["p_alpha", "constants_alpha", "constants_delta", "constants_M"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constants_reject_non_finite_parameters(call, message, value):
+    with pytest.raises(DomainError, match=f"^{message} must be"):
+        call(value)
+
+
 def test_r_inequality_admissible_grid():
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.uniform(0.1, 3.0, 500),

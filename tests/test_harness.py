@@ -25,7 +25,7 @@ from jsde_lab.harness import (
 from jsde_lab.analysis import phi_growth
 from jsde_lab.integrator import SchemeConfig, simulate, simulate_paths
 from jsde_lab.model import CoefficientSet, builtin_growth
-from jsde_lab.noise import NoiseRealization, derive_path_seed, sample_noise
+from jsde_lab.noise import NoiseBatch, derive_path_seed, sample_noise
 
 
 def _contraction_model():
@@ -323,20 +323,35 @@ def test_rows_do_not_depend_on_batch_size(run, kw):
     assert small.data_rows == large.data_rows[:7]
 
 
-def test_uniqueness_detects_broken_coupling(monkeypatch):
-    coarsen = NoiseRealization.coarsen
+def _perturb_coarsening(monkeypatch, row):
+    """Every coarsened batch gets +1e-9 on the last union increment of
+    ``row``."""
+    coarsen = NoiseBatch.coarsen
 
     def perturbed(self, factor):
         c = coarsen(self, factor)
         inc = c.union_increments.copy()
-        inc[-1] += 1e-9
-        return NoiseRealization(c.horizon, c.base_grid, c.union_times, inc,
-                                c.events, c.compensator_rate, c.seed)
+        inc[c.offsets[row + 1] - row - 2] += 1e-9
+        return NoiseBatch(c.horizon, c.base_grid, c.seeds,
+                          c.compensator_rate, c.offsets, c.union_times, inc,
+                          c.event_offsets, c.events, c.event_steps)
 
-    monkeypatch.setattr(NoiseRealization, "coarsen", perturbed)
-    cfg = _cfg(_noisy_model(), paths=3,
-               step_ladder=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
+    monkeypatch.setattr(NoiseBatch, "coarsen", perturbed)
+    return _cfg(_noisy_model(), paths=3,
+                step_ladder=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
+
+
+def test_uniqueness_detects_broken_coupling(monkeypatch):
+    cfg = _perturb_coarsening(monkeypatch, 2)
     with pytest.raises(AssertionError, match="coupling"):
+        run_uniqueness(cfg)
+
+
+def test_broken_coupling_names_the_row_seed(monkeypatch):
+    cfg = _perturb_coarsening(monkeypatch, 1)
+    seed = derive_path_seed(cfg.master_seed, 1)
+    with pytest.raises(AssertionError,
+                       match=f"coupling .* broke for seed {seed} at"):
         run_uniqueness(cfg)
 
 
@@ -381,8 +396,9 @@ def test_each_run_makes_one_simulate_paths_call(monkeypatch, run, kw):
     calls = []
 
     def counted(model, noises, scheme, x0):
-        calls.append(len(noises))
-        return simulate_paths(model, noises, scheme, x0)
+        paths = simulate_paths(model, noises, scheme, x0)
+        calls.append(len(paths))
+        return paths
 
     monkeypatch.setattr(harness, "simulate_paths", counted)
     run(_cfg(_noisy_model(), paths=5, **kw))

@@ -491,3 +491,151 @@ def test_empty_batch():
     batch = noise_module.sample_batch(preset("example_31"), 1.0, 0.25, [])
     assert len(batch) == 0 and list(batch) == []
     assert batch.union_times.size == batch.events.size == 0
+
+
+# ---------------------------------------------------------------------------
+# coarsening a batch
+# ---------------------------------------------------------------------------
+
+def _reference_coarsen(row, factor):
+    """One row coarsened as the one-path code did it: ``np.unique`` of the
+    coarse grid and the event times, ``searchsorted`` into the row's union
+    times and differences of its ``cumsum``."""
+    grid = row.base_grid[::factor]
+    union = np.unique(np.concatenate([grid, row.events["time"]]))
+    motion = np.concatenate([[0.0], np.cumsum(row.union_increments)])
+    dw = np.diff(motion[np.searchsorted(row.union_times, union)])
+    steps = union[1:].searchsorted(row.events["time"])
+    return grid, union, dw, steps
+
+
+def _reference_brownian(row):
+    motion = np.concatenate([[0.0], np.cumsum(row.union_increments)])
+    return np.diff(motion[np.searchsorted(row.union_times, row.base_grid)])
+
+
+class _LatticeStreamToT(_LatticeStream):
+    """The lattice stand-in with event times on ``k/8`` for ``k = 1..8``,
+    so that some land on the horizon ``T = 1``."""
+
+    def random(self, size):
+        u = super().random(size)
+        u[:size // 3] = self.rng.integers(1, 9, size // 3) / 8.0
+        return u
+
+
+def _lattice():
+    return _inline(nu1=lebesgue(-1.0, 1.0), nu2=MarkMeasure(
+        pieces=[(1.0, 2.0, lambda u: 1.0)], atoms=[(3.0, 1.0)]))
+
+
+# (model, horizon, base step, stand-in generator or None, factors)
+COARSEN_CASES = {
+    "example_41_h9": (lambda: preset("example_41"), 1.0, 2.0 ** -9, None,
+                      (1, 2, 4, 8, 16, 32)),
+    "example_31_h9": (lambda: preset("example_31"), 1.0, 2.0 ** -9, None,
+                      (1, 2, 4, 8, 16, 32)),
+    "no_events": (_inline, 1.0, 2.0 ** -6, None, (1, 2, 4, 64)),
+    # about 60% of rows draw no large jump, and none draws a small one
+    "some_rows_without_events": (lambda: _inline(nu2=lebesgue(1.0, 1.5)),
+                                 1.0, 2.0 ** -6, None, (1, 2, 4, 32)),
+    "atoms_only_nu2": (BATCH_CASES["atoms_only_nu2"][0], 2.0, 2.0 ** -5,
+                       None, (1, 2, 4, 8, 16, 32)),
+    "lattice": (_lattice, 1.0, 0.125, _LatticeStreamToT, (1, 2, 4, 8)),
+    "lattice_short_last_step": (_lattice, 1.0, 0.375, _LatticeStream,
+                                (1, 3)),
+}
+
+
+def _coarsen_batch(case, size, monkeypatch):
+    make, horizon, step, stream, factors = COARSEN_CASES[case]
+    if stream is not None:
+        monkeypatch.setattr(noise_module, "_stream", stream)
+    seeds = [derive_path_seed(41, i) for i in range(size)]
+    return noise_module.sample_batch(make(), horizon, step, seeds), factors
+
+
+@pytest.mark.parametrize("size", [1, 7, 25])
+@pytest.mark.parametrize("case", sorted(COARSEN_CASES))
+def test_batch_coarsening_equals_the_one_path_reference(case, size,
+                                                        monkeypatch):
+    batch, factors = _coarsen_batch(case, size, monkeypatch)
+    for row, brownian in zip(batch, batch.brownian_increments):
+        assert brownian.tobytes() == _reference_brownian(row).tobytes()
+    for factor in factors:
+        coarse = batch.coarsen(factor)
+        assert coarse.events is batch.events
+        assert coarse.event_offsets is batch.event_offsets
+        assert coarse.seeds == batch.seeds
+        for row, got in zip(batch, coarse):
+            grid, union, dw, steps = _reference_coarsen(row, factor)
+            assert got.base_grid.tobytes() == grid.tobytes()
+            assert got.union_times.tobytes() == union.tobytes()
+            assert got.union_increments.tobytes() == dw.tobytes()
+            assert got.event_steps.tolist() == steps.tolist()
+            assert got.events.tobytes() == row.events.tobytes()
+            alone = row.coarsen(factor)
+            assert _same_noise(alone, got)
+            assert alone.event_steps.tolist() == steps.tolist()
+
+
+@pytest.mark.parametrize("case", sorted(COARSEN_CASES))
+def test_batch_cases_place_events_where_they_name(case, monkeypatch):
+    batch, factors = _coarsen_batch(case, 25, monkeypatch)
+    counts = np.diff(batch.event_offsets)
+    times = batch.events["time"]
+    fine = np.isin(times, batch.base_grid)
+    coarse = np.isin(times, batch.base_grid[::factors[-1]])
+    if case == "no_events":
+        assert not counts.any()
+    elif case == "some_rows_without_events":
+        assert (counts == 0).any() and counts.any()
+    elif case == "lattice":
+        # on coarse points, on fine-only points, on each other and at T
+        assert coarse.any() and (fine & ~coarse).any()
+        assert (times == 1.0).any()
+        assert (np.diff(times) == 0).any()
+    elif case == "atoms_only_nu2":
+        assert set(batch.events["mark"].tolist()) == {0.5, 1.5}
+
+
+@pytest.mark.parametrize("case", ["example_41_h9", "lattice"])
+def test_a_coarsened_row_is_the_same_in_any_batch(case, monkeypatch):
+    rows = {}
+    for size in (1, 7, 25):
+        batch, factors = _coarsen_batch(case, size, monkeypatch)
+        for factor in factors:
+            rows.setdefault(factor, []).append(batch.coarsen(factor)[0])
+    for first, *others in rows.values():
+        for row in others:
+            assert _same_noise(first, row)
+            assert first.event_steps.tolist() == row.event_steps.tolist()
+
+
+def test_batch_coarsening_rejects_a_factor_off_the_grid():
+    batch = noise_module.sample_batch(preset("example_41"), 1.0, 2.0 ** -9,
+                                      [1, 2, 3])
+    for factor in (3, 0, 1024):
+        with pytest.raises(DomainError, match=(
+                f"^coarsening factor {factor} does not divide the 512-step "
+                "base grid$")):
+            batch.coarsen(factor)
+        with pytest.raises(DomainError, match="does not divide"):
+            batch[1].coarsen(factor)
+
+
+def test_empty_batch_coarsens_to_an_empty_batch():
+    batch = noise_module.sample_batch(preset("example_31"), 1.0, 0.25, [])
+    coarse = batch.coarsen(2)
+    assert len(coarse) == 0 and coarse.union_times.size == 0
+    assert coarse.base_grid.tolist() == [0.0, 0.5, 1.0]
+    assert batch.brownian_increments.shape == (0, 4)
+
+
+def test_union_without_a_grid_time_is_a_domain_error():
+    noise = NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.25, 1.0],
+                             [0.1, 0.2], [(0.25, 0.7, 1)], 0.0, seed=1)
+    with pytest.raises(DomainError, match="miss a base-grid time"):
+        noise.brownian_increments
+    with pytest.raises(DomainError, match="miss a base-grid time"):
+        noise.coarsen(2)

@@ -285,6 +285,22 @@ def test_pair_grid_without_pairs_is_a_domain_error(grid):
                                        grid=grid)
 
 
+@pytest.mark.parametrize("grid", [
+    PairGrid(anchors=np.array([0.0]), gaps=np.array([0.1])),
+    PairGrid(anchors=np.array([0.5, 0.5]), gaps=np.array([0.1, 0.2])),
+], ids=["one_anchor", "one_distinct_anchor"])
+def test_monotonicity_scan_on_one_anchor_is_a_domain_error(grid):
+    # the pairs exist, but the c1 scan compares adjacent anchors
+    identity = builtin_modulus("identity")
+    with pytest.raises(DomainError, match="has one anchor"):
+        check_corollary_conditions(preset("example_31"), identity, identity,
+                                   1.0, grid=grid)
+    # alpha = 0 runs the same conditions without the scan
+    report = check_local_conditions(preset("example_31"), identity, 0.0, 1.0,
+                                    grid=grid)
+    assert len(report.conditions) == 2
+
+
 # ---------------------------------------------------------------------------
 # designated check lists and report plumbing
 # ---------------------------------------------------------------------------
