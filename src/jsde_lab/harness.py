@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise DomainError("budget_cap must be positive")
         if not 0.0 < self.delta < math.inf:
             raise DomainError("delta must be positive and finite")
+        if not self.explosion_radius > 0:
+            raise DomainError("explosion_radius must be positive")
 
     def echo(self, model_label):
         out = {

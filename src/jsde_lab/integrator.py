@@ -34,9 +34,9 @@ class SchemeConfig:
     restrict_to_u3: bool = False
 
     def __post_init__(self):
-        if self.base_step <= 0:
-            raise DomainError("base_step must be positive")
-        if self.explosion_radius <= 0:
+        if not 0 < self.base_step < math.inf:
+            raise DomainError("base_step must be positive and finite")
+        if not self.explosion_radius > 0:
             raise DomainError("explosion_radius must be positive")
         if self.taming not in TAMING_MODES:
             raise DomainError(
@@ -76,10 +76,9 @@ def _coeff(value, x, name, where=None):
     """``value``, a coefficient's floats at the states ``x``; a non-finite
     entry raises.  ``where = (rows, times, seeds, steps)`` locates entry
     ``i`` as batch row ``rows[i]`` at time ``times[rows[i]]``."""
-    finite = np.isfinite(value)
-    if np.count_nonzero(finite) == finite.size:
+    if np.isfinite(value).all():
         return value
-    bad = np.flatnonzero(~finite)
+    bad = np.flatnonzero(~np.isfinite(value))
     state = float(np.ravel(x)[bad[0]])
     located = {}
     if where is not None:
@@ -91,19 +90,19 @@ def _coeff(value, x, name, where=None):
                                state=state, **located)
 
 
-def _continuous_step(x, dt, dw, model, tamed, where=None):
+def _continuous_step(x, dt, dw, model, tamed, where=None, check=True):
     """One Euler advance over a jump-free interval; returns the new state.
 
     A non-finite coefficient always makes the new state non-finite (``dt``
-    is positive, and ``inf * 0`` is nan), so the coefficients are checked,
-    in the order b, sigma, compensation, only when the new state is.
+    is positive, and ``inf * 0`` is nan), so with ``check`` the coefficients
+    are checked, in the order b, sigma, compensation, only when it is.
     """
     b = model.b(x)
     sig = model.sigma(x)
     comp = model.c1_mean(x) if model.nu1 is not None else 0.0
     b_inc = b * dt / (1.0 + np.abs(b) * dt) if tamed else b * dt
     x_new = x + (b_inc - comp * dt) + sig * dw
-    if np.count_nonzero(~np.isfinite(x_new)):
+    if check and np.count_nonzero(~np.isfinite(x_new)):
         _coeff(b, x, "drift b", where)
         _coeff(sig, x, "diffusion sigma", where)
         _coeff(comp, x, "compensation drift", where)
@@ -124,9 +123,10 @@ def _joined(batches, field):
     return np.concatenate([getattr(batch, field) for batch in batches])
 
 
-def _event_layers(batches, u3, restrict_to_u3):
+def _event_layers(batches, u3, restrict_to_u3, rows=None):
     """The jumps the scheme applies to the rows of ``batches``, in order, as
-    ``{s: [(paths, marks, code), ...]}``.
+    ``{s: [(paths, marks, code), ...]}``, and the last at each step of each
+    path as ``(steps, paths, codes)``; row ``i`` is path ``rows[i]`` or ``i``.
 
     An event lands at the end of its step ``s``.  A step's groups hold each
     path's first event there, then each path's second, and so on, in
@@ -136,7 +136,7 @@ def _event_layers(batches, u3, restrict_to_u3):
     events, steps = _joined(batches, "events"), _joined(batches, "event_steps")
     counts = np.concatenate([np.diff(b.event_offsets) for b in batches])
     n = len(counts)
-    paths = np.repeat(np.arange(n), counts)
+    paths = np.repeat(np.arange(n) if rows is None else rows, counts)
     if restrict_to_u3:
         keep = (events["code"] == SMALL_CODE) | in_bands(u3, events["mark"])
         events, paths, steps = events[keep], paths[keep], steps[keep]
@@ -144,6 +144,8 @@ def _event_layers(batches, u3, restrict_to_u3):
     key = steps * n + paths
     order = np.argsort(key, kind="stable")
     ranks = np.arange(len(key)) - np.searchsorted(key[order], key[order])
+    ends = order[np.diff(key[order], append=-1) != 0]
+    last = (steps[ends], paths[ends], events["code"][ends])
     codes = events["code"][order]
     by_group = np.lexsort((codes, ranks, steps[order]))
     order, ranks, codes = order[by_group], ranks[by_group], codes[by_group]
@@ -155,7 +157,7 @@ def _event_layers(batches, u3, restrict_to_u3):
     for a, b in zip(bounds, bounds[1:]):
         layers.setdefault(steps[a], []).append(
             (paths[a:b], marks[a:b], codes[a]))
-    return layers
+    return layers, last
 
 
 def _per_noise(value, n):
@@ -179,20 +181,20 @@ def simulate_paths(model, noises, scheme, x0):
     one call can mix a batch with its coarsenings; the schemes must agree
     in taming, radius and ``restrict_to_u3``.
 
-    All paths advance together, one step index at a time.  Each path's
-    jump-adapted grid is padded to the longest one with ``dt = dW = 0``
-    slots; a path that has exited, or whose grid has ended, is masked, so
-    coefficients are evaluated on live paths only.  Returns one
-    :class:`PathResult` per realization, in order, each the same to the bit
-    as the realization run alone.  A non-finite coefficient or state raises
+    All paths advance together, one step index at a time, the longest
+    jump-adapted grid first: until a path exits, the running paths are a
+    prefix, read and written as views, and then they are gathered by index.
+    Returns one :class:`PathResult` per realization, in order, each the same
+    to the bit as the realization run alone.  A step is checked once, at its
+    end, where a non-finite state fails the radius test; such a step is
+    replayed with every coefficient checked, paths in input order, to raise
     :class:`NumericalDomainError` with ``path_index`` (the position in
-    ``noises``), that path's ``seed`` and base ``step``, ``t`` and
-    ``state``.
+    ``noises``), that path's ``seed`` and base ``step``, ``t`` and ``state``.
     """
     batches = _batches(noises)
     n = sum(len(batch) for batch in batches)
     schemes = _per_noise(scheme, n)
-    x = np.array(_per_noise(x0, n), dtype=float)
+    x0 = np.array(_per_noise(x0, n), dtype=float)
     rows = [batch for batch in batches for _ in batch.seeds]
     for batch, h in {(b, sch.base_step) for b, sch in zip(rows, schemes)}:
         steps = np.diff(batch.base_grid)[:-1]
@@ -212,75 +214,89 @@ def simulate_paths(model, noises, scheme, x0):
     tamed = scheme.taming == "drift_tamed"
     seeds = [seed for batch in batches for seed in batch.seeds]
     base_steps = [sch.base_step for sch in schemes]
-    lengths = np.concatenate([np.diff(b.offsets) for b in batches]) - 1
-    m = int(lengths.max())
-    # step-major, so that one step of every path is one contiguous row; a
-    # path's grid is padded with its end time and zero increments
-    step = np.arange(m + 1)[:, None]
-    times = np.empty((m + 1, n))
-    union_times = _joined(batches, "union_times")
-    times[:] = union_times[np.cumsum(lengths + 1) - 1]
-    times.T[(step <= lengths).T] = union_times
-    del union_times
-    dws = np.zeros((m, n))
-    dws.T[(step[:-1] < lengths).T] = _joined(batches, "union_increments")
-    layers = _event_layers(batches, model.u3, scheme.restrict_to_u3)
-
+    sizes = np.concatenate([np.diff(b.offsets) for b in batches])
+    # column j holds input row order[j], the longest grid first
+    order = np.argsort(-sizes, kind="stable")
+    rank = np.argsort(order)
+    lengths = sizes[order] - 1
+    m = int(lengths[0])
+    # step-major, one step of every path to a contiguous row; the slots past
+    # a path's grid end are never touched.  ``at``: each union entry's slot
+    times, dws = np.empty((m + 1, n)), np.empty((m, n))
+    at = np.repeat(rank - (np.cumsum(sizes) - sizes) * n, sizes)
+    at += np.arange(0, len(at) * n, n)
+    times.ravel()[at] = _joined(batches, "union_times")
+    dws.ravel()[np.delete(at, np.cumsum(sizes) - 1)] = _joined(
+        batches, "union_increments")
+    del at
+    layers, (at_step, at_path, last) = _event_layers(
+        batches, model.u3, scheme.restrict_to_u3, rank)
     states = np.empty((m + 1, n))
-    states[0] = x
-    # event codes: the last jump applied at a state, and "exit" where a path
-    # ends beyond the radius
+    states[0] = x0[order]
+    # a state's code: its last jump's, or "exit" where its path ends outside
     codes = np.zeros((m + 1, n), dtype=np.int8)
-    exploded = np.abs(x) >= radius
+    codes[at_step + 1, at_path] = last
+    exploded = np.abs(states[0]) >= radius
     ends = np.where(exploded, 0, lengths)
     grid_ends = set(lengths.tolist())
-    live = np.flatnonzero(~exploded)
+    # ``live`` is None while the running paths are the prefix [:running[s]]
+    running = np.searchsorted(-lengths, -np.arange(m)).tolist()
+    live = np.flatnonzero(~exploded) if exploded.any() else None
     jumps = {SMALL_CODE: (model.c1, "jump c1"),
              LARGE_CODE: (model.c2, "jump c2")}
-    for s in range(m):
-        if s in grid_ends:
-            live = live[lengths[live] > s]
-        if not live.size:
-            break
-        # while no path has exited or ended, a step reads and writes whole
-        # rows instead of gathering the live paths
-        every = live.size == n
-        cols = slice(None) if every else live
-        start = x[cols]
-        dt = times[s + 1, cols] - times[s, cols]
-        new = _continuous_step(start, dt, dws[s, cols], model, tamed,
-                               (live, times[s], seeds, base_steps))
-        if every:
-            x = new
-        else:
-            x[live] = new
-        for paths, marks, code in layers.get(s, ()):
-            codes[s + 1, paths] = code
-            if not every:
-                running = ~exploded[paths]
-                paths, marks = paths[running], marks[running]
-            if paths.size:
-                fn, name = jumps[code]
-                xr = x[paths]
-                x[paths] = xr + _coeff(fn(xr, marks), xr, name,
-                                       (paths, times[s + 1], seeds,
-                                        base_steps))
-        xs = x[cols]
-        states[s + 1, cols] = xs
-        inside = np.abs(xs) < radius            # False on nan too
-        if np.count_nonzero(inside) < live.size:
-            where = (live, times[s + 1], seeds, base_steps)
-            _coeff(xs, start, "the state after a step", where)
-            exploded[live[~inside]] = True
-            ends[live[~inside]] = s + 1
-            live = live[inside]
 
+    def step(s, cols, groups, check=False):
+        """Advance ``cols`` over step ``s``; ``check`` checks every value."""
+        def where(t, cols):
+            return check and (order[cols], times[t, rank], seeds, base_steps)
+        start, row = states[s, cols], states[s + 1]
+        row[cols] = _continuous_step(
+            start, times[s + 1, cols] - times[s, cols], dws[s, cols], model,
+            tamed, where(s, cols), check)
+        for paths, marks, code in groups:
+            fn, name = jumps[code]
+            xr = row[paths]
+            jump = fn(xr, marks)
+            row[paths] = xr + (_coeff(jump, xr, name, where(s + 1, paths))
+                               if check else jump)
+        xs = row[cols]
+        if check:
+            _coeff(xs, start, "the state after a step", where(s + 1, cols))
+        return xs
+
+    for s in range(m):
+        groups = layers.get(s, ())
+        if live is None:
+            cols = slice(running[s])
+        else:
+            if s in grid_ends:
+                live = live[lengths[live] > s]
+            if not live.size:
+                break
+            cols = live
+            groups = [(p[keep], mk[keep], code) for p, mk, code in groups
+                      for keep in (~exploded[p],) if keep.any()]
+        xs = step(s, cols, groups)
+        inside = np.abs(xs) < radius            # False on nan too
+        if np.count_nonzero(inside) == len(xs):
+            continue
+        live = np.arange(running[s]) if live is None else live
+        if not np.isfinite(xs[~inside]).all():
+            # replay the step, checked, to name the first failing path
+            step(s, live[np.argsort(order[live])],
+                 [(p[i], mk[i], code) for p, mk, code in groups
+                  for i in (np.argsort(order[p]),)], check=True)
+        exploded[live[~inside]] = True
+        ends[live[~inside]] = s + 1
+        live = live[inside]
+
+    del dws                     # unread from here on; lowers the peak RSS
     codes[ends[exploded], exploded] = 3
     return [PathResult(times[:end + 1, p].copy(), states[:end + 1, p].copy(),
                        bool(exploded[p]),
                        float(times[end, p]) if exploded[p] else None,
-                       seeds[p], codes[:end + 1, p].copy())
-            for p, end in enumerate(ends.tolist())]
+                       seed, codes[:end + 1, p].copy())
+            for p, end, seed in zip(rank.tolist(), ends[rank].tolist(), seeds)]
 
 
 def simulate(model, noise, scheme, x0):
@@ -291,7 +307,7 @@ def simulate(model, noise, scheme, x0):
 
 def first_exit_time(path, radius):
     """Earliest recorded time with ``|state| >= radius`` (or None)."""
-    if radius <= 0:
+    if not radius > 0:
         raise DomainError("radius must be positive")
     hits = np.flatnonzero(np.abs(path.states) >= radius)
     return float(path.times[hits[0]]) if hits.size else None
@@ -303,7 +319,7 @@ def exit_times(paths, radii):
     stacked ``|state|``."""
     if len(radii) == 0:
         raise DomainError("exit_times needs at least one radius")
-    if min(radii) <= 0:
+    if not all(radius > 0 for radius in radii):
         raise DomainError("radius must be positive")
     if len(paths) == 0:
         return np.empty((0, len(radii)))
@@ -344,8 +360,8 @@ def ito_levy_apply(f, path, model, noise, scheme):
     """
     fn, fp, fpp = f
     tamed = scheme.taming == "drift_tamed"
-    layers = _event_layers([noise.as_batch()], model.u3,
-                           scheme.restrict_to_u3)
+    layers, _ = _event_layers([noise.as_batch()], model.u3,
+                              scheme.restrict_to_u3)
     idx = np.searchsorted(noise.union_times, path.times)
     y = float(fn(path.states[0]))
     ys = [y]

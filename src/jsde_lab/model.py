@@ -72,9 +72,11 @@ def _float_array_valued(fn):
 
     @functools.wraps(fn)
     def call(*args):
-        args = [np.asarray(a, dtype=float) for a in args]
+        if len(args) != 1 or type(args[0]) is not np.ndarray \
+                or args[0].dtype != np.float64:
+            args = [np.asarray(a, dtype=float) for a in args]
         value = np.asarray(fn(*args), dtype=float)
-        shape = np.broadcast(*args).shape
+        shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
         return value if value.shape == shape else np.broadcast_to(value, shape)
     call._float_array_valued = True
     return call

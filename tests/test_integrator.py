@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jsde_lab.errors import DomainError, NumericalDomainError
+from jsde_lab.harness import ExperimentConfig, run_uniqueness
 from jsde_lab.integrator import (PathResult, SchemeConfig, dump_path_csv,
                                  exit_times, first_exit_time, ito_levy_apply,
                                  simulate, simulate_paths)
@@ -22,13 +23,50 @@ def _drift_only(b, label="drift-only"):
                           nu1=None, nu2=None, label=label)
 
 
+_TWO_STATES = PathResult(np.array([0.0, 0.5]), np.array([1.0, 3.0]), False,
+                         None, 0, np.zeros(2, dtype=np.int8))
+
+# (name, call, message): each call raises DomainError matching message; an
+# infinite radius stays legal
+INVALID_SETTINGS = (
+    ("zero step", lambda: SchemeConfig(base_step=0.0), "base_step"),
+    ("nan step", lambda: SchemeConfig(base_step=math.nan), "base_step"),
+    ("inf step", lambda: SchemeConfig(base_step=math.inf), "base_step"),
+    ("negative radius",
+     lambda: SchemeConfig(base_step=2.0 ** -4, explosion_radius=-1.0),
+     "explosion_radius"),
+    ("nan radius",
+     lambda: SchemeConfig(base_step=2.0 ** -4, explosion_radius=math.nan),
+     "explosion_radius"),
+    ("unknown taming",
+     lambda: SchemeConfig(base_step=2.0 ** -4, taming="soft"), "taming"),
+    ("nan experiment radius",
+     lambda: ExperimentConfig(model="example_41", explosion_radius=math.nan),
+     "explosion_radius"),
+    ("nan exit radius", lambda: first_exit_time(_TWO_STATES, math.nan),
+     "radius"),
+    ("nan exit_times radius",
+     lambda: exit_times([_TWO_STATES], [2.0, math.nan]), "radius"),
+)
+
+
 def test_scheme_config_validation():
-    with pytest.raises(DomainError):
-        SchemeConfig(base_step=0.0)
-    with pytest.raises(DomainError):
-        SchemeConfig(base_step=2.0 ** -4, explosion_radius=-1.0)
-    with pytest.raises(DomainError):
-        SchemeConfig(base_step=2.0 ** -4, taming="soft")
+    for name, call, message in INVALID_SETTINGS:
+        with pytest.raises(DomainError, match=message):
+            call()
+            pytest.fail(f"{name}: no DomainError")
+    assert SchemeConfig(2.0 ** -4, explosion_radius=math.inf)
+    assert ExperimentConfig(model="example_41", explosion_radius=math.inf)
+
+
+def test_uniqueness_refuses_a_nan_radius_and_runs_with_an_inf_one():
+    config = dict(model="example_41", paths=5,
+                  step_ladder=(2 ** -4, 2 ** -5, 2 ** -6))
+    with pytest.raises(DomainError, match="explosion_radius"):
+        run_uniqueness(ExperimentConfig(explosion_radius=math.nan, **config))
+    summary = run_uniqueness(ExperimentConfig(explosion_radius=math.inf,
+                                              **config))
+    assert [row["n"] for row in summary.ladder] == [5, 5, 5]
 
 
 def test_zero_model_stays_put():
@@ -356,6 +394,27 @@ def test_hand_built_events_land_in_order():
                           "grid", "grid")
 
 
+def test_the_last_jump_at_a_state_names_its_code():
+    # rows differ only in the order of their events at t = 0.3; each
+    # state there takes the code of the jump applied last
+    base = _hand_built_noise()
+    orders = ([(0.3, 0.5, 1), (0.3, 1.5, 2)], [(0.3, 1.5, 2), (0.3, 0.5, 1)],
+              [(0.3, 1.5, 2), (0.3, 0.5, 1), (0.3, 1.2, 2)])
+    noises = [NoiseRealization(1.0, base.base_grid, base.union_times,
+                               base.union_increments, events, 2.0, seed=i)
+              for i, events in enumerate(orders)]
+    model, scheme = preset("example_41"), SchemeConfig(base_step=0.25)
+    paths = simulate_paths(model, noises, scheme, 1.0)
+    assert [path.kinds[2] for path in paths] == [
+        "large_jump", "small_jump", "large_jump"]
+    for path, noise in zip(paths, noises):
+        times, states, kinds, _, _ = \
+            _scalar_reference(model, noise, scheme, 1.0)
+        assert path.times.tolist() == times
+        assert path.states.tobytes() == np.array(states).tobytes()
+        assert path.kinds == tuple(kinds)
+
+
 # ---------------------------------------------------------------------------
 # one batch over several resolutions and starts
 # ---------------------------------------------------------------------------
@@ -387,6 +446,49 @@ def test_batch_mixes_levels_and_starts_bit_for_bit():
     assert len({len(path.times) for path in batch}) > 1
     assert [path.exploded for path in batch] == [False] * 3 + [True] * 2 \
         + [False]
+
+
+def test_shortest_grid_first_with_a_mid_run_exit_bit_for_bit():
+    model, noises, schemes, x0s = _levels_and_starts()
+    # coarsest level first, so the batch's row order is not longest first
+    noises, schemes, x0s = noises[::-1], schemes[::-1], x0s[::-1]
+    short, middle, long = (len(noise.union_times) for noise in noises[:3])
+    assert short < middle < long
+    batch = simulate_paths(model, noises, schemes, x0s)
+    assert any(0.0 < (path.exit_time or 0.0) < 1.0 for path in batch)
+    for path, noise, scheme, x0 in zip(batch, noises, schemes, x0s):
+        times, states, kinds, exploded, exit_time = \
+            _scalar_reference(model, noise, scheme, x0)
+        for other in (path, simulate(model, noise, scheme, x0)):
+            assert other.times.tobytes() == np.array(times).tobytes()
+            assert other.states.tobytes() == np.array(states).tobytes()
+            assert other.kinds == tuple(kinds)
+            assert (other.exploded, other.exit_time) == (exploded, exit_time)
+            assert other.realization_seed == noise.seed
+
+
+def test_two_rows_failing_at_one_step_name_the_lower_index():
+    def drift(x):
+        # -1 at x >= 0, nan below
+        return np.where(x >= 0, -1.0, np.nan)
+
+    model = _drift_only(drift)
+    coarse = sample_noise(model, 1.0, 0.25, seed=1)
+    fine = sample_noise(model, 1.0, 0.125, seed=2)
+    healthy = sample_noise(model, 1.0, 0.125, seed=3)
+    schemes = [SchemeConfig(base_step=h) for h in (0.25, 0.125, 0.125)]
+    # both failing rows turn negative at step 1 and non-finite at step 2;
+    # the coarse one is first in the batch but last in grid length
+    x0s = [0.3, 0.2, 5.0]
+    with pytest.raises(NumericalDomainError) as batch:
+        simulate_paths(model, [coarse, fine, healthy], schemes, x0s)
+    with pytest.raises(NumericalDomainError) as alone:
+        simulate(model, coarse, schemes[0], x0s[0])
+    err, ref = batch.value, alone.value
+    assert str(err) == str(ref) and "drift b is non-finite" in str(err)
+    assert err.path_index == ref.path_index == 0
+    assert (err.seed, err.step, err.t, err.state) == \
+        (ref.seed, ref.step, ref.t, ref.state) == (1, 0.25, 0.5, -0.2)
 
 
 @pytest.mark.parametrize("field, value", [("taming", "drift_tamed"),

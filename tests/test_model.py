@@ -376,6 +376,56 @@ def test_coefficient_values_of_the_right_shape_are_not_copied():
     assert m.b(np.zeros(4)) is out
 
 
+class _Sub(np.ndarray):
+    pass
+
+
+_OWN = np.arange(3.0)
+
+
+def _saw_plain_float64(x):
+    # 1 where the callable was handed a plain float64 ndarray
+    return np.full(np.shape(x), float(type(x) is np.ndarray
+                                      and x.dtype == np.float64))
+
+
+# (name, callable, arguments, expected value); the first row is the float64
+# fast path, whose value is the callable's own array
+WRAPPER_CASES = (
+    ("float64 array", lambda x: _OWN, (np.zeros(3),), _OWN),
+    ("list", lambda x: 2 * x, ([1, 2, 3],), np.array([2.0, 4.0, 6.0])),
+    ("int array", lambda x: x / 3, (np.arange(3),), np.arange(3.0) / 3),
+    ("float32 array", lambda x: x / 3, (np.arange(3, dtype=np.float32),),
+     np.arange(3.0) / 3),
+    ("float32 seen", _saw_plain_float64, (np.zeros(2, dtype=np.float32),),
+     np.ones(2)),
+    ("0-d array", lambda x: x * x, (np.array(1.5),), np.array(2.25)),
+    ("Python float", lambda x: x * x, (1.5,), np.array(2.25)),
+    ("subclass seen", _saw_plain_float64, (np.zeros(2).view(_Sub),),
+     np.ones(2)),
+    ("subclass value", lambda x: np.arange(2.0).view(_Sub), (np.zeros(2),),
+     np.arange(2.0)),
+    ("int value", lambda x: np.arange(2), (np.zeros(2),), np.arange(2.0)),
+    ("wrong-shape value", lambda x: np.ones(1), (np.zeros(3),), np.ones(3)),
+    ("two arguments", lambda x, u: x * u, (np.arange(3.0), np.full(3, 2.0)),
+     np.arange(3.0) * 2),
+    ("two arguments broadcast", lambda x, u: x + u,
+     (np.zeros((2, 1)), [1, 2, 3]), np.tile([1.0, 2.0, 3.0], (2, 1))),
+)
+
+
+@pytest.mark.parametrize("name, fn, args, expected", WRAPPER_CASES,
+                         ids=[case[0] for case in WRAPPER_CASES])
+def test_wrapper_values_by_argument_kind(name, fn, args, expected):
+    value = model_module._float_array_valued(fn)(*args)
+    assert type(value) is np.ndarray and value.dtype == np.float64
+    assert value.shape == expected.shape
+    assert value.tobytes() == expected.tobytes()
+    assert (value is _OWN) == (name == "float64 array")
+    # a value broadcast to the arguments' shape is a read-only view
+    assert value.flags.writeable == (name != "wrong-shape value")
+
+
 def test_wrapped_callables_get_float_arrays_and_are_not_rewrapped():
     seen = []
 

@@ -17,10 +17,12 @@ calls on each catalog modulus (and a scaled one), ``bound --growth`` and
 ``verify --check growth`` on each growth envelope, and an explosion run
 under the ``log_loglog`` envelope; then an explosion and a nonconfluence
 run on the inline u3 model and a one-path ``simulate --dump-noise`` on the
-degenerate model; last, a ``simulate`` whose grid exceeds the paths x steps
-budget, which exits 1 before any output.  It prints one ``name sha256`` line per
-output: ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per
-column, and each CLI call's exit code and stdout.  The listing goes to
+degenerate model; then a ``simulate`` whose grid exceeds the paths x steps
+budget, which exits 1 before any output; last, a ``simulate`` whose diffusion
+turns non-finite, which exits 3 naming the failing path on stderr.  It prints
+one ``name sha256`` line per output: ``summary.json`` whole, ``data.csv`` and
+every dumped CSV one line per column, and each CLI call's exit code and stdout
+(stderr for the non-finite run).  The listing goes to
 ``OUT`` when given, else to stdout, so that "only this column moved"
 between two checkouts is a single ``diff`` of their listings.
 
@@ -201,6 +203,20 @@ REFUSED = (
                               "--set", "scheme.h=1e-12"]),
 )
 
+# a diffusion that is nan below zero, so a path fails as non-finite; listed
+# last, with its exit code and stderr
+NON_FINITE_MODEL = """[model]
+b = 0
+sigma = sqrt(x)
+
+[scheme]
+h = 2^-4
+
+[experiment]
+x0 = 0.5
+"""
+NON_FINITE_RUN = ["simulate", "--paths", "20", "--seed", "3"]
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -288,6 +304,14 @@ def listing(work):
     for name, argv in REFUSED:
         rc, stdout = _run_cli(argv)
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
+    non_finite = work / "non_finite.cfg"
+    non_finite.write_text(NON_FINITE_MODEL)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc, _ = _run_cli(NON_FINITE_RUN[:1] + ["--config", str(non_finite)]
+                         + NON_FINITE_RUN[1:])
+    lines.append(f"simulate_non_finite/stderr rc={rc} "
+                 f"{_sha(stderr.getvalue().encode())}")
     return lines
 
 
