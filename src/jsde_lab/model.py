@@ -74,7 +74,10 @@ def _float_array_valued(fn):
     def call(*args):
         if len(args) != 1 or type(args[0]) is not np.ndarray \
                 or args[0].dtype != np.float64:
-            args = [np.asarray(a, dtype=float) for a in args]
+            if not (len(args) == 2
+                    and type(args[0]) is type(args[1]) is np.ndarray
+                    and args[0].dtype == args[1].dtype == np.float64):
+                args = [np.asarray(a, dtype=float) for a in args]
         value = np.asarray(fn(*args), dtype=float)
         shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
         return value if value.shape == shape else np.broadcast_to(value, shape)

@@ -52,9 +52,9 @@ GROWTH_RATIO_MIN = 0.75       # growth-(ii) decade increments; catalog >= 0.887
 MU_EXAMPLE_31 = (math.e + 3.0 * math.sqrt(math.e)) / (math.e + 1.0)
 MU_EXAMPLE_41 = 0.5566420945681
 
-# pairs per block of the pair-grid mark integrals: a block's (pairs x nodes)
-# arrays take half a MB at the presets' 128 nodes, and a designated grid of
-# 81 002 pairs needs 159 blocks
+# most pairs per block of the pair-grid mark integrals: a block's (pairs x
+# nodes) arrays take half a MB at the presets' 128 nodes, and a designated
+# grid of 81 002 pairs makes 202 blocks, one per anchor's run of 401 pairs
 _PAIR_BLOCK = 512
 
 
@@ -162,7 +162,12 @@ class PairGrid:
         )
 
     def pairs(self, gap_cap=None):
+        anchors = np.asarray(self.anchors, dtype=float)
         gaps = np.asarray(self.gaps, dtype=float)
+        for kind, values in (("anchor", anchors), ("gap", gaps)):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(
+                    f"pair grid ({self.describe()}) has a non-finite {kind}")
         if np.any(gaps <= 0):
             raise DomainError("pair grid contains a non-positive gap")
         if (gap_cap is not None
@@ -171,8 +176,8 @@ class PairGrid:
                 f"pair grid gap {gaps.max():g} exceeds the condition's "
                 f"admissible range {gap_cap:g}"
             )
-        x = np.repeat(np.asarray(self.anchors, dtype=float), gaps.size)
-        d = np.tile(gaps, np.asarray(self.anchors).size)
+        x = np.repeat(anchors, gaps.size)
+        d = np.tile(gaps, anchors.size)
         xs = np.concatenate([x, x])
         ys = np.concatenate([x - d, x + d])
         if self.interval is not None:
@@ -213,33 +218,55 @@ def _mark_grid(measure, n=101):
 # measure integrals (vectorized + independent scalar re-evaluation)
 # ---------------------------------------------------------------------------
 
+def _runs(x):
+    """The start of each run of bit-identical ``x`` values, then ``x.size``."""
+    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
+    return np.r_[np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]]), bits.size]
+
+
+def _per_run(f, x):
+    """``f(x)`` for a pointwise ``f``, evaluated once per run of one value."""
+    bounds = _runs(x)
+    return np.repeat(f(x[bounds[:-1]]), np.diff(bounds))
+
+
 def _pair_measure_integral(measure, integrand, x, y):
     """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair
     ``(x_i, y_i)``.
 
-    The pairs are evaluated in consecutive blocks of ``_PAIR_BLOCK``, so the
-    working arrays stay at ``_PAIR_BLOCK x nodes`` floats however many pairs
-    there are.  ``integrand(xs, ys, u)`` receives a block's states as
-    ``(rows, 1)`` columns and the marks as a ``(1, nodes)`` row, and returns
-    a ``(rows, nodes)`` array, as any function of the model's coefficient
-    values there does.
+    The blocks follow the runs of one ``x`` value: a run starts a new block
+    unless it fits in the current one, and a run longer than ``_PAIR_BLOCK``
+    is cut, so the working arrays stay at ``_PAIR_BLOCK x nodes`` floats
+    however many pairs there are.  ``integrand(xs, ys, u)`` receives the
+    block's states as ``(rows, 1)`` columns (``xs`` as ``(1, 1)`` when the
+    block has one ``x`` value) and the marks as a ``(1, nodes)`` row, and
+    returns an array that broadcasts to ``(rows, nodes)``, as any function
+    of the model's coefficient values there does.  gemv may round a row's
+    sum differently in a block of another row count.
     """
     if measure is None:
         return np.zeros_like(x)
     u, w = measure.nodes_and_weights()
     if u.size == 0:
         return np.zeros_like(x)
+    bounds = _runs(x)
     out = np.empty(len(x))
-    for start in range(0, len(x), _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        vals = integrand(x[block, None], y[block, None], u[None, :])
-        if not np.all(np.isfinite(vals)):
+    start = 0
+    while start < len(x):
+        run_end = bounds[np.searchsorted(bounds, start, "right")]
+        # whole runs while they fit, else the run cut at the block size
+        fit = bounds[np.searchsorted(bounds, start + _PAIR_BLOCK, "right") - 1]
+        stop = max(fit, min(run_end, start + _PAIR_BLOCK))
+        xs = x[start:start + 1 if stop <= run_end else stop, None]
+        vals = integrand(xs, y[start:stop, None], u[None, :])
+        total = out[start:stop] = vals @ w
+        # a non-finite value makes its sum non-finite; overflow alone passes
+        if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
             i = start + int(np.argmax(~np.isfinite(vals).all(axis=1)))
             raise NumericalDomainError(
                 f"mark integral failed to evaluate at x = {x[i]:g}",
-                state=float(x[i]),
-            )
-        out[block] = vals @ w
+                state=float(x[i]))
+        start = stop
     return out
 
 
@@ -259,6 +286,7 @@ def _scalar_measure_integral(measure, g):
 
 
 def _dc(cfunc, x, y, u):
+    """``c(x, u) - c(y, u)``; a one-row ``x`` broadcasts in the subtraction."""
     return cfunc(x, u) - cfunc(y, u)
 
 
@@ -532,7 +560,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
     u3_measure = model.u3_measure()
     conditions.append(_pair_condition(
         "drift_plus_large_jump_first_moment", x, y,
-        (x - y) * (model.b(x) - model.b(y))
+        (x - y) * (_per_run(model.b, x) - model.b(y))
         + _dc_integral(u3_measure, model.c2, _abs_shape, x, y),
         d * rho1.rho(d),
         lambda xx, yy: (
@@ -542,7 +570,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
 
     conditions.append(_pair_condition(
         "diffusion_plus_small_jump_second_moment", x, y,
-        (model.sigma(x) - model.sigma(y)) ** 2
+        (_per_run(model.sigma, x) - model.sigma(y)) ** 2
         + _dc_integral(model.nu1, model.c1, _square_shape, x, y),
         rho2.rho(d),
         lambda xx, yy: (
@@ -619,8 +647,8 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None):
 
     conditions = [_pair_condition(
         "drift_or_diffusion_local", x, y,
-        np.maximum((x - y) * (model.b(x) - model.b(y)),
-                   (model.sigma(x) - model.sigma(y)) ** 2),
+        np.maximum((x - y) * (_per_run(model.b, x) - model.b(y)),
+                   (_per_run(model.sigma, x) - model.sigma(y)) ** 2),
         d ** (2.0 - alpha) * rho_da,
         lambda xx, yy: (
             max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
@@ -680,14 +708,16 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
 
     conditions = [_pair_condition(
         "drift_global", x, y,
-        (x - y) * (model.b(x) - model.b(y)), d ** (2.0 + alpha) * rho_inv,
+        (x - y) * (_per_run(model.b, x) - model.b(y)),
+        d ** (2.0 + alpha) * rho_inv,
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
             scalar_rhs(xx, yy, 2.0 + alpha)))]
 
     conditions.append(_pair_condition(
         "diffusion_global", x, y,
-        (model.sigma(x) - model.sigma(y)) ** 2, d ** (2.0 + alpha) * rho_inv,
+        (_per_run(model.sigma, x) - model.sigma(y)) ** 2,
+        d ** (2.0 + alpha) * rho_inv,
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2,
             scalar_rhs(xx, yy, 2.0 + alpha))))

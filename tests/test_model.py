@@ -411,6 +411,17 @@ WRAPPER_CASES = (
      np.arange(3.0) * 2),
     ("two arguments broadcast", lambda x, u: x + u,
      (np.zeros((2, 1)), [1, 2, 3]), np.tile([1.0, 2.0, 3.0], (2, 1))),
+    ("two arguments, int array", lambda x, u: x * u,
+     (np.arange(3.0), np.arange(3)), np.arange(3.0) ** 2),
+    ("two arguments, column and row", lambda x, u: x * u,
+     (np.arange(2.0)[:, None], np.arange(3.0)[None, :]),
+     np.outer(np.arange(2.0), np.arange(3.0))),
+    ("two arguments, subclass seen",
+     lambda x, u: _saw_plain_float64(x) * _saw_plain_float64(u),
+     (np.zeros(2), np.zeros(2).view(_Sub)), np.ones(2)),
+    ("mark-free value", lambda x, u: 2 * x,
+     (np.arange(2.0)[:, None], np.zeros((1, 3))),
+     np.repeat([[0.0], [2.0]], 3, axis=1)),
 )
 
 
@@ -423,7 +434,8 @@ def test_wrapper_values_by_argument_kind(name, fn, args, expected):
     assert value.tobytes() == expected.tobytes()
     assert (value is _OWN) == (name == "float64 array")
     # a value broadcast to the arguments' shape is a read-only view
-    assert value.flags.writeable == (name != "wrong-shape value")
+    assert value.flags.writeable == (
+        name not in ("wrong-shape value", "mark-free value"))
 
 
 def test_wrapped_callables_get_float_arrays_and_are_not_rewrapped():

@@ -285,6 +285,29 @@ def test_pair_grid_without_pairs_is_a_domain_error(grid):
                                        grid=grid)
 
 
+@pytest.mark.parametrize("anchors, gaps, kind", [
+    # inf - 0.1 == inf, so the inf anchor's pairs used to drop out silently
+    ([math.inf, 1.0], [0.1], "anchor"),
+    ([math.nan, 1.0], [0.1], "anchor"),
+    ([0.0, 1.0], [math.nan], "gap"),
+    ([0.0, 1.0], [0.1, math.inf], "gap"),
+], ids=["inf_anchor", "nan_anchor", "nan_gap", "inf_gap"])
+def test_pair_grid_with_a_non_finite_anchor_or_gap_is_a_domain_error(
+        anchors, gaps, kind):
+    grid = PairGrid(anchors=np.array(anchors), gaps=np.array(gaps))
+    message = f"^pair grid \\({grid.describe()}\\) has a non-finite {kind}$"
+    with pytest.raises(DomainError, match=message):
+        grid.pairs()
+    model = preset("example_41")
+    modulus = scale_modulus(builtin_modulus("identity"), 5.0)
+    with pytest.raises(DomainError, match=message):
+        check_local_conditions(model, modulus, alpha=0.5, delta0=1.0,
+                               grid=grid)
+    with pytest.raises(DomainError, match=message):
+        check_nonconfluence_conditions(model, modulus, alpha=0.0, delta=0.5,
+                                       grid=grid)
+
+
 @pytest.mark.parametrize("grid", [
     PairGrid(anchors=np.array([0.0]), gaps=np.array([0.1])),
     PairGrid(anchors=np.array([0.5, 0.5]), gaps=np.array([0.1, 0.2])),
@@ -405,6 +428,157 @@ def test_blocked_pair_integral_reports_the_first_bad_pair():
     assert str(info.value) == (
         f"mark integral failed to evaluate at x = {x[first]:g}")
     assert info.value.state == float(x[first])
+
+
+# grids whose runs of one x value are longer than a block, one pair long,
+# and of mixed lengths after clipping
+LONG_RUNS = PairGrid(anchors=np.linspace(-3.0, 3.0, 7),
+                     gaps=np.geomspace(1e-4, 2.0, 700))
+SHORT_RUNS = PairGrid(anchors=np.linspace(-3.0, 3.0, 301),
+                      gaps=np.array([0.05]))
+CLIPPED_RUNS = PairGrid(anchors=np.linspace(0.01, 0.34, 41),
+                        gaps=np.geomspace(1e-4, 0.3, 37), interval=(0.0, 0.35))
+
+
+def _growth_c1(model):
+    # the growth bound's integrand, which reads x only
+    return lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2
+
+
+def _designated_grid(label, assumption):
+    params = verifier.designated_sets(label)[assumption][1]
+    return params.get("grid") or PairGrid.default(params["delta0"])
+
+
+def _random_pairs():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-5.0, 5.0, 3 * _BLOCK + 7)
+    return x, x + rng.uniform(-1.0, 1.0, x.size)
+
+
+_GROWTH_ANCHORS = np.linspace(-10.0, 10.0, 101)
+
+# (model, integrand, pairs) by case
+LAYOUT_CASES = {
+    "designated_A25_example_31": (
+        "example_31", _c1_gap,
+        lambda: _designated_grid("example_31", "A25").pairs()),
+    "designated_A24_example_41": (
+        "example_41", _c1_gap,
+        lambda: _designated_grid("example_41", "A24").pairs()),
+    "designated_A26_example_41": (
+        "example_41", _c1_gap,
+        lambda: _designated_grid("example_41", "A26").pairs()),
+    "long_runs": ("example_41", _c1_gap, LONG_RUNS.pairs),
+    "short_runs": ("example_41", _c1_gap, SHORT_RUNS.pairs),
+    "clipped_runs": ("example_31", _c1_gap, CLIPPED_RUNS.pairs),
+    "growth_anchors": ("example_31", _growth_c1,
+                       lambda: (_GROWTH_ANCHORS, _GROWTH_ANCHORS)),
+    "random_pairs": ("example_41", _c1_gap, _random_pairs),
+}
+
+
+def _fixed_block_integral(measure, integrand, x, y):
+    # the layout before blocks followed the runs: consecutive fixed blocks
+    u, w = measure.nodes_and_weights()
+    out = np.empty(len(x))
+    for start in range(0, len(x), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = integrand(x[block, None], y[block, None], u[None, :]) @ w
+    return out
+
+
+def _recording(integrand, blocks):
+    def run(xs, ys, u):
+        blocks.append((xs.shape, ys.shape[0]))
+        return integrand(xs, ys, u)
+    return run
+
+
+@pytest.mark.parametrize("case", list(LAYOUT_CASES))
+def test_pair_blocks_follow_the_runs(case):
+    label, integrand_of, make_pairs = LAYOUT_CASES[case]
+    model = preset(label)
+    integrand = integrand_of(model)
+    x, y = make_pairs()
+    blocks = []
+    got = verifier._pair_measure_integral(
+        model.nu1, _recording(integrand, blocks), x, y)
+    start = 0
+    for x_shape, rows in blocks:
+        assert 0 < rows <= _BLOCK
+        one_x = np.unique(x[start:start + rows]).size == 1
+        assert x_shape == ((1, 1) if one_x else (rows, 1))
+        start += rows
+    assert start == x.size
+    if case.startswith("designated"):
+        # each anchor's run fits one block: its x side is evaluated once
+        assert all(x_shape == (1, 1) for x_shape, _ in blocks)
+    fixed = _fixed_block_integral(model.nu1, integrand, x, y)
+    sizes = [rows for _, rows in blocks]
+    if sizes == [min(_BLOCK, x.size - s) for s in range(0, x.size, _BLOCK)]:
+        # runs of one pair pack into the fixed blocks, with the same bits
+        assert np.array_equal(got, fixed)
+    else:
+        # gemv may sum a row differently when its block has another row count
+        np.testing.assert_allclose(got, fixed, rtol=1e-14, atol=0.0)
+
+
+def test_blocked_pair_integral_reports_a_first_bad_pair_in_a_one_x_block():
+    model = preset("example_41")
+    x, y = LONG_RUNS.pairs()
+
+    def integrand(xs, ys, u):
+        # non-finite from gap 0.5 up, past the cut of an anchor's run
+        return np.where(ys - xs > 0.5, np.inf, 1.0) * _c1_gap(model)(xs, ys, u)
+
+    first = int(np.argmax(y - x > 0.5))
+    blocks = []
+    with pytest.raises(NumericalDomainError) as info:
+        verifier._pair_measure_integral(
+            model.nu1, _recording(integrand, blocks), x, y)
+    assert str(info.value) == (
+        f"mark integral failed to evaluate at x = {x[first]:g}")
+    assert info.value.state == float(x[first])
+    # the failing block has one x value and starts before the bad pair
+    assert blocks[-1][0] == (1, 1)
+    assert sum(rows for _, rows in blocks[:-1]) < first
+
+
+def test_blocked_pair_integral_lets_a_finite_overflow_through():
+    # every value is finite, only their weighted sum overflows
+    model = preset("example_41")
+    x, y = SHORT_RUNS.pairs()
+    with np.errstate(over="ignore"):
+        out = verifier._pair_measure_integral(
+            model.nu1,
+            lambda xs, ys, u: np.full((ys.shape[0], u.size), 1e308), x, y)
+    assert np.all(np.isinf(out))
+
+
+def test_designated_nonconfluence_evaluates_each_anchor_once():
+    base = preset("example_41")
+    b_states, c1_rows = [], []
+
+    def b(x):
+        b_states.append(x.size)
+        return base.b(x)
+
+    def c1(x, u):
+        c1_rows.append(x.shape[0])
+        return base.c1(x, u)
+
+    model = CoefficientSet(b=b, sigma=base.sigma, c1=c1, c2=base.c2,
+                           nu1=base.nu1, nu2=base.nu2, u3=(),
+                           label=base.label, c1_mean=base.c1_mean)
+    check, params = verifier.designated_sets("example_41")["A26"]
+    assert check(model, **params).verdict == NO_VIOLATION
+    # 202 anchor runs and 81 002 partner states, not 2 x 81 002
+    assert sum(b_states) == 81_204
+    # one block per run, its x side on one row
+    assert len(c1_rows) == 404
+    assert c1_rows[::2] == [1] * 202
+    assert sum(c1_rows[1::2]) == 81_002
 
 
 def test_state_free_jump_coefficient_gives_one_value_per_pair():

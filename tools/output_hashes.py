@@ -18,11 +18,14 @@ calls on each catalog modulus (and a scaled one), ``bound --growth`` and
 under the ``log_loglog`` envelope; then an explosion and a nonconfluence
 run on the inline u3 model and a one-path ``simulate --dump-noise`` on the
 degenerate model; then a ``simulate`` whose grid exceeds the paths x steps
-budget, which exits 1 before any output; last, a ``simulate`` whose diffusion
-turns non-finite, which exits 3 naming the failing path on stderr.  It prints
-one ``name sha256`` line per output: ``summary.json`` whole, ``data.csv`` and
-every dumped CSV one line per column, and each CLI call's exit code and stdout
-(stderr for the non-finite run).  The listing goes to
+budget, which exits 1 before any output; then a ``simulate`` whose diffusion
+turns non-finite, which exits 3 naming the failing path on stderr; last, the
+A24 and A26 checkers called on both presets over three pair grids whose
+anchors' runs of pairs are longer than a mark-integral block, one pair long,
+and clipped to mixed lengths.  It prints one ``name sha256`` line per output:
+``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
+each CLI call's exit code and stdout (stderr for the non-finite run), and each
+checker's ``reports_to_json``.  The listing goes to
 ``OUT`` when given, else to stdout, so that "only this column moved"
 between two checkouts is a single ``diff`` of their listings.
 
@@ -37,10 +40,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from jsde_lab import cli  # noqa: E402
+from jsde_lab import cli, model  # noqa: E402
 from jsde_lab.harness import ExperimentConfig, run_experiment  # noqa: E402
+from jsde_lab.verifier import (PairGrid, check_local_conditions,  # noqa: E402
+                               check_nonconfluence_conditions,
+                               reports_to_json)
 
 PRESETS = ("example_31", "example_41")
 
@@ -217,6 +225,28 @@ x0 = 0.5
 """
 NON_FINITE_RUN = ["simulate", "--paths", "20", "--seed", "3"]
 
+# pair grids whose anchors' runs of pairs are longer than a mark-integral
+# block, one pair long, and of mixed lengths after clipping; listed last
+PAIR_GRIDS = (
+    ("long_runs", PairGrid(anchors=np.linspace(-3.0, 3.0, 7),
+                           gaps=np.geomspace(1e-4, 2.0, 700))),
+    ("short_runs", PairGrid(anchors=np.linspace(-3.0, 3.0, 301),
+                            gaps=np.array([0.05]))),
+    ("clipped_runs", PairGrid(anchors=np.linspace(0.01, 0.34, 41),
+                              gaps=np.geomspace(1e-4, 0.3, 37),
+                              interval=(0.0, 0.35))),
+)
+_FIVE_ID = model.scale_modulus(model.builtin_modulus("identity"), 5.0)
+# (name, checker, keyword arguments); each runs on every preset and grid
+PAIR_CHECKS = (
+    ("nonconfluence", check_nonconfluence_conditions,
+     dict(modulus=_FIVE_ID, alpha=0.0, delta=0.5)),
+    ("local_alpha_0.5", check_local_conditions,
+     dict(modulus=_FIVE_ID, alpha=0.5, delta0=3.0)),
+    ("local_alpha_0", check_local_conditions,
+     dict(modulus=_FIVE_ID, alpha=0.0, delta0=3.0)),
+)
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -312,6 +342,12 @@ def listing(work):
                          + NON_FINITE_RUN[1:])
     lines.append(f"simulate_non_finite/stderr rc={rc} "
                  f"{_sha(stderr.getvalue().encode())}")
+    for label in PRESETS:
+        for grid_name, grid in PAIR_GRIDS:
+            for name, check, kw in PAIR_CHECKS:
+                report = check(model.preset(label), grid=grid, **kw)
+                lines.append(f"{label}/{grid_name}/{name} "
+                             f"{_sha(reports_to_json([report]).encode())}")
     return lines
 
 
