@@ -203,11 +203,15 @@ class MarkMeasure:
         return self._nw
 
     def integrate(self, g):
-        """Integrate a vectorized function of the mark against the measure."""
+        """Integrate a vectorized function of the mark against the measure;
+        a mark-free or constant ``g`` sums to its expanded form's bits."""
         u, w = self.nodes_and_weights()
         if u.size == 0:
             return 0.0
-        return float(np.dot(np.asarray(g(u), dtype=float), w))
+        vals = np.asarray(g(u), dtype=float)
+        if vals.shape != u.shape:                   # a constant g
+            vals = np.broadcast_to(vals, u.shape)
+        return float(np.dot(np.ascontiguousarray(vals), w))
 
     def restricted(self, bands):
         """Measure restricted to a band set (used for sub-support masses)."""
@@ -641,9 +645,11 @@ class CoefficientSet:
         u, w = self.nu1.nodes_and_weights()
         if u.size == 0:
             return np.zeros_like(np.asarray(x, dtype=float))
-        vals = self.c1(np.asarray(x, dtype=float)[..., None], u)
+        # contiguous, so a mark-free c1 sums as its form expanded over u;
         # one dot product per state: a matrix-vector product sums in an
         # order that depends on how many states are evaluated together
+        vals = np.ascontiguousarray(
+            self.c1(np.asarray(x, dtype=float)[..., None], u))
         return (vals[..., None, :] @ w)[..., 0]
 
     def u3_measure(self):
@@ -678,7 +684,7 @@ def preset_example_31():
         return np.sqrt(np.abs(x))
 
     def c1(x, u):
-        return np.sqrt(np.abs(x)) * np.ones_like(u)
+        return np.sqrt(np.abs(x))
 
     def c2(x, u):
         return GAMMA * np.abs(u) * x

@@ -285,16 +285,27 @@ def _scalar_measure_integral(measure, g):
     return total
 
 
-def _dc(cfunc, x, y, u):
-    """``c(x, u) - c(y, u)``; a one-row ``x`` broadcasts in the subtraction."""
-    return cfunc(x, u) - cfunc(y, u)
+def _dc(cfunc, x, y, u, work=None):
+    """``c(x, u) - c(y, u)``, written into ``work[:rows]`` (one row per
+    ``y``) when it has that shape, else a fresh array (a bare ``c = u``
+    gives one row).  A one-row ``x`` and a mark-free ``c``'s broadcast
+    view broadcast in the subtraction, so neither is expanded over u."""
+    cx, cy = cfunc(x, u), cfunc(y, u)
+    if work is not None and np.broadcast_shapes(cx.shape, cy.shape) \
+            == work[:len(y)].shape:
+        return np.subtract(cx, cy, out=work[:len(y)])
+    return cx - cy
 
 
 def _dc_integral(measure, cfunc, shape, x, y):
     """``integral shape(c(x_i,u) - c(y_i,u), |x_i - y_i|) dmeasure(u)`` for
-    each pair, by the blocked Gauss-Legendre rule."""
+    each pair, by the blocked Gauss-Legendre rule.  Every block's
+    differences go to one ``(block rows x nodes)`` workspace, which
+    ``shape`` may overwrite."""
+    work = None if measure is None else np.empty(
+        (min(len(x), _PAIR_BLOCK), measure.nodes_and_weights()[0].size))
     return _pair_measure_integral(
-        measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u),
+        measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u, work),
                                          np.abs(xs - ys)), x, y)
 
 
@@ -304,13 +315,14 @@ def _scalar_dc_integral(measure, cfunc, shape, x, y):
         measure, lambda u: shape(_dc(cfunc, x, y, u), abs(x - y)))
 
 
-# integrand shapes of dc = c(x,u) - c(y,u), shared by both quadrature paths
+# integrand shapes of dc = c(x,u) - c(y,u), shared by both quadrature paths;
+# dc is a fresh difference or the workspace, so they work in place
 def _abs_shape(dc, gap):
-    return np.abs(dc)
+    return np.abs(dc, out=dc)
 
 
 def _square_shape(dc, gap):
-    return dc ** 2
+    return np.square(dc, out=dc)
 
 
 def _reconfirm(condition, recompute):

@@ -223,6 +223,19 @@ def test_ito_identity_follows_a_restrict_to_u3_path():
         assert np.array_equal(y.states, path.states)
 
 
+def test_ito_constant_transform_stays_constant():
+    # f = 1 makes every small-jump functional a constant integrand
+    model = preset("example_31")
+    h = 2.0 ** -6
+    noise = sample_noise(model, 1.0, h, seed=0)
+    assert len(noise.events_from(SMALL)) > 0
+    scheme = SchemeConfig(base_step=h)
+    path = simulate(model, noise, scheme, 1.0)
+    f = (lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+    y = ito_levy_apply(f, path, model, noise, scheme)
+    assert np.all(y.states == 1.0)
+
+
 def test_ito_identity_with_constant_coefficients():
     # library callables returning plain floats: the small-jump functionals
     # see c1 as one value per node

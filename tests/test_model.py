@@ -9,16 +9,20 @@ from scipy.optimize import brentq
 from jsde_lab import model as model_module
 from jsde_lab.errors import CatalogError, DomainError
 from jsde_lab.analysis import implied_state_bound, moment_bound, phi_growth
+from jsde_lab.exprs import parse_expression
+from jsde_lab.integrator import (SchemeConfig, ito_levy_apply, simulate,
+                                 simulate_paths)
 from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
                             MODULUS_CATALOG, Band, CoefficientSet,
                             GrowthFunction, MarkMeasure, Modulus,
                             affine_modulus, builtin_growth, builtin_modulus,
                             gauss_legendre, in_bands, lebesgue, preset,
                             scale_modulus)
-from jsde_lab.noise import sample_noise
-from jsde_lab.verifier import (check_corollary_conditions, check_growth,
-                               check_local_conditions, check_modulus,
-                               check_nonconfluence_conditions)
+from jsde_lab.noise import derive_path_seed, sample_batch, sample_noise
+from jsde_lab.verifier import (MU_EXAMPLE_31, check_corollary_conditions,
+                               check_growth, check_local_conditions,
+                               check_modulus, check_nonconfluence_conditions,
+                               designated_sets, reports_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,11 @@ def test_lebesgue_mass_and_integrate():
     assert len(nu.pieces) == 2
     assert nu.integrate(np.abs) == pytest.approx(1.0, rel=1e-12)
     assert nu.integrate(lambda u: u * u) == pytest.approx(2.0 / 3.0, rel=1e-10)
+
+
+def test_constant_integrand_is_summed_as_its_expanded_form():
+    nu = lebesgue(-1.0, 1.0)
+    assert nu.integrate(lambda u: 2.0) == nu.integrate(lambda u: 2.0 + 0 * u)
 
 
 def test_measure_atoms():
@@ -525,3 +534,67 @@ def test_c1_mean_quadrature_fallback():
     )
     assert float(np.asarray(m.c1_mean(1.0))) == pytest.approx(2.0 / 3.0,
                                                               rel=1e-8)
+
+
+# a mark-free c1 and its twin expanded over the marks, neither with a closed
+# form c1_mean: every consumer of c1 must give the twins the same bits
+_XU = ("x", "u")
+MARK_FREE_TWINS = {
+    "python": (lambda x, u: np.sqrt(np.abs(x)),
+               lambda x, u: np.sqrt(np.abs(x)) * np.ones_like(u)),
+    "config": (parse_expression("sqrt(abs(x))", _XU),
+               parse_expression("sqrt(abs(x)) + 0*u", _XU)),
+}
+
+
+def _twin_model(c1):
+    return CoefficientSet(
+        b=parse_expression("-x"), sigma=parse_expression("sqrt(abs(x))"),
+        c1=c1, c2=parse_expression("u*x", _XU), nu1=lebesgue(-1.0, 1.0),
+        nu2=lebesgue(1.0, 2.0), label="mark-free twin")
+
+
+def _twin_simulate(m):
+    h = 2.0 ** -6
+    seeds = [derive_path_seed(7, i) for i in range(20)]
+    paths = simulate_paths(m, sample_batch(m, 1.0, h, seeds),
+                           SchemeConfig(base_step=h), 1.0)
+    return np.concatenate([p.states for p in paths])
+
+
+def _twin_ito(m):
+    h = 2.0 ** -6
+    noise = sample_noise(m, 1.0, h, 3)
+    scheme = SchemeConfig(base_step=h)
+    path = simulate(m, noise, scheme, 1.0)
+    f = (np.sin, np.cos, lambda x: -np.sin(x))
+    return ito_levy_apply(f, path, m, noise, scheme).states
+
+
+def _twin_a25(m):
+    check, params = designated_sets("example_31")["A25"]
+    return reports_to_json([check(m, **params)])
+
+
+# (name -> run); each returns an array or a JSON report
+TWIN_RUNS = {
+    "c1_mean": lambda m: m.c1_mean(np.linspace(-3.0, 3.0, 7)),
+    "integrate": lambda m: np.array(
+        [m.nu1.integrate(lambda u: m.c1(x, u)) for x in (-3.0, 0.0, 0.7)]),
+    "simulate_paths": _twin_simulate,
+    "ito_levy_apply": _twin_ito,
+    "designated_A25": _twin_a25,
+    "check_growth": lambda m: reports_to_json(
+        [check_growth(m, builtin_growth("log"), MU_EXAMPLE_31)]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TWIN_RUNS))
+@pytest.mark.parametrize("twin", sorted(MARK_FREE_TWINS))
+def test_mark_free_c1_gets_its_expanded_twins_bits(twin, run):
+    mark_free, expanded = (TWIN_RUNS[run](_twin_model(c1))
+                           for c1 in MARK_FREE_TWINS[twin])
+    if isinstance(mark_free, str):
+        assert mark_free == expanded
+    else:
+        assert mark_free.tobytes() == expanded.tobytes()

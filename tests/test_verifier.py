@@ -4,6 +4,7 @@ and falsification witnesses on deliberately broken models."""
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -522,6 +523,99 @@ def test_pair_blocks_follow_the_runs(case):
     else:
         # gemv may sum a row differently when its block has another row count
         np.testing.assert_allclose(got, fixed, rtol=1e-14, atol=0.0)
+
+
+_STATE_FREE = parse_expression("u", ("x", "u"))
+
+
+def _state_free_model():
+    # c = u as a config expression gives it: the model broadcasts it to the
+    # states as a stride-0 view
+    return CoefficientSet(b=lambda x: -x, sigma=_zeros, c1=_STATE_FREE,
+                          c2=_STATE_FREE, nu1=lebesgue(-1.0, 1.0),
+                          nu2=lebesgue(1.0, 2.0), label="state-free")
+
+
+def _bare_state_free():
+    # the bare expression, one row over any states
+    m = _state_free_model()
+    return SimpleNamespace(nu1=m.nu1, c1=_STATE_FREE, nu2=m.nu2,
+                           c2=_STATE_FREE)
+
+
+def _fresh_dc_integrand(cfunc, shape):
+    # the integrand before the workspace: a fresh difference, then its shape
+    def run(xs, ys, u):
+        dc = cfunc(xs, u) - cfunc(ys, u)
+        return np.abs(dc) if shape is verifier._abs_shape else dc ** 2
+    return run
+
+
+# the designated pair grids and those of tools/output_hashes.py
+DC_GRIDS = {
+    "designated_A24": lambda: _designated_grid("example_41", "A24").pairs(),
+    "designated_A25": lambda: _designated_grid("example_31", "A25").pairs(),
+    "designated_A26": lambda: _designated_grid("example_41", "A26").pairs(),
+    "long_runs": LONG_RUNS.pairs,
+    "short_runs": SHORT_RUNS.pairs,
+    "clipped_runs": CLIPPED_RUNS.pairs,
+}
+DC_MODELS = {
+    "example_31": lambda: preset("example_31"),
+    "example_41": lambda: preset("example_41"),
+    "state_free": _state_free_model,
+    "bare_state_free": _bare_state_free,
+}
+
+
+@pytest.mark.parametrize("grid", sorted(DC_GRIDS))
+@pytest.mark.parametrize("label", sorted(DC_MODELS))
+def test_dc_integral_matches_a_fresh_difference(label, grid):
+    model = DC_MODELS[label]()
+    x, y = DC_GRIDS[grid]()
+    for measure, cfunc in ((model.nu1, model.c1), (model.nu2, model.c2)):
+        for shape in (verifier._abs_shape, verifier._square_shape):
+            seen = []
+
+            def recording(dc, gap):
+                seen.append(dc)
+                return shape(dc, gap)
+
+            got = verifier._dc_integral(measure, cfunc, recording, x, y)
+            want = verifier._pair_measure_integral(
+                measure, _fresh_dc_integrand(cfunc, shape), x, y)
+            assert np.array_equal(got, want)
+            shared = [np.may_share_memory(dc, seen[0]) for dc in seen[1:]]
+            if label == "bare_state_free":
+                # a one-row difference is fresh, never in the workspace
+                assert all(dc.shape[0] == 1 for dc in seen)
+                assert not any(shared)
+            else:
+                # every block's difference is in the one workspace
+                assert len(seen) > 1 and all(shared)
+
+
+def test_designated_corollary_keeps_the_mark_free_c1_a_broadcast_view():
+    base = preset("example_31")
+    nodes = base.nu1.nodes_and_weights()[0].size
+    y_sides = []
+
+    def c1(x, u):
+        value = base.c1(x, u)
+        if u.shape == (1, nodes) and x.shape != (1, 1):
+            y_sides.append((x.shape[0], value.strides[1]))
+        return value
+
+    model = CoefficientSet(b=base.b, sigma=base.sigma, c1=c1, c2=base.c2,
+                           nu1=base.nu1, nu2=base.nu2, u3=(),
+                           label=base.label, c1_mean=base.c1_mean)
+    check, params = verifier.designated_sets("example_31")["A25"]
+    assert (reports_to_json([check(model, **params)])
+            == reports_to_json([check(base, **params)]))
+    # each block's y side is a (rows, 1) column seen along the marks
+    x, _ = params["grid"].pairs(gap_cap=params["delta0"])
+    assert sum(rows for rows, _ in y_sides) == x.size
+    assert all(stride == 0 for _, stride in y_sides)
 
 
 def test_blocked_pair_integral_reports_a_first_bad_pair_in_a_one_x_block():

@@ -22,7 +22,10 @@ budget, which exits 1 before any output; then a ``simulate`` whose diffusion
 turns non-finite, which exits 3 naming the failing path on stderr; last, the
 A24 and A26 checkers called on both presets over three pair grids whose
 anchors' runs of pairs are longer than a mark-integral block, one pair long,
-and clipped to mixed lengths.  It prints one ``name sha256`` line per output:
+and clipped to mixed lengths; last, a ``simulate`` and a ``verify --check
+corollary`` of an inline model with a mark-free ``c1`` and of its twin
+whose ``c1`` is expanded over the marks, whose lines must be equal pairwise.
+It prints one ``name sha256`` line per output:
 ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
 checker's ``reports_to_json``.  The listing goes to
@@ -247,6 +250,24 @@ PAIR_CHECKS = (
      dict(modulus=_FIVE_ID, alpha=0.0, delta0=3.0)),
 )
 
+# an inline model with a mark-free c1 and no closed-form c1_mean, and its
+# twin expanded over the marks; listed last, one twin after the other
+TWIN_MODEL = """[model]
+b = -x
+sigma = sqrt(abs(x))
+c1 = {c1}
+nu1 = lebesgue(-1, 1)
+c2 = u*x
+nu2 = lebesgue(1, 2)
+"""
+MARK_FREE_TWINS = (("mark_free", "sqrt(abs(x))"),
+                   ("expanded", "sqrt(abs(x)) + 0*u"))
+TWIN_SIMULATE = ["simulate", "--paths", "20"]
+TWIN_VERIFY = ["verify", "--check", "corollary",
+               "--set", "analysis.rho1=identity",
+               "--set", "analysis.rho2=identity",
+               "--set", "analysis.delta0=0.5"]
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -285,9 +306,9 @@ def _dir_lines(name, out_dir):
     return lines
 
 
-def _output_run(name, argv, out_dir):
+def _output_run(name, argv, out_dir, seed=5):
     """Exit code and stdout of one CLI call, then the files it wrote."""
-    rc, stdout = _run_cli(argv[:1] + ["--seed", "5", "--output-dir",
+    rc, stdout = _run_cli(argv[:1] + ["--seed", str(seed), "--output-dir",
                                       str(out_dir)] + argv[1:])
     # the stdout names the temporary directory; hash it without that
     stdout = stdout.replace(str(out_dir), "<out>")
@@ -348,6 +369,17 @@ def listing(work):
                 report = check(model.preset(label), grid=grid, **kw)
                 lines.append(f"{label}/{grid_name}/{name} "
                              f"{_sha(reports_to_json([report]).encode())}")
+    for twin, c1 in MARK_FREE_TWINS:
+        config = work / f"{twin}.cfg"
+        config.write_text(TWIN_MODEL.format(c1=c1))
+        lines.extend(_output_run(
+            f"{twin}_twin/simulate",
+            TWIN_SIMULATE[:1] + ["--config", str(config)] + TWIN_SIMULATE[1:],
+            work / f"{twin}_simulate", seed=7))
+        rc, stdout = _run_cli(TWIN_VERIFY[:1] + ["--config", str(config)]
+                              + TWIN_VERIFY[1:])
+        lines.append(f"{twin}_twin/verify_corollary/stdout rc={rc} "
+                     f"{_sha(stdout.encode())}")
     return lines
 
 
