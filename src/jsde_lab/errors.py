@@ -17,10 +17,10 @@ class DomainError(ValueError):
 class NumericalDomainError(DomainError):
     """A computation produced or met a non-finite value at a finite state.
 
-    Raised from a batch of paths it also carries ``path_index`` (the path's
-    position in the batch, or in the experiment run), the path's ``seed``,
-    its base ``step`` and the time ``t``, so the path can be sampled and
-    replayed on its own.
+    Raised from a batch of paths or a path's chain-rule transform, it also
+    carries ``path_index`` (the position in the batch, or in the experiment
+    run), the path's ``seed``, its base ``step`` and the time ``t``, so the
+    path can be sampled and replayed on its own.
     """
 
     def __init__(self, message, state=None, path_index=None, seed=None,

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import in_bands
+from .model import _float_array_valued, in_bands
 from .noise import LARGE, SMALL, SOURCES, NoiseBatch, NoiseRealization
 
 TAMING_MODES = ("off", "drift_tamed")
@@ -335,62 +335,67 @@ def exit_times(paths, radii):
     return exits
 
 
-def _nu1_functional(model, f, fp, x):
-    """The two small-jump functionals of the expansion at state ``x``:
-    ``integral {f(x+c1) - f(x) - f'(x) c1} dnu1`` and
-    ``integral {f(x+c1) - f(x)} dnu1``."""
-    if model.nu1 is None:
-        return 0.0, 0.0
-    fx = f(x)
-    j2 = model.nu1.integrate(lambda u: f(x + model.c1(x, u)) - fx)
-    return j2 - fp(x) * model.nu1.integrate(lambda u: model.c1(x, u)), j2
-
-
 def ito_levy_apply(f, path, model, noise, scheme):
     """March the transformed process ``Y = f(X)`` term-by-term.
 
-    ``f`` is a triple ``(f, f', f'')`` of scalar callables.  The Y-path is
-    built on the X-path's grid from the expansion: continuous drift
-    ``f'b + (1/2) sigma^2 f'' + integral{f(x+c1)-f(x)-f'c1} dnu1
-    - integral{f(x+c1)-f(x)} dnu1`` (the last term is the per-step
-    compensation of the small-jump events), diffusion ``f' sigma dW``, and
-    exact increments ``f(x- + c) - f(x-)`` at the jumps the X-path's
-    ``scheme`` applied.  The left limit there is reconstructed with the
-    continuous update (tamed or not) that the scheme used.
+    ``f`` is a triple ``(f, f', f'')`` of callables of the state, called
+    with float arrays and wrapped like every coefficient.  ``path`` must be
+    integrated on ``noise``, else :class:`DomainError`.  Each step adds, in
+    turn: the drift ``f'b + (1/2) sigma^2 f'' + integral{f(x+c1)-f(x)-f'c1}
+    dnu1 - integral{f(x+c1)-f(x)} dnu1`` (the last term compensates the
+    small jumps) times ``dt``, ``f' sigma dW``, and ``f(x- + c) - f(x-)``
+    for each jump ``scheme`` applied, from the left limit ``x-`` that its
+    continuous update gives.  A non-finite value raises
+    :class:`NumericalDomainError` with the ``seed``, ``step`` and ``t``.
     """
-    fn, fp, fpp = f
+    fn, fp, fpp = map(_float_array_valued, f)
+    n = len(path.times)
+    if path.realization_seed != noise.seed \
+            or not np.array_equal(path.times, noise.union_times[:n]):
+        raise DomainError("the path was not integrated on this noise")
     tamed = scheme.taming == "drift_tamed"
-    layers, _ = _event_layers([noise.as_batch()], model.u3,
-                              scheme.restrict_to_u3)
-    idx = np.searchsorted(noise.union_times, path.times)
-    y = float(fn(path.states[0]))
-    ys = [y]
-    for i in range(len(path.times) - 1):
-        x = float(path.states[i])
-        dt = path.times[i + 1] - path.times[i]
-        dw = float(noise.union_increments[idx[i]])
-        b = _coeff(model.b(x), x, "drift b")
-        b_eff = b / (1.0 + abs(b) * dt) if tamed else b
-        sig = _coeff(model.sigma(x), x, "diffusion sigma")
-        j1, j2 = _nu1_functional(model, fn, fp, x)
-        drift = fp(x) * b_eff + 0.5 * sig * sig * fpp(x) + j1 - j2
-        y = y + drift * dt + fp(x) * sig * dw
-        events = layers.get(idx[i + 1] - 1)
-        if events:
-            xm = _continuous_step(x, dt, dw, model, tamed)
-            for _, (mark,), kind in events:
-                c = model.c1(xm, mark) if kind == SMALL_CODE \
-                    else model.c2(xm, mark)
-                y = y + (float(fn(xm + c)) - float(fn(xm)))
-                xm = xm + c
-        if not np.isfinite(y):
-            raise NumericalDomainError(
-                f"transformed state became non-finite at t = "
-                f"{path.times[i + 1]:g}", state=y
-            )
-        ys.append(float(y))
-    return PathResult(path.times.copy(), np.asarray(ys), path.exploded,
-                      path.exit_time, path.realization_seed, path.event_codes)
+    x, dt = path.states[:-1], np.diff(path.times)
+    dw = noise.union_increments[:n - 1]
+    b, sig, fpx = model.b(x), model.sigma(x), fp(x)
+    b_eff = b / (1.0 + np.abs(b) * dt) if tamed else b
+    j1 = j2 = 0.0
+    if model.nu1 is not None:
+        xs = x[:, None]
+        j2 = model.nu1.integrate(lambda u: fn(xs + model.c1(xs, u)) - fn(xs))
+        j1 = j2 - fpx * model.nu1.integrate(lambda u: model.c1(xs, u))
+    drift = fpx * b_eff + 0.5 * sig * sig * fpp(x) + j1 - j2
+    layers, _ = _event_layers(_batches(noise), model.u3, scheme.restrict_to_u3)
+    events = [(s, mark, code) for s, groups in layers.items() if s < n - 1
+              for _, (mark,), code in groups]
+    steps = np.array([s for s, _, _ in events], dtype=np.intp)
+    at = np.unique(steps)
+    xm = _continuous_step(x[at], dt[at], dw[at], model, tamed, check=False)
+    jumps = []
+    for j, (_, mark, code) in zip(at.searchsorted(steps), events):
+        c = (model.c1 if code == SMALL_CODE else model.c2)(xm[j], mark)
+        jumps.append(fn(xm[j] + c) - fn(xm[j]))
+        xm[j] = xm[j] + c
+    # y0, then each step's drift, diffusion and jumps, as one running sum
+    pairs = np.stack([drift * dt, fpx * sig * dw], axis=1).ravel()
+    ys = np.add.accumulate(np.r_[fn(path.states[0]),
+                                 np.insert(pairs, 2 * steps + 2, jumps)])
+    k = np.arange(n - 1)
+    ys = ys[np.r_[0, 2 * k + 2 + steps.searchsorted(k, "right")]]
+    bad = np.flatnonzero(~np.isfinite(np.c_[b, sig, ys[1:]]).all(axis=1))
+    if bad.size:
+        # replay the first failing step, checked in the order of its terms
+        i, t = bad[0], float(path.times[bad[0] + 1])
+        where = ([0], [path.times[i]], [noise.seed], [scheme.base_step])
+        _coeff(b[i:i + 1], x[i:i + 1], "drift b", where)
+        _coeff(sig[i:i + 1], x[i:i + 1], "diffusion sigma", where)
+        if i in at:
+            _continuous_step(x[i], dt[i], dw[i], model, tamed, where)
+        raise NumericalDomainError(
+            f"transformed state became non-finite at t = {t:g}",
+            state=float(ys[i + 1]), path_index=0, seed=noise.seed, t=t,
+            step=scheme.base_step)
+    return PathResult(path.times.copy(), ys, path.exploded, path.exit_time,
+                      path.realization_seed, path.event_codes)
 
 
 def dump_path_csv(path, model, scheme, filepath):

@@ -203,15 +203,17 @@ class MarkMeasure:
         return self._nw
 
     def integrate(self, g):
-        """Integrate a vectorized function of the mark against the measure;
-        a mark-free or constant ``g`` sums to its expanded form's bits."""
+        """Integrate a vectorized function of the mark against the measure.
+
+        ``g(u)`` may return ``(..., nodes)``: each row sums with its own dot
+        product, so its bits do not depend on the row count (a gemv's do).
+        A 1-D result is a float, no nodes give zeros, and a mark-free or
+        constant ``g`` sums to its expanded form's bits."""
         u, w = self.nodes_and_weights()
-        if u.size == 0:
-            return 0.0
-        vals = np.asarray(g(u), dtype=float)
-        if vals.shape != u.shape:                   # a constant g
-            vals = np.broadcast_to(vals, u.shape)
-        return float(np.dot(np.ascontiguousarray(vals), w))
+        # contiguous, so a broadcast (mark-free) row sums as if expanded
+        vals = np.ascontiguousarray(np.broadcast_arrays(g(u), u)[0], float)
+        sums = (vals[..., None, :] @ w)[..., 0]
+        return float(sums) if sums.ndim == 0 else sums
 
     def restricted(self, bands):
         """Measure restricted to a band set (used for sub-support masses)."""
@@ -642,15 +644,8 @@ class CoefficientSet:
         """Compensation drift: the nu1-average jump size at state ``x``."""
         if self._c1_mean is not None:
             return self._c1_mean(x)
-        u, w = self.nu1.nodes_and_weights()
-        if u.size == 0:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        # contiguous, so a mark-free c1 sums as its form expanded over u;
-        # one dot product per state: a matrix-vector product sums in an
-        # order that depends on how many states are evaluated together
-        vals = np.ascontiguousarray(
-            self.c1(np.asarray(x, dtype=float)[..., None], u))
-        return (vals[..., None, :] @ w)[..., 0]
+        x = np.asarray(x, dtype=float)[..., None]
+        return self.nu1.integrate(lambda u: self.c1(x, u))
 
     def u3_measure(self):
         """``nu2`` restricted to the interlacing sub-support ``u3`` (``nu2``

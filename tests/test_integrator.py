@@ -429,6 +429,190 @@ def test_the_last_jump_at_a_state_names_its_code():
 
 
 # ---------------------------------------------------------------------------
+# the chain rule against the one-step-at-a-time scalar loop
+# ---------------------------------------------------------------------------
+
+def _ito_reference(f, path, model, noise, scheme):
+    """The transform's expansion one step at a time on Python floats, with
+    one quadrature per state and the jumps of each step in event order;
+    ``f`` is called with float arrays, as the transform calls it."""
+    fn, fp, fpp = (lambda x, g=g: g(np.asarray(x, dtype=float)) for g in f)
+    tamed = scheme.taming == "drift_tamed"
+    ut = noise.union_times
+    y = float(fn(path.states[0]))
+    ys = [y]
+    for i in range(len(path.times) - 1):
+        x = float(path.states[i])
+        dt = ut[i + 1] - ut[i]
+        dw = float(noise.union_increments[i])
+        b, sig = float(model.b(x)), float(model.sigma(x))
+        for value, name in ((b, "drift b"), (sig, "diffusion sigma")):
+            if not math.isfinite(value):
+                raise NumericalDomainError(
+                    f"{name} is non-finite at state {x!r}", state=x)
+        b_eff = b / (1.0 + abs(b) * dt) if tamed else b
+        j1 = j2 = 0.0
+        if model.nu1 is not None:
+            fx = fn(x)
+            j2 = model.nu1.integrate(lambda u: fn(x + model.c1(x, u)) - fx)
+            j1 = j2 - fp(x) * model.nu1.integrate(lambda u: model.c1(x, u))
+        drift = fp(x) * b_eff + 0.5 * sig * sig * fpp(x) + j1 - j2
+        y = y + drift * dt + fp(x) * sig * dw
+        events = [(mark, SOURCES[code])
+                  for time, mark, code in noise.events.tolist()
+                  if time == ut[i + 1] and (
+                      SOURCES[code] == SMALL or not scheme.restrict_to_u3
+                      or in_bands(model.u3, mark))]
+        if events:
+            comp = float(model.c1_mean(x)) if model.nu1 is not None else 0.0
+            b_inc = b * dt / (1.0 + abs(b) * dt) if tamed else b * dt
+            xm = x + (b_inc - comp * dt) + sig * dw
+            if not (math.isfinite(xm) or math.isfinite(comp)):
+                raise NumericalDomainError(
+                    f"compensation drift is non-finite at state {x!r}",
+                    state=x)
+            for mark, source in events:
+                c = float((model.c1 if source == SMALL else model.c2)(xm,
+                                                                      mark))
+                y = y + (float(fn(xm + c)) - float(fn(xm)))
+                xm = xm + c
+        if not math.isfinite(y):
+            raise NumericalDomainError(
+                f"transformed state became non-finite at t = {ut[i + 1]:g}",
+                state=y)
+        ys.append(float(y))
+    return np.array(ys)
+
+
+_SIN = (np.sin, np.cos, lambda x: -np.sin(x))
+_SQUARE = (lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
+
+
+def _ito_case(name):
+    """``(f, model, noises, scheme, x0)`` of one chain-rule case."""
+    h = 2.0 ** -6
+    seeds = [derive_path_seed(11, i) for i in range(4)]
+    f, x0, scheme = _SIN, 1.0, SchemeConfig(base_step=h)
+    if name.startswith("example_41"):
+        model, f = preset("example_41"), _SQUARE
+    elif name in ("restrict_to_u3", "u3_unrestricted"):
+        model = _with_u3(preset("example_31"), (Band(1.0, 1.5),))
+        scheme = SchemeConfig(base_step=h,
+                              restrict_to_u3=name == "restrict_to_u3")
+    elif name == "no_nu1_constant_f":
+        model, _, _, _ = _batch_case("no_nu1")
+        f = (lambda x: 2.0, lambda x: 0.0, lambda x: 0.0)
+    elif name == "quadrature_c1_mean":
+        model = CoefficientSet(
+            b=lambda x: -x, sigma=lambda x: np.sqrt(np.abs(x)),
+            c1=lambda x, u: np.sqrt(np.abs(x)) * u * u,
+            c2=lambda x, u: u * x, nu1=lebesgue(-1.0, 1.0),
+            nu2=lebesgue(1.0, 2.0), label="no closed-form c1_mean")
+    elif name == "hand_built":
+        model, noises, scheme, x0 = _batch_case("hand_built")
+        return _SQUARE, model, noises[:1], scheme, x0
+    else:
+        model = preset("example_31")
+        if name == "exploded":
+            scheme = SchemeConfig(base_step=h, explosion_radius=1.5)
+    if name.endswith("tamed"):
+        scheme = SchemeConfig(base_step=h, taming="drift_tamed")
+    return f, model, [sample_noise(model, 1.0, h, s) for s in seeds], \
+        scheme, x0
+
+
+ITO_CASES = ("example_31", "example_31_tamed", "example_41",
+             "example_41_tamed", "restrict_to_u3", "u3_unrestricted",
+             "no_nu1_constant_f", "quadrature_c1_mean", "hand_built",
+             "exploded")
+
+
+@pytest.mark.parametrize("name", ITO_CASES)
+def test_ito_matches_the_scalar_loop_bit_for_bit(name):
+    f, model, noises, scheme, x0 = _ito_case(name)
+    paths = simulate_paths(model, noises, scheme, x0)
+    for path, noise in zip(paths, noises):
+        y = ito_levy_apply(f, path, model, noise, scheme)
+        assert np.array_equal(y.states, _ito_reference(f, path, model, noise,
+                                                       scheme))
+        assert np.array_equal(y.times, path.times)
+        assert (y.exploded, y.exit_time, y.realization_seed) == \
+            (path.exploded, path.exit_time, path.realization_seed)
+    if name == "exploded":
+        assert any(path.exploded for path in paths)
+    if name == "hand_built":
+        assert paths[0].kinds[2] == "large_jump"
+
+
+def _failing_transform(name):
+    """``(f, path, model, noise, scheme)`` whose transform fails."""
+    model = preset("example_41")
+    h = 2.0 ** -6
+    scheme = SchemeConfig(base_step=h)
+    noise = sample_noise(model, 1.0, h, seed=7)
+    if name in ("drift_nan_below_zero", "compensation_nan_at_a_jump"):
+        if name == "drift_nan_below_zero":
+            model = _drift_only(lambda x: np.where(x >= 0, -1.0, np.nan))
+        else:
+            # no closed-form c1_mean, so the compensation is nan below zero
+            model = CoefficientSet(
+                b=lambda x: -x, sigma=lambda x: 0.5,
+                c1=lambda x, u: np.sqrt(x) * u * u, c2=None,
+                nu1=lebesgue(-1.0, 1.0), nu2=None, label="sqrt jumps")
+        noise = sample_noise(model, 1.0, h, seed=7)
+        states = np.linspace(1.0, -1.0, len(noise.union_times))
+        if model.nu1 is not None:
+            # one negative state, where a jump lands
+            s = noise.event_steps[noise.event_steps > 1][0]
+            states = np.where(np.arange(len(states)) == s, -0.5, 1.0)
+        path = PathResult(noise.union_times.copy(), states, False, None,
+                          noise.seed, np.zeros(len(states), np.int8))
+        return _SQUARE, path, model, noise, scheme
+    path = simulate(model, noise, scheme, 0.5)
+    if name == "blow_up":
+        exp = (lambda x: np.exp(400.0 * x), lambda x: 400.0 * np.exp(
+            400.0 * x), lambda x: 160000.0 * np.exp(400.0 * x))
+        return exp, path, model, noise, scheme
+    p = float(path.states[len(path.states) // 2])
+    pole = (lambda x: 1.0 / (x - p), lambda x: -1.0 / (x - p) ** 2,
+            lambda x: 2.0 / (x - p) ** 3)
+    return pole, path, model, noise, scheme
+
+
+@pytest.mark.parametrize("name, message", [
+    ("blow_up", "transformed state"), ("pole", "transformed state"),
+    ("drift_nan_below_zero", "drift b"),
+    ("compensation_nan_at_a_jump", "compensation drift")])
+def test_ito_non_finite_error_is_the_scalar_loops(name, message):
+    f, path, model, noise, scheme = _failing_transform(name)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalDomainError) as ref:
+            _ito_reference(f, path, model, noise, scheme)
+        with pytest.raises(NumericalDomainError) as err:
+            ito_levy_apply(f, path, model, noise, scheme)
+    assert str(err.value) == str(ref.value)
+    assert str(err.value).startswith(message)
+    assert repr(float(err.value.state)) == repr(float(ref.value.state))
+    assert (err.value.path_index, err.value.seed, err.value.step) == \
+        (0, noise.seed, scheme.base_step)
+    # each fails mid-path, at a state's time
+    assert err.value.t in path.times[2:-1].tolist()
+    if "transformed" in str(err.value):
+        assert f"t = {err.value.t:g}" in str(err.value)
+
+
+def test_ito_refuses_a_path_from_other_noise():
+    model = preset("example_41")
+    h = 2.0 ** -6
+    scheme = SchemeConfig(base_step=h)
+    fine = sample_noise(model, 1.0, h, seed=5)
+    path = simulate(model, fine, scheme, 1.0)
+    for noise in (fine.coarsen(2), sample_noise(model, 1.0, h, seed=6)):
+        with pytest.raises(DomainError, match="not integrated on this noise"):
+            ito_levy_apply(_SQUARE, path, model, noise, scheme)
+
+
+# ---------------------------------------------------------------------------
 # one batch over several resolutions and starts
 # ---------------------------------------------------------------------------
 

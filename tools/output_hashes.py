@@ -24,7 +24,9 @@ A24 and A26 checkers called on both presets over three pair grids whose
 anchors' runs of pairs are longer than a mark-integral block, one pair long,
 and clipped to mixed lengths; last, a ``simulate`` and a ``verify --check
 corollary`` of an inline model with a mark-free ``c1`` and of its twin
-whose ``c1`` is expanded over the marks, whose lines must be equal pairwise.
+whose ``c1`` is expanded over the marks, whose lines must be equal pairwise;
+last, the ``ito_levy_apply`` Y-states on the criterion-10 shape (tamed,
+h = 2^-9 and its coarsening by 2, a few seeds) on both presets.
 It prints one ``name sha256`` line per output:
 ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
@@ -48,7 +50,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jsde_lab import cli, model  # noqa: E402
-from jsde_lab.harness import ExperimentConfig, run_experiment  # noqa: E402
+from jsde_lab.harness import (DEFAULT_SEED, ExperimentConfig,  # noqa: E402
+                              run_experiment)
+from jsde_lab.integrator import (SchemeConfig, ito_levy_apply,  # noqa: E402
+                                 simulate)
+from jsde_lab.noise import derive_path_seed, sample_noise  # noqa: E402
 from jsde_lab.verifier import (PairGrid, check_local_conditions,  # noqa: E402
                                check_nonconfluence_conditions,
                                reports_to_json)
@@ -268,6 +274,13 @@ TWIN_VERIFY = ["verify", "--check", "corollary",
                "--set", "analysis.rho2=identity",
                "--set", "analysis.delta0=0.5"]
 
+# the chain-rule transform of each preset's paths, listed last
+TRANSFORMS = {
+    "example_31": (np.sin, np.cos, lambda x: -np.sin(x)),
+    "example_41": (lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0),
+}
+TRANSFORM_PATHS = 5
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -380,6 +393,28 @@ def listing(work):
                               + TWIN_VERIFY[1:])
         lines.append(f"{twin}_twin/verify_corollary/stdout rc={rc} "
                      f"{_sha(stdout.encode())}")
+    lines.extend(_transform_lines())
+    return lines
+
+
+def _transform_lines():
+    """The Y-states of ``ito_levy_apply`` per preset and step, as in
+    acceptance criterion 10, all paths of one step hashed together."""
+    lines = []
+    for label in PRESETS:
+        m, f = model.preset(label), TRANSFORMS[label]
+        ys = {9: [], 8: []}
+        for i in range(TRANSFORM_PATHS):
+            fine = sample_noise(m, 1.0, 2.0 ** -9,
+                                derive_path_seed(DEFAULT_SEED, i))
+            for k, noise in ((9, fine), (8, fine.coarsen(2))):
+                scheme = SchemeConfig(base_step=2.0 ** -k,
+                                      taming="drift_tamed")
+                path = simulate(m, noise, scheme, 1.0)
+                ys[k].append(ito_levy_apply(f, path, m, noise, scheme).states)
+        for k, states in ys.items():
+            lines.append(f"{label}/ito_levy_apply/h=2^-{k} "
+                         f"{_sha(np.concatenate(states).tobytes())}")
     return lines
 
 
