@@ -54,8 +54,14 @@ MU_EXAMPLE_41 = 0.5566420945681
 
 # most pairs per block of the pair-grid mark integrals: a block's (pairs x
 # nodes) arrays take half a MB at the presets' 128 nodes, and a designated
-# grid of 81 002 pairs makes 202 blocks, one per anchor's run of 401 pairs
+# grid of 81 002 pairs makes 202 blocks, one per anchor's run of 401 pairs;
+# gemv rounds a row's sum by its block's row count, so the whole grid's
+# block layout is kept however the pairs are chunked
 _PAIR_BLOCK = 512
+# whole blocks per chunk of a pair condition: each condition is evaluated
+# and reduced one chunk of at most 4096 pairs at a time, so its per-pair
+# arrays stay at a chunk's length however large the grid
+_CHUNK_BLOCKS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +112,45 @@ def _tol_line(rhs):
     return DEFAULT_TOLERANCE + DEFAULT_TOLERANCE * np.abs(rhs)
 
 
+def _beats(slack, worst_slack):
+    """Whether a later sample's slack replaces the running worst: a larger
+    one does, and a NaN does unless a NaN came first (``np.argmax``'s
+    order), so ties go to the earliest sample."""
+    return not math.isnan(worst_slack) and (math.isnan(slack)
+                                            or slack > worst_slack)
+
+
+def _fold_worst(worst, inputs, lhs, rhs):
+    """The running worst witness after the samples ``lhs <= rhs`` at
+    ``inputs``, which come after every sample ``worst`` has seen."""
+    lhs = np.asarray(lhs, dtype=float).reshape(-1)
+    rhs = np.asarray(rhs, dtype=float).reshape(-1)
+    slack = lhs - rhs
+    i = int(np.argmax(slack))
+    if worst is not None and not _beats(slack[i], worst["slack"]):
+        return worst
+    worst = {k: float(np.asarray(v).reshape(-1)[i]) for k, v in inputs.items()}
+    worst.update(lhs=float(lhs[i]), rhs=float(rhs[i]), slack=float(slack[i]))
+    return worst
+
+
+def _condition_from_worst(name, worst, note=None):
+    """The verdict on a condition's worst witness; a NaN slack is no
+    verdict, so it raises, naming the sample's ``x``."""
+    if math.isnan(worst["slack"]):
+        raise NumericalDomainError(
+            f"condition {name} has a NaN slack at x = {worst['x']:g}",
+            state=worst["x"])
+    bad = worst["slack"] > _tol_line(worst["rhs"])
+    return ConditionResult(name, VIOLATED if bad else NO_VIOLATION,
+                           worst=worst, note=note)
+
+
 def _condition_from_arrays(name, inputs, lhs, rhs, note=None):
     """Reduce vectorized lhs/rhs samples to a ConditionResult (max slack,
     ties to the lowest index)."""
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    slack = lhs - rhs
-    i = int(np.argmax(slack))
-    worst = {k: float(np.asarray(v).reshape(-1)[i]) for k, v in inputs.items()}
-    worst.update(lhs=float(lhs.reshape(-1)[i]), rhs=float(rhs.reshape(-1)[i]),
-                 slack=float(slack.reshape(-1)[i]))
-    bad = slack.reshape(-1)[i] > _tol_line(rhs.reshape(-1)[i])
-    return ConditionResult(name, VIOLATED if bad else NO_VIOLATION,
-                           worst=worst, note=note)
+    return _condition_from_worst(name, _fold_worst(None, inputs, lhs, rhs),
+                                 note)
 
 
 def _assemble(assumption_id, conditions, grid_spec, notes=()):
@@ -162,6 +194,22 @@ class PairGrid:
         )
 
     def pairs(self, gap_cap=None):
+        """Every pair ``(x, y)``: each anchor minus each gap, then each
+        anchor plus each gap, without the pairs that leave ``interval`` or
+        have ``x == y``."""
+        xs, ys, _ = zip(*self.chunks(gap_cap))
+        return np.concatenate(xs), np.concatenate(ys)
+
+    def chunks(self, gap_cap=None):
+        """The pairs of :meth:`pairs`, in order, as ``(x, y, edges)``
+        chunks of ``_CHUNK_BLOCKS`` whole mark-integral blocks of the whole
+        grid's :func:`_block_edges` layout, ``edges`` the chunk's block
+        edges from 0 to its length.
+
+        The grid is checked and its blocks laid out when this is called;
+        each chunk is built when it is read, from the rows of pairs (one
+        per anchor and direction) that it meets.
+        """
         anchors = np.asarray(self.anchors, dtype=float)
         gaps = np.asarray(self.gaps, dtype=float)
         for kind, values in (("anchor", anchors), ("gap", gaps)):
@@ -176,18 +224,64 @@ class PairGrid:
                 f"pair grid gap {gaps.max():g} exceeds the condition's "
                 f"admissible range {gap_cap:g}"
             )
-        x = np.repeat(anchors, gaps.size)
-        d = np.tile(gaps, anchors.size)
-        xs = np.concatenate([x, x])
-        ys = np.concatenate([x - d, x + d])
-        if self.interval is not None:
-            lo, hi = self.interval
-            keep = (xs > lo) & (xs < hi) & (ys > lo) & (ys < hi)
-            xs, ys = xs[keep], ys[keep]
-        keep = xs != ys
-        if not np.any(keep):
+        # one row of pairs per anchor and direction, every anchor minus its
+        # gaps first
+        row_x = np.concatenate([anchors, anchors])
+        row_sign = np.repeat([-1.0, 1.0], anchors.size)
+        if row_x.size == 0 or gaps.size == 0:
             raise DomainError(f"pair grid ({self.describe()}) has no pairs")
-        return xs[keep], ys[keep]
+
+        def partners(rows, gap):
+            # the rows' partners at each gap, and which of the pairs are kept
+            x = row_x[rows, None]
+            y = x + row_sign[rows, None] * gap
+            keep = x != y
+            if self.interval is not None:
+                lo, hi = self.interval
+                keep &= (x > lo) & (x < hi) & (y > lo) & (y < hi)
+            return y, keep
+
+        # a partner moves monotonically with the gap, so a row keeps every
+        # pair when it keeps those of its least and greatest gaps; the rest
+        # are counted a chunk's length of rows at a time
+        extremes = np.array([gaps.min(), gaps.max()])
+        full = partners(slice(None), extremes)[1].all(axis=1)
+        step = max(1, _CHUNK_BLOCKS * _PAIR_BLOCK // gaps.size)
+        part = np.flatnonzero(~full)
+        counts = np.where(full, gaps.size, 0)
+        for i in range(0, part.size, step):
+            rows = part[i:i + step]
+            counts[rows] = partners(rows, gaps)[1].sum(axis=1)
+        if not counts.any():
+            raise DomainError(f"pair grid ({self.describe()}) has no pairs")
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        # a run of one x value ends with the last of its rows of pairs
+        filled = np.flatnonzero(counts)
+        bits = row_x[filled].view(np.int64)
+        ends = offsets[filled + 1][np.append(bits[1:] != bits[:-1], True)]
+        edges = _block_edges(np.concatenate(([0], ends)))
+        cuts = np.append(edges[:-1:_CHUNK_BLOCKS], edges[-1])
+
+        def chunk(k):
+            start, stop = cuts[k], cuts[k + 1]
+            first = np.searchsorted(offsets, start, "right") - 1
+            last = np.searchsorted(offsets, stop, "left")
+            if full[first:last].all():
+                x = np.repeat(row_x[first:last], gaps.size)
+                y = partners(slice(first, last), gaps)[0].reshape(-1)
+            else:
+                xs, ys = [], []
+                for r in range(first, last, step):
+                    y, keep = partners(slice(r, min(r + step, last)), gaps)
+                    xs.append(np.repeat(row_x[r:r + len(y)], keep.sum(1)))
+                    ys.append(y[keep])
+                x, y = np.concatenate(xs), np.concatenate(ys)
+            skip = start - offsets[first]
+            blocks = edges[k * _CHUNK_BLOCKS:(k + 1) * _CHUNK_BLOCKS + 1]
+            return (x[skip:skip + stop - start], y[skip:skip + stop - start],
+                    blocks - start)
+
+        return (chunk(k) for k in range(cuts.size - 1))
 
     def describe(self):
         base = self.label or (f"{len(self.anchors)} anchors x "
@@ -221,7 +315,8 @@ def _mark_grid(measure, n=101):
 def _runs(x):
     """The start of each run of bit-identical ``x`` values, then ``x.size``."""
     bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
-    return np.r_[np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]]), bits.size]
+    return np.concatenate(
+        ([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [bits.size]))
 
 
 def _per_run(f, x):
@@ -230,35 +325,47 @@ def _per_run(f, x):
     return np.repeat(f(x[bounds[:-1]]), np.diff(bounds))
 
 
-def _pair_measure_integral(measure, integrand, x, y):
-    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair
-    ``(x_i, y_i)``.
+def _block_edges(bounds):
+    """The edges of the mark-integral blocks over pairs whose runs of one
+    ``x`` value start at ``bounds`` (then the pair count): a run joins the
+    open block while it fits in ``_PAIR_BLOCK`` pairs; else the block ends
+    after its last whole run, or, holding none, is cut at the block size."""
+    edges, fit = [0], 0
+    for end in np.asarray(bounds)[1:].tolist():
+        while end - edges[-1] > _PAIR_BLOCK:
+            edges.append(fit if fit > edges[-1] else edges[-1] + _PAIR_BLOCK)
+        fit = end
+    if edges[-1] < fit:
+        edges.append(fit)
+    return np.array(edges)
 
-    The blocks follow the runs of one ``x`` value: a run starts a new block
-    unless it fits in the current one, and a run longer than ``_PAIR_BLOCK``
-    is cut, so the working arrays stay at ``_PAIR_BLOCK x nodes`` floats
-    however many pairs there are.  ``integrand(xs, ys, u)`` receives the
-    block's states as ``(rows, 1)`` columns (``xs`` as ``(1, 1)`` when the
-    block has one ``x`` value) and the marks as a ``(1, nodes)`` row, and
-    returns an array that broadcasts to ``(rows, nodes)``, as any function
-    of the model's coefficient values there does.  gemv may round a row's
-    sum differently in a block of another row count.
+
+def _pair_measure_integral(measure, integrand, x, y, edges):
+    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair
+    ``(x_i, y_i)``, one block ``edges[k]:edges[k + 1]`` at a time.
+
+    ``integrand(xs, ys, u)`` receives a block's states as ``(rows, 1)``
+    columns (``xs`` as ``(1, 1)`` when the block has one ``x`` value) and
+    the marks as a ``(1, nodes)`` row, and returns an array that broadcasts
+    to ``(rows, nodes)``, as any function of the model's coefficient values
+    there does.  gemv may round a row's sum differently in a block of
+    another row count, so the blocks are laid out by :func:`_block_edges`
+    alone.
     """
     if measure is None:
         return np.zeros_like(x)
     u, w = measure.nodes_and_weights()
     if u.size == 0:
         return np.zeros_like(x)
+    # a block has one x value when no run of one value starts inside it
     bounds = _runs(x)
+    one_x = (np.searchsorted(bounds, edges[1:], "left")
+             == np.searchsorted(bounds, edges[:-1], "right"))
     out = np.empty(len(x))
-    start = 0
-    while start < len(x):
-        run_end = bounds[np.searchsorted(bounds, start, "right")]
-        # whole runs while they fit, else the run cut at the block size
-        fit = bounds[np.searchsorted(bounds, start + _PAIR_BLOCK, "right") - 1]
-        stop = max(fit, min(run_end, start + _PAIR_BLOCK))
-        xs = x[start:start + 1 if stop <= run_end else stop, None]
-        vals = integrand(xs, y[start:stop, None], u[None, :])
+    for start, stop, single in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                   one_x.tolist()):
+        vals = integrand(x[start:start + 1 if single else stop, None],
+                         y[start:stop, None], u[None, :])
         total = out[start:stop] = vals @ w
         # a non-finite value makes its sum non-finite; overflow alone passes
         if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
@@ -266,7 +373,6 @@ def _pair_measure_integral(measure, integrand, x, y):
             raise NumericalDomainError(
                 f"mark integral failed to evaluate at x = {x[i]:g}",
                 state=float(x[i]))
-        start = stop
     return out
 
 
@@ -297,16 +403,19 @@ def _dc(cfunc, x, y, u, work=None):
     return cx - cy
 
 
-def _dc_integral(measure, cfunc, shape, x, y):
-    """``integral shape(c(x_i,u) - c(y_i,u), |x_i - y_i|) dmeasure(u)`` for
-    each pair, by the blocked Gauss-Legendre rule.  Every block's
-    differences go to one ``(block rows x nodes)`` workspace, which
-    ``shape`` may overwrite."""
+def _dc_integral(measure, cfunc, shape):
+    """``(x, y, edges) -> integral shape(c(x_i,u) - c(y_i,u), |x_i - y_i|)
+    dmeasure(u)`` for each pair of a chunk, by the blocked Gauss-Legendre
+    rule.  Every block's differences go to one ``(_PAIR_BLOCK x nodes)``
+    workspace, kept from chunk to chunk, which ``shape`` may overwrite."""
     work = None if measure is None else np.empty(
-        (min(len(x), _PAIR_BLOCK), measure.nodes_and_weights()[0].size))
-    return _pair_measure_integral(
-        measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u, work),
-                                         np.abs(xs - ys)), x, y)
+        (_PAIR_BLOCK, measure.nodes_and_weights()[0].size))
+
+    def integral(x, y, edges):
+        return _pair_measure_integral(
+            measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u, work),
+                                             np.abs(xs - ys)), x, y, edges)
+    return integral
 
 
 def _scalar_dc_integral(measure, cfunc, shape, x, y):
@@ -336,13 +445,19 @@ def _reconfirm(condition, recompute):
     return condition
 
 
-def _pair_condition(name, x, y, lhs, rhs, recompute):
-    """A pair condition ``lhs <= rhs`` over the pairs ``(x, y)``, its worst
-    pair reconfirmed by ``recompute(x, y) -> (lhs, rhs)`` on floats."""
-    return _reconfirm(
-        _condition_from_arrays(name, {"x": x, "y": y, "gap": np.abs(x - y)},
-                               lhs, rhs),
-        lambda w: recompute(w["x"], w["y"]))
+def _pair_condition(name, grid, gap_cap, terms, recompute):
+    """A pair condition ``lhs <= rhs`` over the pairs of ``grid``, reduced
+    chunk by chunk to its worst pair: ``terms(x, y, d, edges) -> (lhs,
+    rhs)`` on a chunk's pairs, their gaps ``d = |x - y|`` and its block
+    edges.  The worst pair is reconfirmed by ``recompute(x, y) -> (lhs,
+    rhs)`` on floats."""
+    worst = None
+    for x, y, edges in grid.chunks(gap_cap):
+        d = np.abs(x - y)
+        worst = _fold_worst(worst, {"x": x, "y": y, "gap": d},
+                            *terms(x, y, d, edges))
+    return _reconfirm(_condition_from_worst(name, worst),
+                      lambda w: recompute(w["x"], w["y"]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +567,16 @@ def _growth_lhs(model, x):
             raise NumericalDomainError(
                 f"{name} evaluation failed at x = {x[i]:g}", state=float(x[i]))
     lhs = 2.0 * x * b + sig ** 2
+    edges = _block_edges(_runs(x))
     if model.nu1 is not None:
         lhs = lhs + _pair_measure_integral(
-            model.nu1, lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2, x, x)
+            model.nu1, lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2, x, x,
+            edges)
     u3_measure = model.u3_measure()
     if u3_measure is not None:
         lhs = lhs + 2.0 * _pair_measure_integral(
-            u3_measure, lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2, x, x)
+            u3_measure, lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2, x, x,
+            edges)
     return lhs
 
 
@@ -565,26 +683,28 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
         raise DomainError("delta0 must be positive and finite")
     if grid is None:
         grid = PairGrid.default(delta0)
-    x, y = grid.pairs(gap_cap=delta0)
-    d = np.abs(x - y)
     conditions = []
 
     u3_measure = model.u3_measure()
+    large_jumps = _dc_integral(u3_measure, model.c2, _abs_shape)
     conditions.append(_pair_condition(
-        "drift_plus_large_jump_first_moment", x, y,
-        (x - y) * (_per_run(model.b, x) - model.b(y))
-        + _dc_integral(u3_measure, model.c2, _abs_shape, x, y),
-        d * rho1.rho(d),
+        "drift_plus_large_jump_first_moment", grid, delta0,
+        lambda x, y, d, edges: (
+            (x - y) * (_per_run(model.b, x) - model.b(y))
+            + large_jumps(x, y, edges),
+            d * rho1.rho(d)),
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy)))
             + _scalar_dc_integral(u3_measure, model.c2, _abs_shape, xx, yy),
             abs(xx - yy) * float(rho1.rho(abs(xx - yy))))))
 
+    small_jumps = _dc_integral(model.nu1, model.c1, _square_shape)
     conditions.append(_pair_condition(
-        "diffusion_plus_small_jump_second_moment", x, y,
-        (_per_run(model.sigma, x) - model.sigma(y)) ** 2
-        + _dc_integral(model.nu1, model.c1, _square_shape, x, y),
-        rho2.rho(d),
+        "diffusion_plus_small_jump_second_moment", grid, delta0,
+        lambda x, y, d, edges: (
+            (_per_run(model.sigma, x) - model.sigma(y)) ** 2
+            + small_jumps(x, y, edges),
+            rho2.rho(d)),
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2
             + _scalar_dc_integral(model.nu1, model.c1, _square_shape, xx, yy),
@@ -650,18 +770,16 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None):
 
     if grid is None:
         grid = PairGrid.default(delta0)
-    x, y = grid.pairs(gap_cap=delta0)
-    d = np.abs(x - y)
-    rho_da = modulus.rho(d ** alpha)
 
     def scalar_rho(xx, yy):
         return float(modulus.rho(abs(xx - yy) ** alpha))
 
     conditions = [_pair_condition(
-        "drift_or_diffusion_local", x, y,
-        np.maximum((x - y) * (_per_run(model.b, x) - model.b(y)),
-                   (_per_run(model.sigma, x) - model.sigma(y)) ** 2),
-        d ** (2.0 - alpha) * rho_da,
+        "drift_or_diffusion_local", grid, delta0,
+        lambda x, y, d, edges: (
+            np.maximum((x - y) * (_per_run(model.b, x) - model.b(y)),
+                       (_per_run(model.sigma, x) - model.sigma(y)) ** 2),
+            d ** (2.0 - alpha) * modulus.rho(d ** alpha)),
         lambda xx, yy: (
             max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
                 (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2),
@@ -672,8 +790,11 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None):
         return np.maximum(dc ** alpha, gap ** (alpha - 1.0) * dc)
 
     def jump_condition(name, measure, cfunc):
+        jumps = _dc_integral(measure, cfunc, shape)
         return _pair_condition(
-            name, x, y, _dc_integral(measure, cfunc, shape, x, y), rho_da,
+            name, grid, delta0,
+            lambda x, y, d, edges: (jumps(x, y, edges),
+                                    modulus.rho(d ** alpha)),
             lambda xx, yy: (
                 _scalar_dc_integral(measure, cfunc, shape, xx, yy),
                 scalar_rho(xx, yy)))
@@ -710,26 +831,28 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
     affine_k = _float_array_valued(affine_k)
     if grid is None:
         grid = PairGrid.default(20.0)
-    x, y = grid.pairs()
-    d = np.abs(x - y)
-    rho_inv = modulus.rho(d ** (-alpha))
+
+    def rhs(d, power):
+        return d ** power * modulus.rho(d ** (-alpha))
 
     def scalar_rhs(xx, yy, power):
         gap = abs(xx - yy)
         return gap ** power * float(modulus.rho(gap ** (-alpha)))
 
     conditions = [_pair_condition(
-        "drift_global", x, y,
-        (x - y) * (_per_run(model.b, x) - model.b(y)),
-        d ** (2.0 + alpha) * rho_inv,
+        "drift_global", grid, None,
+        lambda x, y, d, edges: (
+            (x - y) * (_per_run(model.b, x) - model.b(y)),
+            rhs(d, 2.0 + alpha)),
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
             scalar_rhs(xx, yy, 2.0 + alpha)))]
 
     conditions.append(_pair_condition(
-        "diffusion_global", x, y,
-        (_per_run(model.sigma, x) - model.sigma(y)) ** 2,
-        d ** (2.0 + alpha) * rho_inv,
+        "diffusion_global", grid, None,
+        lambda x, y, d, edges: (
+            (_per_run(model.sigma, x) - model.sigma(y)) ** 2,
+            rhs(d, 2.0 + alpha)),
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2,
             scalar_rhs(xx, yy, 2.0 + alpha))))
@@ -739,9 +862,11 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
                                  ("large_jump_first_moment", model.nu2,
                                   model.c2)):
         if measure is not None:
+            jumps = _dc_integral(measure, cfunc, _abs_shape)
             conditions.append(_pair_condition(
-                name, x, y, _dc_integral(measure, cfunc, _abs_shape, x, y),
-                d ** (1.0 + alpha) * rho_inv,
+                name, grid, None,
+                lambda x, y, d, edges: (jumps(x, y, edges),
+                                        rhs(d, 1.0 + alpha)),
                 lambda xx, yy: (
                     _scalar_dc_integral(measure, cfunc, _abs_shape, xx, yy),
                     scalar_rhs(xx, yy, 1.0 + alpha))))
@@ -781,19 +906,25 @@ def _separation_condition(model, delta, grid, affine_k):
             marks = _mark_grid(measure, 101)
             xs = np.asarray(grid.anchors, dtype=float)[::2]
             gaps = np.asarray(grid.gaps, dtype=float)[::8]
-            x = np.repeat(xs, gaps.size)
-            y = x - np.tile(gaps, xs.size)
-            moved = np.abs((x - y)[:, None] + cfunc(x[:, None], marks)
-                           - cfunc(y[:, None], marks))
-            lhs = delta * np.abs(x - y)[:, None] - moved
-            flat = int(np.argmax(lhs))
-            pi, mi = divmod(flat, marks.size)
-            cand = {"mark": float(marks[mi]), "source": tag,
-                    "x": float(x[pi]), "y": float(y[pi]),
-                    "lhs": float(lhs[pi, mi]), "rhs": 0.0,
-                    "slack": float(lhs[pi, mi]),
-                    "mark_window_mass": _window_mass(measure,
-                                                     float(marks[mi]))}
+            # whole anchors per chunk, its (pairs x marks) arrays about a
+            # pair chunk's length
+            step = max(1, _CHUNK_BLOCKS * _PAIR_BLOCK
+                       // max(gaps.size * marks.size, 1))
+            top = None
+            for a in range(0, xs.size, step):
+                x = np.repeat(xs[a:a + step], gaps.size)
+                y = x - np.tile(gaps, xs[a:a + step].size)
+                moved = np.abs((x - y)[:, None] + cfunc(x[:, None], marks)
+                               - cfunc(y[:, None], marks))
+                lhs = delta * np.abs(x - y)[:, None] - moved
+                pi, mi = divmod(int(np.argmax(lhs)), marks.size)
+                if top is None or _beats(lhs[pi, mi], top[0]):
+                    top = (float(lhs[pi, mi]), float(x[pi]), float(y[pi]),
+                           float(marks[mi]))
+            slack, x_top, y_top, mark = top
+            cand = {"mark": mark, "source": tag, "x": x_top, "y": y_top,
+                    "lhs": slack, "rhs": 0.0, "slack": slack,
+                    "mark_window_mass": _window_mass(measure, mark)}
         if worst is None or cand["slack"] > worst["slack"]:
             worst = cand
     if worst is None:

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from jsde_lab import cli, verifier
+from jsde_lab import cli, model, verifier
 from jsde_lab.noise import derive_path_seed
 
 
@@ -262,6 +263,27 @@ nu1 = lebesgue(-1, 1)
     rows = capsys.readouterr().out.splitlines()
     assert rows[4].split()[:2] == ["A25:c1_monotone_in_state",
                                    "no_violation_found"]
+
+
+def test_verify_nan_slack_exits_three(monkeypatch, capsys):
+    # example_41 with a drift that is nan past x = 3: its designated A26
+    # drift condition has nothing to judge at (3.1, 3.099999)
+    base = model.preset_example_41()
+
+    def nan_drift_example_41():
+        return model.CoefficientSet(
+            b=lambda x: np.where(x > 3.0, np.nan, base.b(x)),
+            sigma=base.sigma, c1=base.c1, c2=base.c2, nu1=base.nu1,
+            nu2=base.nu2, u3=(), label=base.label, c1_mean=base.c1_mean)
+
+    monkeypatch.setitem(model.PRESET_CATALOG, "example_41",
+                        nan_drift_example_41)
+    assert cli.main(["verify", "--preset", "example_41",
+                     "--assumption", "A26"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical domain error: condition drift_global "
+                            "has a NaN slack at x = 3.1\n")
 
 
 def test_verify_needs_model(capsys):

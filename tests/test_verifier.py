@@ -395,6 +395,23 @@ def _c1_gap(model):
 _BLOCK = verifier._PAIR_BLOCK
 
 
+def _one_chunk(x, y):
+    # plain pairs laid out as one chunk, as the growth bound lays its anchors
+    return [(x, y, verifier._block_edges(verifier._runs(x)))]
+
+
+def _blocked(measure, integrand, x, y):
+    return verifier._pair_measure_integral(measure, integrand,
+                                           *_one_chunk(x, y)[0])
+
+
+def _chunked(measure, integrand, grid):
+    # the grid's pairs chunk by chunk, as the pair conditions evaluate them
+    return np.concatenate([
+        verifier._pair_measure_integral(measure, integrand, x, y, edges)
+        for x, y, edges in grid.chunks()])
+
+
 @pytest.mark.parametrize("pairs", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                    3 * _BLOCK + 7])
 def test_blocked_pair_integral_matches_one_shot(pairs):
@@ -405,7 +422,7 @@ def test_blocked_pair_integral_matches_one_shot(pairs):
     integrand = _c1_gap(model)
     u, w = model.nu1.nodes_and_weights()
     one_shot = integrand(x[:, None], y[:, None], u[None, :]) @ w
-    blocked = verifier._pair_measure_integral(model.nu1, integrand, x, y)
+    blocked = _blocked(model.nu1, integrand, x, y)
     assert blocked.shape == (pairs,)
     # gemv rounding depends on the row count, so not bit for bit
     np.testing.assert_allclose(blocked, one_shot, rtol=1e-14, atol=0.0)
@@ -425,7 +442,7 @@ def test_blocked_pair_integral_reports_the_first_bad_pair():
     first = int(np.argmax(~np.isfinite(vals).all(axis=1)))
     assert first >= 2 * _BLOCK
     with pytest.raises(NumericalDomainError) as info:
-        verifier._pair_measure_integral(model.nu1, integrand, x, y)
+        _blocked(model.nu1, integrand, x, y)
     assert str(info.value) == (
         f"mark integral failed to evaluate at x = {x[first]:g}")
     assert info.value.state == float(x[first])
@@ -454,29 +471,51 @@ def _designated_grid(label, assumption):
 def _random_pairs():
     rng = np.random.default_rng(3)
     x = rng.uniform(-5.0, 5.0, 3 * _BLOCK + 7)
-    return x, x + rng.uniform(-1.0, 1.0, x.size)
+    return _one_chunk(x, x + rng.uniform(-1.0, 1.0, x.size))
 
 
 _GROWTH_ANCHORS = np.linspace(-10.0, 10.0, 101)
 
-# (model, integrand, pairs) by case
+# (model, integrand, chunks) by case
 LAYOUT_CASES = {
     "designated_A25_example_31": (
         "example_31", _c1_gap,
-        lambda: _designated_grid("example_31", "A25").pairs()),
+        lambda: _designated_grid("example_31", "A25").chunks()),
     "designated_A24_example_41": (
         "example_41", _c1_gap,
-        lambda: _designated_grid("example_41", "A24").pairs()),
+        lambda: _designated_grid("example_41", "A24").chunks()),
     "designated_A26_example_41": (
         "example_41", _c1_gap,
-        lambda: _designated_grid("example_41", "A26").pairs()),
-    "long_runs": ("example_41", _c1_gap, LONG_RUNS.pairs),
-    "short_runs": ("example_41", _c1_gap, SHORT_RUNS.pairs),
-    "clipped_runs": ("example_31", _c1_gap, CLIPPED_RUNS.pairs),
+        lambda: _designated_grid("example_41", "A26").chunks()),
+    "long_runs": ("example_41", _c1_gap, LONG_RUNS.chunks),
+    "short_runs": ("example_41", _c1_gap, SHORT_RUNS.chunks),
+    "clipped_runs": ("example_31", _c1_gap, CLIPPED_RUNS.chunks),
     "growth_anchors": ("example_31", _growth_c1,
-                       lambda: (_GROWTH_ANCHORS, _GROWTH_ANCHORS)),
+                       lambda: _one_chunk(_GROWTH_ANCHORS, _GROWTH_ANCHORS)),
     "random_pairs": ("example_41", _c1_gap, _random_pairs),
 }
+
+
+def _greedy_block_edges(bounds):
+    # the block-by-block packing loop the run-by-run layout replaced
+    bounds = list(bounds)
+    edges = [0]
+    while edges[-1] < bounds[-1]:
+        start = edges[-1]
+        run_end = bounds[np.searchsorted(bounds, start, "right")]
+        fit = bounds[np.searchsorted(bounds, start + _BLOCK, "right") - 1]
+        edges.append(max(fit, min(run_end, start + _BLOCK)))
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_layout_equals_the_block_by_block_packing(seed):
+    rng = np.random.default_rng(seed)
+    for longest in (2, _BLOCK // 3, _BLOCK + 1, 3 * _BLOCK):
+        lengths = rng.integers(1, longest + 1, size=rng.integers(1, 60))
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        assert (verifier._block_edges(bounds).tolist()
+                == _greedy_block_edges(bounds))
 
 
 def _fixed_block_integral(measure, integrand, x, y):
@@ -498,13 +537,16 @@ def _recording(integrand, blocks):
 
 @pytest.mark.parametrize("case", list(LAYOUT_CASES))
 def test_pair_blocks_follow_the_runs(case):
-    label, integrand_of, make_pairs = LAYOUT_CASES[case]
+    label, integrand_of, make_chunks = LAYOUT_CASES[case]
     model = preset(label)
     integrand = integrand_of(model)
-    x, y = make_pairs()
+    chunks = list(make_chunks())
+    x, y = (np.concatenate([chunk[i] for chunk in chunks]) for i in (0, 1))
     blocks = []
-    got = verifier._pair_measure_integral(
-        model.nu1, _recording(integrand, blocks), x, y)
+    got = np.concatenate([
+        verifier._pair_measure_integral(
+            model.nu1, _recording(integrand, blocks), *chunk)
+        for chunk in chunks])
     start = 0
     for x_shape, rows in blocks:
         assert 0 < rows <= _BLOCK
@@ -553,12 +595,12 @@ def _fresh_dc_integrand(cfunc, shape):
 
 # the designated pair grids and those of tools/output_hashes.py
 DC_GRIDS = {
-    "designated_A24": lambda: _designated_grid("example_41", "A24").pairs(),
-    "designated_A25": lambda: _designated_grid("example_31", "A25").pairs(),
-    "designated_A26": lambda: _designated_grid("example_41", "A26").pairs(),
-    "long_runs": LONG_RUNS.pairs,
-    "short_runs": SHORT_RUNS.pairs,
-    "clipped_runs": CLIPPED_RUNS.pairs,
+    "designated_A24": lambda: _designated_grid("example_41", "A24"),
+    "designated_A25": lambda: _designated_grid("example_31", "A25"),
+    "designated_A26": lambda: _designated_grid("example_41", "A26"),
+    "long_runs": lambda: LONG_RUNS,
+    "short_runs": lambda: SHORT_RUNS,
+    "clipped_runs": lambda: CLIPPED_RUNS,
 }
 DC_MODELS = {
     "example_31": lambda: preset("example_31"),
@@ -572,7 +614,7 @@ DC_MODELS = {
 @pytest.mark.parametrize("label", sorted(DC_MODELS))
 def test_dc_integral_matches_a_fresh_difference(label, grid):
     model = DC_MODELS[label]()
-    x, y = DC_GRIDS[grid]()
+    chunks = list(DC_GRIDS[grid]().chunks())
     for measure, cfunc in ((model.nu1, model.c1), (model.nu2, model.c2)):
         for shape in (verifier._abs_shape, verifier._square_shape):
             seen = []
@@ -581,17 +623,20 @@ def test_dc_integral_matches_a_fresh_difference(label, grid):
                 seen.append(dc)
                 return shape(dc, gap)
 
-            got = verifier._dc_integral(measure, cfunc, recording, x, y)
-            want = verifier._pair_measure_integral(
-                measure, _fresh_dc_integrand(cfunc, shape), x, y)
-            assert np.array_equal(got, want)
+            integral = verifier._dc_integral(measure, cfunc, recording)
+            for x, y, edges in chunks:
+                got = integral(x, y, edges)
+                want = verifier._pair_measure_integral(
+                    measure, _fresh_dc_integrand(cfunc, shape), x, y, edges)
+                assert np.array_equal(got, want)
             shared = [np.may_share_memory(dc, seen[0]) for dc in seen[1:]]
             if label == "bare_state_free":
                 # a one-row difference is fresh, never in the workspace
                 assert all(dc.shape[0] == 1 for dc in seen)
                 assert not any(shared)
             else:
-                # every block's difference is in the one workspace
+                # every block's difference, in every chunk, is in the one
+                # workspace
                 assert len(seen) > 1 and all(shared)
 
 
@@ -629,8 +674,7 @@ def test_blocked_pair_integral_reports_a_first_bad_pair_in_a_one_x_block():
     first = int(np.argmax(y - x > 0.5))
     blocks = []
     with pytest.raises(NumericalDomainError) as info:
-        verifier._pair_measure_integral(
-            model.nu1, _recording(integrand, blocks), x, y)
+        _chunked(model.nu1, _recording(integrand, blocks), LONG_RUNS)
     assert str(info.value) == (
         f"mark integral failed to evaluate at x = {x[first]:g}")
     assert info.value.state == float(x[first])
@@ -642,11 +686,12 @@ def test_blocked_pair_integral_reports_a_first_bad_pair_in_a_one_x_block():
 def test_blocked_pair_integral_lets_a_finite_overflow_through():
     # every value is finite, only their weighted sum overflows
     model = preset("example_41")
-    x, y = SHORT_RUNS.pairs()
     with np.errstate(over="ignore"):
-        out = verifier._pair_measure_integral(
+        out = _chunked(
             model.nu1,
-            lambda xs, ys, u: np.full((ys.shape[0], u.size), 1e308), x, y)
+            lambda xs, ys, u: np.full((ys.shape[0], u.size), 1e308),
+            SHORT_RUNS)
+    assert out.size == SHORT_RUNS.pairs()[0].size
     assert np.all(np.isinf(out))
 
 
@@ -723,3 +768,183 @@ def test_designated_checks_working_memory_stays_small(name):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+# ---------------------------------------------------------------------------
+# pair conditions reduced chunk by chunk
+# ---------------------------------------------------------------------------
+
+# blocks per chunk: one, three, and the whole grid as one chunk
+CHUNK_SIZES = [1, 3, 10**9]
+
+_FIVE_ID = scale_modulus(builtin_modulus("identity"), 5.0)
+
+
+def _designated_report(label, assumption, sampled_separation=False):
+    # A26 without affine_k samples its separation condition over pairs
+    check, params = verifier.designated_sets(label)[assumption]
+    if sampled_separation:
+        params = {k: v for k, v in params.items() if k != "affine_k"}
+    return lambda: [check(preset(label), **params)]
+
+
+def _grid_reports(grid):
+    # the A24 and A26 checkers on both presets, as tools/output_hashes.py
+    # calls them on this grid
+    return lambda: [
+        check(preset(label), grid=grid, **kw)
+        for label in ("example_31", "example_41")
+        for check, kw in (
+            (check_nonconfluence_conditions,
+             dict(modulus=_FIVE_ID, alpha=0.0, delta=0.5)),
+            (check_local_conditions,
+             dict(modulus=_FIVE_ID, alpha=0.5, delta0=3.0)),
+            (check_local_conditions,
+             dict(modulus=_FIVE_ID, alpha=0.0, delta0=3.0)))]
+
+
+CHUNK_CASES = {
+    "designated_A24": _designated_report("example_41", "A24"),
+    "designated_A25": _designated_report("example_31", "A25"),
+    "designated_A26": _designated_report("example_41", "A26"),
+    "designated_A26_sampled_separation": _designated_report(
+        "example_41", "A26", sampled_separation=True),
+    "long_runs": _grid_reports(LONG_RUNS),
+    "short_runs": _grid_reports(SHORT_RUNS),
+    "clipped_runs": _grid_reports(CLIPPED_RUNS),
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_reports_do_not_depend_on_the_chunk_size(case, monkeypatch):
+    want = reports_to_json(CHUNK_CASES[case]())
+    for blocks in CHUNK_SIZES:
+        monkeypatch.setattr(verifier, "_CHUNK_BLOCKS", blocks)
+        assert reports_to_json(CHUNK_CASES[case]()) == want
+
+
+def _whole_grid_pairs(grid):
+    # the pairs as one array each, built the way the chunks replaced
+    anchors, gaps = grid.anchors, grid.gaps
+    x = np.repeat(anchors, gaps.size)
+    d = np.tile(gaps, anchors.size)
+    xs = np.concatenate([x, x])
+    ys = np.concatenate([x - d, x + d])
+    if grid.interval is not None:
+        lo, hi = grid.interval
+        keep = (xs > lo) & (xs < hi) & (ys > lo) & (ys < hi)
+        xs, ys = xs[keep], ys[keep]
+    keep = xs != ys
+    return xs[keep], ys[keep]
+
+
+CHUNK_GRIDS = {
+    **DC_GRIDS,
+    # a repeated anchor makes one run of its rows; an anchor so large that
+    # its small gaps vanish loses those pairs
+    "repeats_and_lost_gaps": lambda: PairGrid(
+        anchors=np.array([-1.0, 0.5, 0.5, 1e12, 2.0]),
+        gaps=np.geomspace(1e-6, 0.4, 300)),
+}
+
+
+@pytest.mark.parametrize("blocks", CHUNK_SIZES)
+@pytest.mark.parametrize("grid", list(CHUNK_GRIDS))
+def test_chunks_are_the_pairs_in_whole_blocks(grid, blocks, monkeypatch):
+    monkeypatch.setattr(verifier, "_CHUNK_BLOCKS", blocks)
+    grid = CHUNK_GRIDS[grid]()
+    want_x, want_y = _whole_grid_pairs(grid)
+    chunks = list(grid.chunks())
+    for got in ([np.concatenate([c[i] for c in chunks]) for i in (0, 1)],
+                grid.pairs()):
+        assert got[0].tobytes() == want_x.tobytes()
+        assert got[1].tobytes() == want_y.tobytes()
+    # each chunk holds `blocks` whole blocks of the whole-grid layout (the
+    # last one the rest), so every gemv sums the rows it summed before
+    edges = [0]
+    for k, (x, y, chunk_edges) in enumerate(chunks):
+        assert chunk_edges[0] == 0 and chunk_edges[-1] == x.size == y.size
+        assert k == len(chunks) - 1 or chunk_edges.size == blocks + 1
+        edges.extend((edges[-1] + chunk_edges[1:]).tolist())
+    assert edges == verifier._block_edges(verifier._runs(want_x)).tolist()
+
+
+@pytest.mark.parametrize("case", [case for case in CHUNK_CASES
+                                  if case.startswith("designated")])
+def test_pair_check_working_set_is_bounded(case):
+    # about two 512 x 128 mark-integral blocks and a chunk's per-pair
+    # arrays, however many pairs the grid has
+    run = CHUNK_CASES[case]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def _two_failing_jumps(c2_fails):
+    # c1 is non-finite from x < -5, which the first pairs reach; c2, when
+    # it fails, only from x > 5
+    def c1(x, u):
+        return np.where(x < -5.0, np.inf, 0.5) * u * x
+
+    def c2(x, u):
+        return np.where(c2_fails & (x > 5.0), np.inf, 0.5) * u * x
+
+    return CoefficientSet(b=lambda x: -x, sigma=lambda x: 0.5 * x, c1=c1,
+                          c2=c2, nu1=lebesgue(-1.0, 1.0),
+                          nu2=lebesgue(1.0, 2.0), label="two failing jumps")
+
+
+def test_the_first_failing_condition_names_the_error():
+    # the first condition (drift plus large jumps, through c2) fails at
+    # x = 5.2; the second (diffusion plus small jumps, through c1) would fail
+    # at earlier pairs, but runs only after the first has seen every chunk
+    identity = builtin_modulus("identity")
+    grid = PairGrid.default(1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalDomainError) as info:
+            check_corollary_conditions(_two_failing_jumps(True), identity,
+                                       identity, 1.0)
+        assert str(info.value) == (
+            "mark integral failed to evaluate at x = 5.2")
+        assert info.value.state == grid.anchors[76] == 5.200000000000001
+        with pytest.raises(NumericalDomainError) as info:
+            check_corollary_conditions(_two_failing_jumps(False), identity,
+                                       identity, 1.0)
+        assert str(info.value) == (
+            "mark integral failed to evaluate at x = -10")
+        assert info.value.state == -10.0
+
+
+def _example_41_drift_turning(value):
+    # the preset with a drift that is `value` past x = 3
+    base = preset("example_41")
+    return CoefficientSet(
+        b=lambda x: np.where(x > 3.0, value, base.b(x)), sigma=base.sigma,
+        c1=base.c1, c2=base.c2, nu1=base.nu1, nu2=base.nu2, u3=(),
+        label=base.label, c1_mean=base.c1_mean)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_nan_slack_is_a_numerical_domain_error(value):
+    # inf - inf is nan as well; (3.1, 3.099999) is the first such pair
+    check, params = verifier.designated_sets("example_41")["A26"]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalDomainError) as info:
+            check(_example_41_drift_turning(value), **params)
+    assert str(info.value) == (
+        "condition drift_global has a NaN slack at x = 3.1")
+    assert info.value.state == params["grid"].anchors[81]
+
+
+def test_a_nan_slack_on_whole_arrays_is_a_numerical_domain_error():
+    # the one-shot reduction the modulus, growth and scan checks use
+    x = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(NumericalDomainError) as info:
+        verifier._condition_from_arrays(
+            "scan", {"x": x}, np.array([1.0, np.nan, 5.0]), np.zeros(3))
+    assert str(info.value) == "condition scan has a NaN slack at x = 1"
+    assert info.value.state == 1.0
