@@ -7,6 +7,16 @@ The package splits into model building blocks (`model`), reproducible noise
 (`harness`), and a config-driven CLI (`cli`, `config`, `exprs`).
 """
 
+import os
+
+# Set before the first submodule loads numpy: OpenBLAS otherwise starts a
+# worker thread per core that busy-waits, and on a small machine it takes
+# CPU from the import and the run itself, while the package's only BLAS
+# calls (gemv on blocks of at most 512 rows, 1-D dots) gain nothing from
+# threads.  A value the caller set is kept, and once numpy is loaded the
+# variable no longer has any effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (OmegaTransform, PsiFamily, a_sequence, bihari_bound,
                        implied_state_bound, moment_bound,
                        nonconfluence_constants, omega_build, p_alpha,

@@ -136,11 +136,13 @@ def _fold_worst(worst, inputs, lhs, rhs):
 
 def _condition_from_worst(name, worst, note=None):
     """The verdict on a condition's worst witness; a NaN slack is no
-    verdict, so it raises, naming the sample's ``x``."""
+    verdict, so it raises, naming the sample's ``x`` (its mark when it has
+    no state)."""
     if math.isnan(worst["slack"]):
+        at = "x" if "x" in worst else "mark"
         raise NumericalDomainError(
-            f"condition {name} has a NaN slack at x = {worst['x']:g}",
-            state=worst["x"])
+            f"condition {name} has a NaN slack at {at} = {worst[at]:g}",
+            state=worst.get("x"))
     bad = worst["slack"] > _tol_line(worst["rhs"])
     return ConditionResult(name, VIOLATED if bad else NO_VIOLATION,
                            worst=worst, note=note)
@@ -340,7 +342,7 @@ def _block_edges(bounds):
     return np.array(edges)
 
 
-def _pair_measure_integral(measure, integrand, x, y, edges):
+def _pair_measure_integral(measure, integrand, x, y, edges, cfunc=None):
     """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair
     ``(x_i, y_i)``, one block ``edges[k]:edges[k + 1]`` at a time.
 
@@ -350,7 +352,9 @@ def _pair_measure_integral(measure, integrand, x, y, edges):
     to ``(rows, nodes)``, as any function of the model's coefficient values
     there does.  gemv may round a row's sum differently in a block of
     another row count, so the blocks are laid out by :func:`_block_edges`
-    alone.
+    alone.  A non-finite integrand raises, naming the first failing pair's
+    ``x``, or its ``y`` when the integrand reads the coefficient ``cfunc``
+    and only ``cfunc(y, u)`` is non-finite.
     """
     if measure is None:
         return np.zeros_like(x)
@@ -370,10 +374,19 @@ def _pair_measure_integral(measure, integrand, x, y, edges):
         # a non-finite value makes its sum non-finite; overflow alone passes
         if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
             i = start + int(np.argmax(~np.isfinite(vals).all(axis=1)))
+            state = float(x[i])
+            if cfunc is not None and _finite_at(cfunc, x[i], u) \
+                    and not _finite_at(cfunc, y[i], u):
+                state = float(y[i])
             raise NumericalDomainError(
-                f"mark integral failed to evaluate at x = {x[i]:g}",
-                state=float(x[i]))
+                f"mark integral failed to evaluate at x = {state:g}",
+                state=state)
     return out
+
+
+def _finite_at(cfunc, state, u):
+    """Whether ``cfunc(state, u)`` is finite at every mark."""
+    return bool(np.all(np.isfinite(cfunc(np.full((1, 1), state), u[None, :]))))
 
 
 def _scalar_measure_integral(measure, g):
@@ -414,7 +427,8 @@ def _dc_integral(measure, cfunc, shape):
     def integral(x, y, edges):
         return _pair_measure_integral(
             measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u, work),
-                                             np.abs(xs - ys)), x, y, edges)
+                                             np.abs(xs - ys)), x, y, edges,
+            cfunc)
     return integral
 
 
@@ -925,21 +939,18 @@ def _separation_condition(model, delta, grid, affine_k):
             cand = {"mark": mark, "source": tag, "x": x_top, "y": y_top,
                     "lhs": slack, "rhs": 0.0, "slack": slack,
                     "mark_window_mass": _window_mass(measure, mark)}
-        if worst is None or cand["slack"] > worst["slack"]:
+        if worst is None or _beats(cand["slack"], worst["slack"]):
             worst = cand
     if worst is None:
         return ConditionResult("jump_separation", NO_VIOLATION,
                                note="no jump measures present")
-    bad = worst["slack"] > _tol_line(0.0)
     note = ("separation is falsification-only: a bad mark is reported with "
             "the measure mass in a small window around it")
     if affine_k is not None:
         note = ("affine shortcut: |1 + k(u)| > delta scanned over a dense "
                 "mark grid; " + note)
-    cond = ConditionResult("jump_separation",
-                           VIOLATED if bad else NO_VIOLATION,
-                           worst=worst, note=note)
-    if bad:
+    cond = _condition_from_worst("jump_separation", worst, note)
+    if cond.verdict == VIOLATED:
         if affine_k is not None:
             cond.worst["reconfirmed"] = bool(
                 delta - abs(1.0 + float(affine_k(worst["mark"])))

@@ -116,15 +116,26 @@ def test_bound_non_finite_gronwall_input_exits_one(argv, capsys):
 # scipy is imported on first use, not with the package
 # ---------------------------------------------------------------------------
 
-def _scipy_modules_after(code):
+def _last_line_in_fresh_process(code, **env):
+    """The last stdout line of ``code`` run by a fresh interpreter on the
+    package sources, with ``env`` over this process's environment (None
+    unsets a variable)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code += ("\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    for key, value in env.items():
+        child.pop(key, None)
+        if value is not None:
+            child[key] = value
+    out = subprocess.run([sys.executable, "-c", code], env=child, check=True,
                          capture_output=True, text=True).stdout
     return out.splitlines()[-1]
+
+
+def _scipy_modules_after(code):
+    return _last_line_in_fresh_process(
+        code + "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
 
 
 def test_import_and_model_building_leave_scipy_unloaded():
@@ -161,6 +172,35 @@ def test_verify_presets_leave_scipy_unloaded():
             "for name in ('example_31', 'example_41'):\n"
             "    assert cli.main(['verify', '--preset', name]) == 0")
     assert _scipy_modules_after(code) == "[]"
+
+
+# ---------------------------------------------------------------------------
+# numpy loads with one OpenBLAS thread unless the caller chose a count
+# ---------------------------------------------------------------------------
+
+_OPENBLAS_PROBE = ("import os, jsde_lab, jsde_lab.cli\n"
+                   "print(os.environ['OPENBLAS_NUM_THREADS'],"
+                   " len(os.listdir('/proc/self/task'))"
+                   " if os.path.isdir('/proc/self/task') else -1)")
+
+
+@pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")])
+def test_openblas_thread_count_defaults_to_one_and_keeps_the_callers(
+        caller, expected):
+    value, _ = _last_line_in_fresh_process(
+        _OPENBLAS_PROBE, OPENBLAS_NUM_THREADS=caller).split()
+    assert value == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS starts no worker thread on one CPU, "
+                           "and /proc/self/task is Linux's")
+def test_package_import_leaves_one_thread():
+    # OpenBLAS would start one busy-waiting worker per further CPU
+    _, threads = _last_line_in_fresh_process(
+        _OPENBLAS_PROBE, OPENBLAS_NUM_THREADS=None).split()
+    assert threads == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +324,28 @@ def test_verify_nan_slack_exits_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("numerical domain error: condition drift_global "
                             "has a NaN slack at x = 3.1\n")
+
+
+def test_verify_nan_separation_margin_exits_three(monkeypatch, capsys):
+    # example_41's designated A26 with a jump factor that is nan past
+    # mark 0.5: the separation scan has nothing to judge at 0.502
+    designated_sets = cli.designated_sets
+
+    def nan_margin_sets(label):
+        sets = designated_sets(label)
+        check, params = sets["A26"]
+        sets["A26"] = (check, dict(params, affine_k=lambda u: np.where(
+            u > 0.5, np.nan, model.GAMMA * np.abs(u))))
+        return sets
+
+    monkeypatch.setattr(cli, "designated_sets", nan_margin_sets)
+    assert cli.main(["verify", "--preset", "example_41",
+                     "--assumption", "A26"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical domain error: condition "
+                            "jump_separation has a NaN slack at mark = "
+                            "0.502\n")
 
 
 def test_verify_needs_model(capsys):

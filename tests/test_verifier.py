@@ -948,3 +948,49 @@ def test_a_nan_slack_on_whole_arrays_is_a_numerical_domain_error():
             "scan", {"x": x}, np.array([1.0, np.nan, 5.0]), np.zeros(3))
     assert str(info.value) == "condition scan has a NaN slack at x = 1"
     assert info.value.state == 1.0
+
+
+def test_a_nan_separation_margin_is_a_numerical_domain_error():
+    # the dense affine scan's first mark past 0.5 has no margin
+    check, params = verifier.designated_sets("example_41")["A26"]
+    params = dict(params, affine_k=lambda u: np.where(
+        u > 0.5, np.nan, GAMMA * np.abs(u)))
+    with pytest.raises(NumericalDomainError) as info:
+        check(preset("example_41"), **params)
+    assert str(info.value) == (
+        "condition jump_separation has a NaN slack at mark = 0.502")
+    assert info.value.state is None
+
+
+@pytest.mark.parametrize("nan_marks, first_nan", [
+    (lambda u: u < 1.0, -1.0),      # the small jumps' marks
+    (lambda u: u > 1.0, 1.001),     # the large jumps' marks
+], ids=["small_source_nan", "large_source_nan"])
+def test_a_nan_separation_margin_in_one_source_hides_no_violation(
+        nan_marks, first_nan):
+    # k = -1 collapses x + c(x, u) to zero, so the other source is violated
+    check, params = verifier.designated_sets("example_41")["A26"]
+    params = dict(params, affine_k=lambda u: np.where(nan_marks(u), np.nan,
+                                                      -1.0))
+    with pytest.raises(NumericalDomainError) as info:
+        check(preset("example_41"), **params)
+    assert str(info.value) == (
+        f"condition jump_separation has a NaN slack at mark = {first_nan:g}")
+
+
+def test_a_failing_partner_state_is_named():
+    # c1 is infinite only past 5.5; the first pair reaching it is
+    # (-4.4, 5.6), so the state whose coefficient failed is its y
+    base = preset("example_41")
+    failing = CoefficientSet(
+        b=base.b, sigma=base.sigma,
+        c1=lambda x, u: np.where(x > 5.5, np.inf, 1.0) * u * x,
+        c2=base.c2, nu1=base.nu1, nu2=base.nu2, u3=(), label=base.label,
+        c1_mean=base.c1_mean)
+    check, params = verifier.designated_sets("example_41")["A26"]
+    grid = params["grid"]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalDomainError) as info:
+            check(failing, **params)
+    assert str(info.value) == "mark integral failed to evaluate at x = 5.6"
+    assert info.value.state == grid.anchors[6] + grid.gaps[-1]

@@ -26,7 +26,10 @@ and clipped to mixed lengths; last, a ``simulate`` and a ``verify --check
 corollary`` of an inline model with a mark-free ``c1`` and of its twin
 whose ``c1`` is expanded over the marks, whose lines must be equal pairwise;
 last, the ``ito_levy_apply`` Y-states on the criterion-10 shape (tamed,
-h = 2^-9 and its coarsening by 2, a few seeds) on both presets.
+h = 2^-9 and its coarsening by 2, a few seeds) on both presets; last, the
+exception type, message and state of the two errors the designated A26
+check of ``example_41`` raises on a NaN separation margin and on a jump
+coefficient that fails only at a pair's partner state.
 It prints one ``name sha256`` line per output:
 ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
@@ -49,7 +52,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from jsde_lab import cli, model  # noqa: E402
+from jsde_lab import cli, model, verifier  # noqa: E402
+from jsde_lab.errors import NumericalDomainError  # noqa: E402
 from jsde_lab.harness import (DEFAULT_SEED, ExperimentConfig,  # noqa: E402
                               run_experiment)
 from jsde_lab.integrator import (SchemeConfig, ito_levy_apply,  # noqa: E402
@@ -282,6 +286,28 @@ TRANSFORMS = {
 TRANSFORM_PATHS = 5
 
 
+def _nan_margin_past_half(u):
+    return np.where(u > 0.5, np.nan, model.GAMMA * np.abs(u))
+
+
+def _infinite_c1_past(state):
+    base = model.preset("example_41")
+    return model.CoefficientSet(
+        b=base.b, sigma=base.sigma,
+        c1=lambda x, u: np.where(x > state, np.inf, 1.0) * u * x,
+        c2=base.c2, nu1=base.nu1, nu2=base.nu2, u3=(), label=base.label,
+        c1_mean=base.c1_mean)
+
+
+# (name, model, designated A26 keyword arguments replaced) of the checks
+# that raise on a non-finite value; listed last
+A26_ERRORS = (
+    ("nan_separation_margin", model.preset("example_41"),
+     dict(affine_k=_nan_margin_past_half)),
+    ("failing_partner_state", _infinite_c1_past(5.5), {}),
+)
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -394,6 +420,23 @@ def listing(work):
         lines.append(f"{twin}_twin/verify_corollary/stdout rc={rc} "
                      f"{_sha(stdout.encode())}")
     lines.extend(_transform_lines())
+    lines.extend(_error_lines())
+    return lines
+
+
+def _error_lines():
+    """Exception type, message and state of each of ``A26_ERRORS``."""
+    check, params = verifier.designated_sets("example_41")["A26"]
+    lines = []
+    for name, mdl, changes in A26_ERRORS:
+        try:
+            with np.errstate(invalid="ignore"):
+                check(mdl, **dict(params, **changes))
+        except NumericalDomainError as exc:
+            text = f"{type(exc).__name__}: {exc} state={exc.state!r}"
+        else:
+            text = "no error"
+        lines.append(f"example_41/A26/{name} {_sha(text.encode())}")
     return lines
 
 
