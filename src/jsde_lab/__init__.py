@@ -12,9 +12,9 @@ import os
 # Set before the first submodule loads numpy: OpenBLAS otherwise starts a
 # worker thread per core that busy-waits, and on a small machine it takes
 # CPU from the import and the run itself, while the package's only BLAS
-# calls (gemv on blocks of at most 512 rows, 1-D dots) gain nothing from
-# threads.  A value the caller set is kept, and once numpy is loaded the
-# variable no longer has any effect.
+# calls (1-D dots, one per row of mark values) gain nothing from threads.
+# A value the caller set is kept, and once numpy is loaded the variable no
+# longer has any effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (OmegaTransform, PsiFamily, a_sequence, bihari_bound,

@@ -210,8 +210,13 @@ class MarkMeasure:
         A 1-D result is a float, no nodes give zeros, and a mark-free or
         constant ``g`` sums to its expanded form's bits."""
         u, w = self.nodes_and_weights()
+        vals = g(u)
+        # only a value not laid along the nodes (a constant g) is broadcast
+        if np.shape(vals)[-1:] != u.shape:
+            vals = np.broadcast_to(vals, np.broadcast_shapes(np.shape(vals),
+                                                             u.shape))
         # contiguous, so a broadcast (mark-free) row sums as if expanded
-        vals = np.ascontiguousarray(np.broadcast_arrays(g(u), u)[0], float)
+        vals = np.ascontiguousarray(vals, float)
         sums = (vals[..., None, :] @ w)[..., 0]
         return float(sums) if sums.ndim == 0 else sums
 

@@ -53,15 +53,14 @@ MU_EXAMPLE_31 = (math.e + 3.0 * math.sqrt(math.e)) / (math.e + 1.0)
 MU_EXAMPLE_41 = 0.5566420945681
 
 # most pairs per block of the pair-grid mark integrals: a block's (pairs x
-# nodes) arrays take half a MB at the presets' 128 nodes, and a designated
-# grid of 81 002 pairs makes 202 blocks, one per anchor's run of 401 pairs;
-# gemv rounds a row's sum by its block's row count, so the whole grid's
-# block layout is kept however the pairs are chunked
+# nodes) arrays take half a MB at the presets' 128 nodes; each row of pairs
+# (one anchor, one direction) is a block, cut when longer, so a designated
+# grid of 81 002 pairs makes 202 blocks of 401 pairs
 _PAIR_BLOCK = 512
-# whole blocks per chunk of a pair condition: each condition is evaluated
-# and reduced one chunk of at most 4096 pairs at a time, so its per-pair
-# arrays stay at a chunk's length however large the grid
-_CHUNK_BLOCKS = 8
+# most pairs per chunk of a pair condition: each condition is evaluated and
+# reduced one chunk of whole rows at a time (a longer row is cut), so its
+# per-pair arrays stay at a chunk's length however large the grid
+_CHUNK_PAIRS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +203,13 @@ class PairGrid:
 
     def chunks(self, gap_cap=None):
         """The pairs of :meth:`pairs`, in order, as ``(x, y, edges)``
-        chunks of ``_CHUNK_BLOCKS`` whole mark-integral blocks of the whole
-        grid's :func:`_block_edges` layout, ``edges`` the chunk's block
+        chunks of whole rows of pairs, one row per anchor and direction
+        with the anchor as every pair's ``x``: at most ``_CHUNK_PAIRS``
+        pairs a chunk, a longer row cut.  ``edges`` are the chunk's row
         edges from 0 to its length.
 
-        The grid is checked and its blocks laid out when this is called;
-        each chunk is built when it is read, from the rows of pairs (one
-        per anchor and direction) that it meets.
+        The grid's values are checked when this is called; each chunk is
+        built when it is read.
         """
         anchors = np.asarray(self.anchors, dtype=float)
         gaps = np.asarray(self.gaps, dtype=float)
@@ -232,58 +231,36 @@ class PairGrid:
         row_sign = np.repeat([-1.0, 1.0], anchors.size)
         if row_x.size == 0 or gaps.size == 0:
             raise DomainError(f"pair grid ({self.describe()}) has no pairs")
+        rows = max(1, _CHUNK_PAIRS // gaps.size)
+        width = min(gaps.size, _CHUNK_PAIRS)
 
-        def partners(rows, gap):
-            # the rows' partners at each gap, and which of the pairs are kept
-            x = row_x[rows, None]
-            y = x + row_sign[rows, None] * gap
-            keep = x != y
-            if self.interval is not None:
-                lo, hi = self.interval
-                keep &= (x > lo) & (x < hi) & (y > lo) & (y < hi)
-            return y, keep
+        def build():
+            empty = True
+            for r in range(0, row_x.size, rows):
+                x = row_x[r:r + rows, None]
+                for g in range(0, gaps.size, width):
+                    y = x + row_sign[r:r + rows, None] * gaps[g:g + width]
+                    keep = self._keeps(x, y)
+                    counts = keep.sum(axis=1)
+                    if counts.any():
+                        empty = False
+                        edges = np.cumsum(counts[counts > 0])
+                        yield (np.repeat(x[:, 0], counts), y[keep],
+                               np.concatenate(([0], edges)))
+            if empty:
+                raise DomainError(
+                    f"pair grid ({self.describe()}) has no pairs")
 
-        # a partner moves monotonically with the gap, so a row keeps every
-        # pair when it keeps those of its least and greatest gaps; the rest
-        # are counted a chunk's length of rows at a time
-        extremes = np.array([gaps.min(), gaps.max()])
-        full = partners(slice(None), extremes)[1].all(axis=1)
-        step = max(1, _CHUNK_BLOCKS * _PAIR_BLOCK // gaps.size)
-        part = np.flatnonzero(~full)
-        counts = np.where(full, gaps.size, 0)
-        for i in range(0, part.size, step):
-            rows = part[i:i + step]
-            counts[rows] = partners(rows, gaps)[1].sum(axis=1)
-        if not counts.any():
-            raise DomainError(f"pair grid ({self.describe()}) has no pairs")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        # a run of one x value ends with the last of its rows of pairs
-        filled = np.flatnonzero(counts)
-        bits = row_x[filled].view(np.int64)
-        ends = offsets[filled + 1][np.append(bits[1:] != bits[:-1], True)]
-        edges = _block_edges(np.concatenate(([0], ends)))
-        cuts = np.append(edges[:-1:_CHUNK_BLOCKS], edges[-1])
+        return build()
 
-        def chunk(k):
-            start, stop = cuts[k], cuts[k + 1]
-            first = np.searchsorted(offsets, start, "right") - 1
-            last = np.searchsorted(offsets, stop, "left")
-            if full[first:last].all():
-                x = np.repeat(row_x[first:last], gaps.size)
-                y = partners(slice(first, last), gaps)[0].reshape(-1)
-            else:
-                xs, ys = [], []
-                for r in range(first, last, step):
-                    y, keep = partners(slice(r, min(r + step, last)), gaps)
-                    xs.append(np.repeat(row_x[r:r + len(y)], keep.sum(1)))
-                    ys.append(y[keep])
-                x, y = np.concatenate(xs), np.concatenate(ys)
-            skip = start - offsets[first]
-            blocks = edges[k * _CHUNK_BLOCKS:(k + 1) * _CHUNK_BLOCKS + 1]
-            return (x[skip:skip + stop - start], y[skip:skip + stop - start],
-                    blocks - start)
-
-        return (chunk(k) for k in range(cuts.size - 1))
+    def _keeps(self, x, y):
+        """Which pairs ``(x, y)`` the grid keeps: those with ``x != y``
+        inside ``interval``."""
+        keep = x != y
+        if self.interval is not None:
+            lo, hi = self.interval
+            keep &= (x > lo) & (x < hi) & (y > lo) & (y < hi)
+        return keep
 
     def describe(self):
         base = self.label or (f"{len(self.anchors)} anchors x "
@@ -314,73 +291,60 @@ def _mark_grid(measure, n=101):
 # measure integrals (vectorized + independent scalar re-evaluation)
 # ---------------------------------------------------------------------------
 
-def _runs(x):
-    """The start of each run of bit-identical ``x`` values, then ``x.size``."""
-    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
-    return np.concatenate(
-        ([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [bits.size]))
+def _per_row(f, x, edges):
+    """``f(x)`` for a pointwise ``f`` at a chunk's pairs, evaluated once
+    per row of pairs at the row's anchor."""
+    return np.repeat(f(x[edges[:-1]]), np.diff(edges))
 
 
-def _per_run(f, x):
-    """``f(x)`` for a pointwise ``f``, evaluated once per run of one value."""
-    bounds = _runs(x)
-    return np.repeat(f(x[bounds[:-1]]), np.diff(bounds))
+def _mark_integral(measure, integrand, xs, ys, cfunc=None):
+    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair, in
+    blocks of ``_PAIR_BLOCK`` pairs: ``ys`` is a ``(pairs, 1)`` column of
+    states, and ``xs`` another or a ``(1, 1)`` array shared by every pair.
 
-
-def _block_edges(bounds):
-    """The edges of the mark-integral blocks over pairs whose runs of one
-    ``x`` value start at ``bounds`` (then the pair count): a run joins the
-    open block while it fits in ``_PAIR_BLOCK`` pairs; else the block ends
-    after its last whole run, or, holding none, is cut at the block size."""
-    edges, fit = [0], 0
-    for end in np.asarray(bounds)[1:].tolist():
-        while end - edges[-1] > _PAIR_BLOCK:
-            edges.append(fit if fit > edges[-1] else edges[-1] + _PAIR_BLOCK)
-        fit = end
-    if edges[-1] < fit:
-        edges.append(fit)
-    return np.array(edges)
-
-
-def _pair_measure_integral(measure, integrand, x, y, edges, cfunc=None):
-    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair
-    ``(x_i, y_i)``, one block ``edges[k]:edges[k + 1]`` at a time.
-
-    ``integrand(xs, ys, u)`` receives a block's states as ``(rows, 1)``
-    columns (``xs`` as ``(1, 1)`` when the block has one ``x`` value) and
-    the marks as a ``(1, nodes)`` row, and returns an array that broadcasts
-    to ``(rows, nodes)``, as any function of the model's coefficient values
-    there does.  gemv may round a row's sum differently in a block of
-    another row count, so the blocks are laid out by :func:`_block_edges`
-    alone.  A non-finite integrand raises, naming the first failing pair's
-    ``x``, or its ``y`` when the integrand reads the coefficient ``cfunc``
-    and only ``cfunc(y, u)`` is non-finite.
+    ``integrand(xs, ys, u)`` receives a block's states and the marks as a
+    ``(1, nodes)`` row, and returns an array that broadcasts to ``(rows,
+    nodes)``, as any function of the model's coefficient values there
+    does.  :meth:`MarkMeasure.integrate` sums each pair's row with its own
+    dot product, so a pair's integral has the same bits in any block.  A
+    non-finite integrand raises, naming the first failing pair's ``x``, or
+    its ``y`` when the integrand reads the coefficient ``cfunc`` and only
+    ``cfunc(y, u)`` is non-finite.
     """
-    if measure is None:
-        return np.zeros_like(x)
-    u, w = measure.nodes_and_weights()
+    out = np.zeros(len(ys))
+    u = measure.nodes_and_weights()[0]
     if u.size == 0:
-        return np.zeros_like(x)
-    # a block has one x value when no run of one value starts inside it
-    bounds = _runs(x)
-    one_x = (np.searchsorted(bounds, edges[1:], "left")
-             == np.searchsorted(bounds, edges[:-1], "right"))
-    out = np.empty(len(x))
-    for start, stop, single in zip(edges[:-1].tolist(), edges[1:].tolist(),
-                                   one_x.tolist()):
-        vals = integrand(x[start:start + 1 if single else stop, None],
-                         y[start:stop, None], u[None, :])
-        total = out[start:stop] = vals @ w
+        return out
+    for a in range(0, len(ys), _PAIR_BLOCK):
+        block = slice(a, a + _PAIR_BLOCK)
+        vals = integrand(xs if len(xs) == 1 else xs[block], ys[block],
+                         u[None, :])
+        total = out[block] = measure.integrate(lambda _: vals)
         # a non-finite value makes its sum non-finite; overflow alone passes
         if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
-            i = start + int(np.argmax(~np.isfinite(vals).all(axis=1)))
-            state = float(x[i])
-            if cfunc is not None and _finite_at(cfunc, x[i], u) \
-                    and not _finite_at(cfunc, y[i], u):
-                state = float(y[i])
+            i = a + int(np.argmax(~np.isfinite(vals).all(axis=1)))
+            x, y = (float(col[min(i, len(col) - 1), 0]) for col in (xs, ys))
+            state = x
+            if cfunc is not None and _finite_at(cfunc, x, u) \
+                    and not _finite_at(cfunc, y, u):
+                state = y
             raise NumericalDomainError(
                 f"mark integral failed to evaluate at x = {state:g}",
                 state=state)
+    return out
+
+
+def _pair_measure_integral(measure, integrand, x, y, edges, cfunc=None):
+    """:func:`_mark_integral` over a chunk's pairs, one row of pairs
+    ``edges[k]:edges[k + 1]`` at a time, the row's ``x`` given as a ``(1,
+    1)`` array, so the anchor side is evaluated on one row of marks."""
+    if measure is None or measure.nodes_and_weights()[0].size == 0:
+        return np.zeros_like(x)
+    out = np.empty(len(x))
+    for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        out[start:stop] = _mark_integral(measure, integrand,
+                                         x[start:start + 1, None],
+                                         y[start:stop, None], cfunc)
     return out
 
 
@@ -462,7 +426,7 @@ def _reconfirm(condition, recompute):
 def _pair_condition(name, grid, gap_cap, terms, recompute):
     """A pair condition ``lhs <= rhs`` over the pairs of ``grid``, reduced
     chunk by chunk to its worst pair: ``terms(x, y, d, edges) -> (lhs,
-    rhs)`` on a chunk's pairs, their gaps ``d = |x - y|`` and its block
+    rhs)`` on a chunk's pairs, their gaps ``d = |x - y|`` and its row
     edges.  The worst pair is reconfirmed by ``recompute(x, y) -> (lhs,
     rhs)`` on floats."""
     worst = None
@@ -581,16 +545,15 @@ def _growth_lhs(model, x):
             raise NumericalDomainError(
                 f"{name} evaluation failed at x = {x[i]:g}", state=float(x[i]))
     lhs = 2.0 * x * b + sig ** 2
-    edges = _block_edges(_runs(x))
     if model.nu1 is not None:
-        lhs = lhs + _pair_measure_integral(
-            model.nu1, lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2, x, x,
-            edges)
+        lhs = lhs + _mark_integral(
+            model.nu1, lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2,
+            x[:, None], x[:, None])
     u3_measure = model.u3_measure()
     if u3_measure is not None:
-        lhs = lhs + 2.0 * _pair_measure_integral(
-            u3_measure, lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2, x, x,
-            edges)
+        lhs = lhs + 2.0 * _mark_integral(
+            u3_measure, lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2,
+            x[:, None], x[:, None])
     return lhs
 
 
@@ -704,7 +667,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
     conditions.append(_pair_condition(
         "drift_plus_large_jump_first_moment", grid, delta0,
         lambda x, y, d, edges: (
-            (x - y) * (_per_run(model.b, x) - model.b(y))
+            (x - y) * (_per_row(model.b, x, edges) - model.b(y))
             + large_jumps(x, y, edges),
             d * rho1.rho(d)),
         lambda xx, yy: (
@@ -716,7 +679,7 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
     conditions.append(_pair_condition(
         "diffusion_plus_small_jump_second_moment", grid, delta0,
         lambda x, y, d, edges: (
-            (_per_run(model.sigma, x) - model.sigma(y)) ** 2
+            (_per_row(model.sigma, x, edges) - model.sigma(y)) ** 2
             + small_jumps(x, y, edges),
             rho2.rho(d)),
         lambda xx, yy: (
@@ -791,8 +754,9 @@ def check_local_conditions(model, modulus, alpha, delta0, grid=None):
     conditions = [_pair_condition(
         "drift_or_diffusion_local", grid, delta0,
         lambda x, y, d, edges: (
-            np.maximum((x - y) * (_per_run(model.b, x) - model.b(y)),
-                       (_per_run(model.sigma, x) - model.sigma(y)) ** 2),
+            np.maximum(
+                (x - y) * (_per_row(model.b, x, edges) - model.b(y)),
+                (_per_row(model.sigma, x, edges) - model.sigma(y)) ** 2),
             d ** (2.0 - alpha) * modulus.rho(d ** alpha)),
         lambda xx, yy: (
             max((xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
@@ -856,7 +820,7 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
     conditions = [_pair_condition(
         "drift_global", grid, None,
         lambda x, y, d, edges: (
-            (x - y) * (_per_run(model.b, x) - model.b(y)),
+            (x - y) * (_per_row(model.b, x, edges) - model.b(y)),
             rhs(d, 2.0 + alpha)),
         lambda xx, yy: (
             (xx - yy) * (float(model.b(xx)) - float(model.b(yy))),
@@ -865,7 +829,7 @@ def check_nonconfluence_conditions(model, modulus, alpha, delta, grid=None,
     conditions.append(_pair_condition(
         "diffusion_global", grid, None,
         lambda x, y, d, edges: (
-            (_per_run(model.sigma, x) - model.sigma(y)) ** 2,
+            (_per_row(model.sigma, x, edges) - model.sigma(y)) ** 2,
             rhs(d, 2.0 + alpha)),
         lambda xx, yy: (
             (float(model.sigma(xx)) - float(model.sigma(yy))) ** 2,
@@ -922,12 +886,15 @@ def _separation_condition(model, delta, grid, affine_k):
             gaps = np.asarray(grid.gaps, dtype=float)[::8]
             # whole anchors per chunk, its (pairs x marks) arrays about a
             # pair chunk's length
-            step = max(1, _CHUNK_BLOCKS * _PAIR_BLOCK
-                       // max(gaps.size * marks.size, 1))
+            step = max(1, _CHUNK_PAIRS // max(gaps.size * marks.size, 1))
             top = None
             for a in range(0, xs.size, step):
                 x = np.repeat(xs[a:a + step], gaps.size)
                 y = x - np.tile(gaps, xs[a:a + step].size)
+                keep = grid._keeps(x, y)
+                if not keep.any():
+                    continue
+                x, y = x[keep], y[keep]
                 moved = np.abs((x - y)[:, None] + cfunc(x[:, None], marks)
                                - cfunc(y[:, None], marks))
                 lhs = delta * np.abs(x - y)[:, None] - moved
@@ -935,6 +902,9 @@ def _separation_condition(model, delta, grid, affine_k):
                 if top is None or _beats(lhs[pi, mi], top[0]):
                     top = (float(lhs[pi, mi]), float(x[pi]), float(y[pi]),
                            float(marks[mi]))
+            if top is None:
+                raise DomainError(f"pair grid ({grid.describe()}) leaves the "
+                                  "sampled separation scan no pairs")
             slack, x_top, y_top, mark = top
             cand = {"mark": mark, "source": tag, "x": x_top, "y": y_top,
                     "lhs": slack, "rhs": 0.0, "slack": slack,

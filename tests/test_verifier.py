@@ -395,14 +395,10 @@ def _c1_gap(model):
 _BLOCK = verifier._PAIR_BLOCK
 
 
-def _one_chunk(x, y):
-    # plain pairs laid out as one chunk, as the growth bound lays its anchors
-    return [(x, y, verifier._block_edges(verifier._runs(x)))]
-
-
 def _blocked(measure, integrand, x, y):
-    return verifier._pair_measure_integral(measure, integrand,
-                                           *_one_chunk(x, y)[0])
+    # pairs of their own x each, as the growth bound lays its anchors
+    return verifier._mark_integral(measure, integrand, x[:, None],
+                                   y[:, None])
 
 
 def _chunked(measure, integrand, grid):
@@ -420,12 +416,12 @@ def test_blocked_pair_integral_matches_one_shot(pairs):
     x = rng.uniform(-5.0, 5.0, pairs)
     y = x + rng.uniform(-1.0, 1.0, pairs)
     integrand = _c1_gap(model)
-    u, w = model.nu1.nodes_and_weights()
-    one_shot = integrand(x[:, None], y[:, None], u[None, :]) @ w
+    one_shot = model.nu1.integrate(
+        lambda u: integrand(x[:, None], y[:, None], u[None, :]))
     blocked = _blocked(model.nu1, integrand, x, y)
     assert blocked.shape == (pairs,)
-    # gemv rounding depends on the row count, so not bit for bit
-    np.testing.assert_allclose(blocked, one_shot, rtol=1e-14, atol=0.0)
+    # each pair's row is summed on its own, so the blocks keep its bits
+    assert blocked.tobytes() == one_shot.tobytes()
 
 
 def test_blocked_pair_integral_reports_the_first_bad_pair():
@@ -468,64 +464,43 @@ def _designated_grid(label, assumption):
     return params.get("grid") or PairGrid.default(params["delta0"])
 
 
+def _chunked_pairs(grid):
+    # a grid's pairs and their integrals, chunk by chunk
+    return lambda measure, integrand: (*grid.pairs(),
+                                       _chunked(measure, integrand, grid))
+
+
+def _blocked_pairs(x, y):
+    return lambda measure, integrand: (x, y,
+                                       _blocked(measure, integrand, x, y))
+
+
 def _random_pairs():
     rng = np.random.default_rng(3)
     x = rng.uniform(-5.0, 5.0, 3 * _BLOCK + 7)
-    return _one_chunk(x, x + rng.uniform(-1.0, 1.0, x.size))
+    return x, x + rng.uniform(-1.0, 1.0, x.size)
 
 
 _GROWTH_ANCHORS = np.linspace(-10.0, 10.0, 101)
 
-# (model, integrand, chunks) by case
+# (model, integrand, pairs and their integrals) by case
 LAYOUT_CASES = {
     "designated_A25_example_31": (
         "example_31", _c1_gap,
-        lambda: _designated_grid("example_31", "A25").chunks()),
+        _chunked_pairs(_designated_grid("example_31", "A25"))),
     "designated_A24_example_41": (
         "example_41", _c1_gap,
-        lambda: _designated_grid("example_41", "A24").chunks()),
+        _chunked_pairs(_designated_grid("example_41", "A24"))),
     "designated_A26_example_41": (
         "example_41", _c1_gap,
-        lambda: _designated_grid("example_41", "A26").chunks()),
-    "long_runs": ("example_41", _c1_gap, LONG_RUNS.chunks),
-    "short_runs": ("example_41", _c1_gap, SHORT_RUNS.chunks),
-    "clipped_runs": ("example_31", _c1_gap, CLIPPED_RUNS.chunks),
+        _chunked_pairs(_designated_grid("example_41", "A26"))),
+    "long_runs": ("example_41", _c1_gap, _chunked_pairs(LONG_RUNS)),
+    "short_runs": ("example_41", _c1_gap, _chunked_pairs(SHORT_RUNS)),
+    "clipped_runs": ("example_31", _c1_gap, _chunked_pairs(CLIPPED_RUNS)),
     "growth_anchors": ("example_31", _growth_c1,
-                       lambda: _one_chunk(_GROWTH_ANCHORS, _GROWTH_ANCHORS)),
-    "random_pairs": ("example_41", _c1_gap, _random_pairs),
+                       _blocked_pairs(_GROWTH_ANCHORS, _GROWTH_ANCHORS)),
+    "random_pairs": ("example_41", _c1_gap, _blocked_pairs(*_random_pairs())),
 }
-
-
-def _greedy_block_edges(bounds):
-    # the block-by-block packing loop the run-by-run layout replaced
-    bounds = list(bounds)
-    edges = [0]
-    while edges[-1] < bounds[-1]:
-        start = edges[-1]
-        run_end = bounds[np.searchsorted(bounds, start, "right")]
-        fit = bounds[np.searchsorted(bounds, start + _BLOCK, "right") - 1]
-        edges.append(max(fit, min(run_end, start + _BLOCK)))
-    return edges
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_block_layout_equals_the_block_by_block_packing(seed):
-    rng = np.random.default_rng(seed)
-    for longest in (2, _BLOCK // 3, _BLOCK + 1, 3 * _BLOCK):
-        lengths = rng.integers(1, longest + 1, size=rng.integers(1, 60))
-        bounds = np.concatenate(([0], np.cumsum(lengths)))
-        assert (verifier._block_edges(bounds).tolist()
-                == _greedy_block_edges(bounds))
-
-
-def _fixed_block_integral(measure, integrand, x, y):
-    # the layout before blocks followed the runs: consecutive fixed blocks
-    u, w = measure.nodes_and_weights()
-    out = np.empty(len(x))
-    for start in range(0, len(x), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[block] = integrand(x[block, None], y[block, None], u[None, :]) @ w
-    return out
 
 
 def _recording(integrand, blocks):
@@ -537,34 +512,29 @@ def _recording(integrand, blocks):
 
 @pytest.mark.parametrize("case", list(LAYOUT_CASES))
 def test_pair_blocks_follow_the_runs(case):
-    label, integrand_of, make_chunks = LAYOUT_CASES[case]
+    label, integrand_of, integrals = LAYOUT_CASES[case]
     model = preset(label)
     integrand = integrand_of(model)
-    chunks = list(make_chunks())
-    x, y = (np.concatenate([chunk[i] for chunk in chunks]) for i in (0, 1))
     blocks = []
-    got = np.concatenate([
-        verifier._pair_measure_integral(
-            model.nu1, _recording(integrand, blocks), *chunk)
-        for chunk in chunks])
+    x, y, got = integrals(model.nu1, _recording(integrand, blocks))
+    # a grid's blocks are its rows of one x, the x side on one row; plain
+    # pairs of their own x each come in blocks of up to _BLOCK pairs
+    plain = case in ("growth_anchors", "random_pairs")
     start = 0
     for x_shape, rows in blocks:
         assert 0 < rows <= _BLOCK
-        one_x = np.unique(x[start:start + rows]).size == 1
-        assert x_shape == ((1, 1) if one_x else (rows, 1))
+        assert x_shape == ((rows, 1) if plain else (1, 1))
+        assert plain or np.all(x[start:start + rows] == x[start])
         start += rows
     assert start == x.size
-    if case.startswith("designated"):
-        # each anchor's run fits one block: its x side is evaluated once
-        assert all(x_shape == (1, 1) for x_shape, _ in blocks)
-    fixed = _fixed_block_integral(model.nu1, integrand, x, y)
-    sizes = [rows for _, rows in blocks]
-    if sizes == [min(_BLOCK, x.size - s) for s in range(0, x.size, _BLOCK)]:
-        # runs of one pair pack into the fixed blocks, with the same bits
-        assert np.array_equal(got, fixed)
-    else:
-        # gemv may sum a row differently when its block has another row count
-        np.testing.assert_allclose(got, fixed, rtol=1e-14, atol=0.0)
+    # each pair has the bits of the pair integrated alone: every pair, or
+    # every seventh on the designated grids of 74 064 and 81 002 pairs
+    pick = slice(None, None, 7 if x.size > 10_000 else 1)
+    alone = np.concatenate([
+        model.nu1.integrate(lambda u: integrand(
+            np.full((1, 1), xi), np.full((1, 1), yi), u[None, :]))
+        for xi, yi in zip(x[pick].tolist(), y[pick].tolist())])
+    assert got[pick].tobytes() == alone.tobytes()
 
 
 _STATE_FREE = parse_expression("u", ("x", "u"))
@@ -620,7 +590,7 @@ def test_dc_integral_matches_a_fresh_difference(label, grid):
             seen = []
 
             def recording(dc, gap):
-                seen.append(dc)
+                seen.append((dc, gap.shape[0]))
                 return shape(dc, gap)
 
             integral = verifier._dc_integral(measure, cfunc, recording)
@@ -629,11 +599,14 @@ def test_dc_integral_matches_a_fresh_difference(label, grid):
                 want = verifier._pair_measure_integral(
                     measure, _fresh_dc_integrand(cfunc, shape), x, y, edges)
                 assert np.array_equal(got, want)
-            shared = [np.may_share_memory(dc, seen[0]) for dc in seen[1:]]
+            shared = [np.may_share_memory(dc, seen[0][0])
+                      for dc, _ in seen[1:]]
             if label == "bare_state_free":
-                # a one-row difference is fresh, never in the workspace
-                assert all(dc.shape[0] == 1 for dc in seen)
-                assert not any(shared)
+                # a one-row difference is fresh, unless its block has one
+                # pair and it fills the workspace's first row
+                assert all(dc.shape[0] == 1 for dc, _ in seen)
+                assert all((dc.base is None) == (rows > 1)
+                           for dc, rows in seen)
             else:
                 # every block's difference, in every chunk, is in the one
                 # workspace
@@ -774,7 +747,8 @@ def test_designated_checks_working_memory_stays_small(name):
 # pair conditions reduced chunk by chunk
 # ---------------------------------------------------------------------------
 
-# blocks per chunk: one, three, and the whole grid as one chunk
+# mark-integral blocks of pairs per chunk: one, three, and the whole grid
+# as one chunk
 CHUNK_SIZES = [1, 3, 10**9]
 
 _FIVE_ID = scale_modulus(builtin_modulus("identity"), 5.0)
@@ -818,24 +792,31 @@ CHUNK_CASES = {
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_reports_do_not_depend_on_the_chunk_size(case, monkeypatch):
     want = reports_to_json(CHUNK_CASES[case]())
-    for blocks in CHUNK_SIZES:
-        monkeypatch.setattr(verifier, "_CHUNK_BLOCKS", blocks)
+    grid = DC_GRIDS[case.removesuffix("_sampled_separation")]()
+    # the block counts, one row of the grid, and one pair on the grids
+    # small enough to check a pair at a time
+    sizes = [blocks * _BLOCK for blocks in CHUNK_SIZES] + [grid.gaps.size]
+    if grid.anchors.size * grid.gaps.size <= 2_000:
+        sizes.append(1)
+    for pairs in sorted(set(sizes)):
+        monkeypatch.setattr(verifier, "_CHUNK_PAIRS", pairs)
         assert reports_to_json(CHUNK_CASES[case]()) == want
 
 
 def _whole_grid_pairs(grid):
-    # the pairs as one array each, built the way the chunks replaced
+    # the pairs as one array each, built the way the chunks replaced, and
+    # each pair's row (one per anchor and direction)
     anchors, gaps = grid.anchors, grid.gaps
     x = np.repeat(anchors, gaps.size)
     d = np.tile(gaps, anchors.size)
     xs = np.concatenate([x, x])
     ys = np.concatenate([x - d, x + d])
+    rows = np.repeat(np.arange(2 * anchors.size), gaps.size)
+    keep = xs != ys
     if grid.interval is not None:
         lo, hi = grid.interval
-        keep = (xs > lo) & (xs < hi) & (ys > lo) & (ys < hi)
-        xs, ys = xs[keep], ys[keep]
-    keep = xs != ys
-    return xs[keep], ys[keep]
+        keep &= (xs > lo) & (xs < hi) & (ys > lo) & (ys < hi)
+    return xs[keep], ys[keep], rows[keep]
 
 
 CHUNK_GRIDS = {
@@ -851,22 +832,27 @@ CHUNK_GRIDS = {
 @pytest.mark.parametrize("blocks", CHUNK_SIZES)
 @pytest.mark.parametrize("grid", list(CHUNK_GRIDS))
 def test_chunks_are_the_pairs_in_whole_blocks(grid, blocks, monkeypatch):
-    monkeypatch.setattr(verifier, "_CHUNK_BLOCKS", blocks)
+    pairs = blocks * _BLOCK
+    monkeypatch.setattr(verifier, "_CHUNK_PAIRS", pairs)
     grid = CHUNK_GRIDS[grid]()
-    want_x, want_y = _whole_grid_pairs(grid)
+    want_x, want_y, want_rows = _whole_grid_pairs(grid)
     chunks = list(grid.chunks())
     for got in ([np.concatenate([c[i] for c in chunks]) for i in (0, 1)],
                 grid.pairs()):
         assert got[0].tobytes() == want_x.tobytes()
         assert got[1].tobytes() == want_y.tobytes()
-    # each chunk holds `blocks` whole blocks of the whole-grid layout (the
-    # last one the rest), so every gemv sums the rows it summed before
-    edges = [0]
-    for k, (x, y, chunk_edges) in enumerate(chunks):
-        assert chunk_edges[0] == 0 and chunk_edges[-1] == x.size == y.size
-        assert k == len(chunks) - 1 or chunk_edges.size == blocks + 1
-        edges.extend((edges[-1] + chunk_edges[1:]).tolist())
-    assert edges == verifier._block_edges(verifier._runs(want_x)).tolist()
+    # each chunk holds at most `pairs` pairs, its rows each from one row of
+    # the grid, which is split only when it does not fit in a chunk
+    seen, offset = [], 0
+    for x, y, edges in chunks:
+        assert edges[0] == 0 and edges[-1] == x.size == y.size <= pairs
+        for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            row = want_rows[offset + start:offset + stop]
+            assert row.size and np.all(row == row[0])
+            seen.append(row[0])
+        offset += x.size
+    if pairs >= grid.gaps.size:
+        assert len(seen) == len(set(seen))
 
 
 @pytest.mark.parametrize("case", [case for case in CHUNK_CASES
@@ -976,6 +962,35 @@ def test_a_nan_separation_margin_in_one_source_hides_no_violation(
         check(preset("example_41"), **params)
     assert str(info.value) == (
         f"condition jump_separation has a NaN slack at mark = {first_nan:g}")
+
+
+def _sqrt_small_jumps():
+    # c1 is NaN at a negative state
+    return CoefficientSet(b=lambda x: -x, sigma=_zeros,
+                          c1=lambda x, u: np.sqrt(x) * u,
+                          nu1=lebesgue(-1.0, 1.0), c2=None, nu2=None,
+                          label="sqrt small jumps")
+
+
+def test_sampled_separation_stays_inside_the_interval():
+    # the sampled pairs of the first anchors reach below 0, where c1 is NaN
+    rep = check_nonconfluence_conditions(
+        _sqrt_small_jumps(), builtin_modulus("identity"), alpha=0.0,
+        delta=0.5, grid=CLIPPED_RUNS)
+    cond = next(c for c in rep.conditions if c.name == "jump_separation")
+    lo, hi = CLIPPED_RUNS.interval
+    assert lo < cond.worst["y"] < cond.worst["x"] < hi
+    assert cond.verdict == VIOLATED and cond.worst["reconfirmed"]
+
+
+def test_sampled_separation_without_pairs_in_the_interval():
+    # the scan takes every second anchor: here only 0.1, which is outside
+    grid = PairGrid(anchors=np.array([0.1, 0.2]), gaps=np.array([0.01]),
+                    interval=(0.15, 1.0))
+    with pytest.raises(DomainError, match="sampled separation scan no pairs"):
+        check_nonconfluence_conditions(
+            _sqrt_small_jumps(), builtin_modulus("identity"), alpha=0.0,
+            delta=0.5, grid=grid)
 
 
 def test_a_failing_partner_state_is_named():

@@ -48,11 +48,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+# jsde_lab first: it sets the BLAS thread count before numpy loads
 from jsde_lab import cli, model, verifier  # noqa: E402
+import numpy as np  # noqa: E402
 from jsde_lab.errors import NumericalDomainError  # noqa: E402
 from jsde_lab.harness import (DEFAULT_SEED, ExperimentConfig,  # noqa: E402
                               run_experiment)
