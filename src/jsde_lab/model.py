@@ -85,6 +85,17 @@ def _float_array_valued(fn):
     return call
 
 
+def _compact(value):
+    """``value`` with each stride-0 (broadcast) axis cut to length 1: a
+    coefficient's values constant along the marks become a ``[..., :1]``
+    column, those constant along the states a ``[:1]`` row.  A view, which
+    broadcasts back to ``value`` in any elementwise operation."""
+    if 0 not in value.strides:
+        return value
+    return value[tuple(slice(0, 1) if s == 0 else slice(None)
+                       for s in value.strides)]
+
+
 # ---------------------------------------------------------------------------
 # mark measures
 # ---------------------------------------------------------------------------
@@ -207,16 +218,20 @@ class MarkMeasure:
 
         ``g(u)`` may return ``(..., nodes)``: each row sums with its own dot
         product, so its bits do not depend on the row count (a gemv's do).
-        A 1-D result is a float, no nodes give zeros, and a mark-free or
-        constant ``g`` sums to its expanded form's bits."""
+        A 1-D result is a float and no nodes give zeros.  A value constant
+        along the marks may come as a ``(..., 1)`` column, or a constant:
+        it is expanded over the nodes only here, just before the dot, and
+        sums to its expanded twin's bits."""
         u, w = self.nodes_and_weights()
         vals = g(u)
-        # only a value not laid along the nodes (a constant g) is broadcast
         if np.shape(vals)[-1:] != u.shape:
-            vals = np.broadcast_to(vals, np.broadcast_shapes(np.shape(vals),
-                                                             u.shape))
-        # contiguous, so a broadcast (mark-free) row sums as if expanded
-        vals = np.ascontiguousarray(vals, float)
+            # a value constant along the marks is expanded into one fresh
+            # contiguous array, so each row sums as its expanded twin
+            full = np.empty(np.shape(vals)[:-1] + u.shape)
+            full[...] = vals
+            vals = full
+        else:
+            vals = np.ascontiguousarray(vals, float)
         sums = (vals[..., None, :] @ w)[..., 0]
         return float(sums) if sums.ndim == 0 else sums
 
@@ -650,7 +665,10 @@ class CoefficientSet:
         if self._c1_mean is not None:
             return self._c1_mean(x)
         x = np.asarray(x, dtype=float)[..., None]
-        return self.nu1.integrate(lambda u: self.c1(x, u))
+        mean = self.nu1.integrate(lambda u: _compact(self.c1(x, u)))
+        # a state-free c1 sums once, for every state
+        return mean if np.shape(mean) == x.shape[:-1] else \
+            np.broadcast_to(mean, x.shape[:-1])
 
     def u3_measure(self):
         """``nu2`` restricted to the interlacing sub-support ``u3`` (``nu2``

@@ -28,6 +28,7 @@ Assumption ids:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -37,8 +38,8 @@ import numpy as np
 
 from .analysis import _gl_panel, omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
-from .model import (GAMMA, Band, _float_array_valued, builtin_growth,
-                    builtin_modulus, scale_modulus)
+from .model import (GAMMA, Band, _compact, _float_array_valued,
+                    builtin_growth, builtin_modulus, scale_modulus)
 
 NO_VIOLATION = "no_violation_found"
 VIOLATED = "violated"
@@ -53,9 +54,10 @@ MU_EXAMPLE_31 = (math.e + 3.0 * math.sqrt(math.e)) / (math.e + 1.0)
 MU_EXAMPLE_41 = 0.5566420945681
 
 # most pairs per block of the pair-grid mark integrals: a block's (pairs x
-# nodes) arrays take half a MB at the presets' 128 nodes; each row of pairs
-# (one anchor, one direction) is a block, cut when longer, so a designated
-# grid of 81 002 pairs makes 202 blocks of 401 pairs
+# nodes) arrays take half a MB at the presets' 128 nodes; consecutive rows
+# of pairs (one anchor, one direction each) share a block while they fit,
+# a longer row is cut, so a designated grid of 81 002 pairs makes 202
+# blocks of 401 pairs
 _PAIR_BLOCK = 512
 # most pairs per chunk of a pair condition: each condition is evaluated and
 # reduced one chunk of whole rows at a time (a longer row is cut), so its
@@ -321,7 +323,7 @@ def _mark_integral(measure, integrand, xs, ys, cfunc=None):
                          u[None, :])
         total = out[block] = measure.integrate(lambda _: vals)
         # a non-finite value makes its sum non-finite; overflow alone passes
-        if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
+        if not np.isfinite(total).all() and not np.isfinite(vals).all():
             i = a + int(np.argmax(~np.isfinite(vals).all(axis=1)))
             x, y = (float(col[min(i, len(col) - 1), 0]) for col in (xs, ys))
             state = x
@@ -335,16 +337,27 @@ def _mark_integral(measure, integrand, xs, ys, cfunc=None):
 
 
 def _pair_measure_integral(measure, integrand, x, y, edges, cfunc=None):
-    """:func:`_mark_integral` over a chunk's pairs, one row of pairs
-    ``edges[k]:edges[k + 1]`` at a time, the row's ``x`` given as a ``(1,
-    1)`` array, so the anchor side is evaluated on one row of marks."""
+    """:func:`_mark_integral` over a chunk's pairs in blocks of whole rows
+    of pairs (rows ``edges[k]:edges[k + 1]``): consecutive rows share a
+    block while their pairs fit in ``_PAIR_BLOCK``.  A block of one row
+    gets its ``x`` as a ``(1, 1)`` array, so the anchor side is evaluated
+    on one row of marks; a block of several rows gets the per-pair ``x``
+    column."""
     if measure is None or measure.nodes_and_weights()[0].size == 0:
         return np.zeros_like(x)
     out = np.empty(len(x))
-    for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        out[start:stop] = _mark_integral(measure, integrand,
-                                         x[start:start + 1, None],
+    edges = edges.tolist()
+    k = 0
+    while k < len(edges) - 1:
+        # the last row edge that keeps the block within _PAIR_BLOCK pairs,
+        # past at least one row
+        end = max(k + 1, bisect.bisect_right(edges, edges[k] + _PAIR_BLOCK)
+                  - 1)
+        start, stop = edges[k], edges[end]
+        xs = x[start:start + 1 if end == k + 1 else stop, None]
+        out[start:stop] = _mark_integral(measure, integrand, xs,
                                          y[start:stop, None], cfunc)
+        k = end
     return out
 
 
@@ -369,13 +382,13 @@ def _scalar_measure_integral(measure, g):
 
 
 def _dc(cfunc, x, y, u, work=None):
-    """``c(x, u) - c(y, u)``, written into ``work[:rows]`` (one row per
-    ``y``) when it has that shape, else a fresh array (a bare ``c = u``
-    gives one row).  A one-row ``x`` and a mark-free ``c``'s broadcast
-    view broadcast in the subtraction, so neither is expanded over u."""
-    cx, cy = cfunc(x, u), cfunc(y, u)
-    if work is not None and np.broadcast_shapes(cx.shape, cy.shape) \
-            == work[:len(y)].shape:
+    """``c(x, u) - c(y, u)`` on the coefficient's compact values: a fresh
+    ``(rows, 1)`` column when ``c`` is mark-free, a fresh ``(1, nodes)``
+    row when it is state-free.  Only when one side varies along both axes
+    is the difference written into ``work[:rows]`` (one row per ``y``),
+    so neither a mark-free nor a state-free ``c`` is expanded here."""
+    cx, cy = _compact(cfunc(x, u)), _compact(cfunc(y, u))
+    if work is not None and work[:len(y)].shape in (cx.shape, cy.shape):
         return np.subtract(cx, cy, out=work[:len(y)])
     return cx - cy
 
@@ -383,8 +396,9 @@ def _dc(cfunc, x, y, u, work=None):
 def _dc_integral(measure, cfunc, shape):
     """``(x, y, edges) -> integral shape(c(x_i,u) - c(y_i,u), |x_i - y_i|)
     dmeasure(u)`` for each pair of a chunk, by the blocked Gauss-Legendre
-    rule.  Every block's differences go to one ``(_PAIR_BLOCK x nodes)``
-    workspace, kept from chunk to chunk, which ``shape`` may overwrite."""
+    rule.  A block's difference that varies along both pairs and marks
+    goes to one ``(_PAIR_BLOCK x nodes)`` workspace, kept from chunk to
+    chunk, which ``shape`` may overwrite; a compact one is fresh."""
     work = None if measure is None else np.empty(
         (_PAIR_BLOCK, measure.nodes_and_weights()[0].size))
 
@@ -547,12 +561,14 @@ def _growth_lhs(model, x):
     lhs = 2.0 * x * b + sig ** 2
     if model.nu1 is not None:
         lhs = lhs + _mark_integral(
-            model.nu1, lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2,
+            model.nu1,
+            lambda xs, ys, u: np.abs(_compact(model.c1(xs, u))) ** 2,
             x[:, None], x[:, None])
     u3_measure = model.u3_measure()
     if u3_measure is not None:
         lhs = lhs + 2.0 * _mark_integral(
-            u3_measure, lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2,
+            u3_measure,
+            lambda xs, ys, u: np.abs(_compact(model.c2(xs, u))) ** 2,
             x[:, None], x[:, None])
     return lhs
 

@@ -12,16 +12,17 @@ from jsde_lab.analysis import implied_state_bound, moment_bound, phi_growth
 from jsde_lab.exprs import parse_expression
 from jsde_lab.integrator import (SchemeConfig, ito_levy_apply, simulate,
                                  simulate_paths)
-from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
+from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG, _compact,
                             MODULUS_CATALOG, Band, CoefficientSet,
                             GrowthFunction, MarkMeasure, Modulus,
                             affine_modulus, builtin_growth, builtin_modulus,
                             gauss_legendre, in_bands, lebesgue, preset,
                             scale_modulus)
 from jsde_lab.noise import derive_path_seed, sample_batch, sample_noise
-from jsde_lab.verifier import (MU_EXAMPLE_31, check_corollary_conditions,
-                               check_growth, check_local_conditions,
-                               check_modulus, check_nonconfluence_conditions,
+from jsde_lab.verifier import (MU_EXAMPLE_31, _growth_lhs,
+                               check_corollary_conditions, check_growth,
+                               check_local_conditions, check_modulus,
+                               check_nonconfluence_conditions,
                                designated_sets, reports_to_json)
 
 
@@ -586,6 +587,7 @@ TWIN_RUNS = {
     "designated_A25": _twin_a25,
     "check_growth": lambda m: reports_to_json(
         [check_growth(m, builtin_growth("log"), MU_EXAMPLE_31)]),
+    "growth_lhs": lambda m: _growth_lhs(m, np.linspace(-10.0, 10.0, 101)),
 }
 
 
@@ -598,3 +600,49 @@ def test_mark_free_c1_gets_its_expanded_twins_bits(twin, run):
         assert mark_free == expanded
     else:
         assert mark_free.tobytes() == expanded.tobytes()
+
+
+# a state-free c1 and its twin expanded over the states
+STATE_FREE_TWINS = {
+    "python": (lambda x, u: u, lambda x, u: u * np.ones_like(x)),
+    "config": (parse_expression("u", _XU), parse_expression("u + 0*x", _XU)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TWIN_RUNS))
+@pytest.mark.parametrize("twin", sorted(STATE_FREE_TWINS))
+def test_state_free_c1_gets_its_expanded_twins_bits(twin, run):
+    state_free, expanded = (TWIN_RUNS[run](_twin_model(c1))
+                            for c1 in STATE_FREE_TWINS[twin])
+    if isinstance(state_free, str):
+        assert state_free == expanded
+    else:
+        assert state_free.shape == expanded.shape
+        assert np.array_equal(state_free, expanded)
+
+
+def test_compact_cuts_the_broadcast_axes_only():
+    col, row = np.arange(3.0)[:, None], np.arange(5.0)[None, :]
+    cases = [(np.broadcast_to(col, (3, 5)), (3, 1)),
+             (np.broadcast_to(row, (3, 5)), (1, 5)),
+             (np.broadcast_to(2.0, (3, 5)), (1, 1)),
+             (np.broadcast_to(np.arange(5.0), (5,)), (5,)),
+             (np.broadcast_to(1.0, (5,)), (1,))]
+    for value, shape in cases:
+        got = _compact(value)
+        assert got.shape == shape and np.may_share_memory(got, value)
+        assert np.array_equal(np.broadcast_to(got, value.shape), value)
+    full = col * row
+    assert _compact(full) is full
+
+
+@pytest.mark.parametrize("value", [np.sqrt(np.linspace(0.0, 3.0, 7))[:, None],
+                                   np.array([0.7]), 0.7])
+def test_integrate_expands_a_compact_value_to_its_twins_bits(value):
+    measure = lebesgue(-1.0, 1.0)
+    nodes = measure.nodes_and_weights()[0].size
+    expanded = np.broadcast_to(value, np.shape(value)[:-1] + (nodes,)).copy()
+    got = measure.integrate(lambda u: value)
+    want = measure.integrate(lambda u: expanded)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)

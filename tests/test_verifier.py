@@ -464,15 +464,28 @@ def _designated_grid(label, assumption):
     return params.get("grid") or PairGrid.default(params["delta0"])
 
 
+def _grid_rows(grid):
+    # the (start, stop) of each row of pairs, and the stops of the chunks
+    rows, chunk_stops, offset = [], set(), 0
+    for x, _, edges in grid.chunks():
+        rows.extend(zip((offset + edges[:-1]).tolist(),
+                        (offset + edges[1:]).tolist()))
+        offset += x.size
+        chunk_stops.add(offset)
+    return rows, chunk_stops
+
+
 def _chunked_pairs(grid):
-    # a grid's pairs and their integrals, chunk by chunk
+    # a grid's pairs, their integrals chunk by chunk, and its rows
     return lambda measure, integrand: (*grid.pairs(),
-                                       _chunked(measure, integrand, grid))
+                                       _chunked(measure, integrand, grid),
+                                       _grid_rows(grid))
 
 
 def _blocked_pairs(x, y):
     return lambda measure, integrand: (x, y,
-                                       _blocked(measure, integrand, x, y))
+                                       _blocked(measure, integrand, x, y),
+                                       None)
 
 
 def _random_pairs():
@@ -510,23 +523,45 @@ def _recording(integrand, blocks):
     return run
 
 
+def _assert_blocks_are_whole_rows(blocks, rows, chunk_stops):
+    # a grid's blocks are whole rows of pairs: consecutive rows of a chunk
+    # share a block while their pairs fit in _BLOCK, the x side a per-pair
+    # column; a block of one row has its x side on one row, and a longer
+    # row is cut into blocks of _BLOCK pairs
+    start, k = 0, 0
+    for x_shape, pairs in blocks:
+        stop = start + pairs
+        first = k
+        while rows[k][1] < stop:
+            k += 1
+        if k > first:
+            assert rows[first][0] == start and rows[k][1] == stop
+            assert x_shape == (pairs, 1)
+        else:
+            assert x_shape == (1, 1)
+            assert rows[k][1] == stop or pairs == _BLOCK
+        if rows[k][1] == stop:
+            # the next row of the chunk did not fit
+            k += 1
+            assert (stop in chunk_stops
+                    or rows[k][1] - rows[first][0] > _BLOCK)
+        start = stop
+
+
 @pytest.mark.parametrize("case", list(LAYOUT_CASES))
 def test_pair_blocks_follow_the_runs(case):
     label, integrand_of, integrals = LAYOUT_CASES[case]
     model = preset(label)
     integrand = integrand_of(model)
     blocks = []
-    x, y, got = integrals(model.nu1, _recording(integrand, blocks))
-    # a grid's blocks are its rows of one x, the x side on one row; plain
-    # pairs of their own x each come in blocks of up to _BLOCK pairs
-    plain = case in ("growth_anchors", "random_pairs")
-    start = 0
-    for x_shape, rows in blocks:
-        assert 0 < rows <= _BLOCK
-        assert x_shape == ((rows, 1) if plain else (1, 1))
-        assert plain or np.all(x[start:start + rows] == x[start])
-        start += rows
-    assert start == x.size
+    x, y, got, grid_rows = integrals(model.nu1, _recording(integrand, blocks))
+    assert all(0 < pairs <= _BLOCK for _, pairs in blocks)
+    assert sum(pairs for _, pairs in blocks) == x.size
+    if grid_rows is None:
+        # plain pairs of their own x each
+        assert all(x_shape == (pairs, 1) for x_shape, pairs in blocks)
+    else:
+        _assert_blocks_are_whole_rows(blocks, *grid_rows)
     # each pair has the bits of the pair integrated alone: every pair, or
     # every seventh on the designated grids of 74 064 and 81 002 pairs
     pick = slice(None, None, 7 if x.size > 10_000 else 1)
@@ -599,18 +634,62 @@ def test_dc_integral_matches_a_fresh_difference(label, grid):
                 want = verifier._pair_measure_integral(
                     measure, _fresh_dc_integrand(cfunc, shape), x, y, edges)
                 assert np.array_equal(got, want)
-            shared = [np.may_share_memory(dc, seen[0][0])
-                      for dc, _ in seen[1:]]
-            if label == "bare_state_free":
-                # a one-row difference is fresh, unless its block has one
-                # pair and it fills the workspace's first row
-                assert all(dc.shape[0] == 1 for dc, _ in seen)
-                assert all((dc.base is None) == (rows > 1)
+            nodes = measure.nodes_and_weights()[0].size
+            if label.endswith("state_free"):
+                # a state-free difference is one (1, nodes) row, fresh
+                # unless its block has one pair and it fills the
+                # workspace's first row
+                assert all(dc.shape == (1, nodes)
+                           and (dc.base is None) == (rows > 1)
+                           for dc, rows in seen)
+            elif label == "example_31" and cfunc is model.c1:
+                # a mark-free difference is a fresh (rows, 1) column
+                assert all(dc.shape == (rows, 1) and dc.base is None
                            for dc, rows in seen)
             else:
-                # every block's difference, in every chunk, is in the one
-                # workspace
-                assert len(seen) > 1 and all(shared)
+                # every other difference, with both axes, in every block
+                # of every chunk, is in the one workspace
+                assert len(seen) > 1 and all(
+                    np.may_share_memory(dc, seen[0][0]) for dc, _ in seen)
+
+
+def test_designated_a25_keeps_the_mark_free_difference_a_column():
+    base = preset("example_31")
+    expanded = CoefficientSet(
+        b=base.b, sigma=base.sigma,
+        c1=parse_expression("sqrt(abs(x)) + 0*u", ("x", "u")), c2=base.c2,
+        nu1=base.nu1, nu2=base.nu2, u3=(), label="expanded twin",
+        c1_mean=base.c1_mean)
+    seen = []
+
+    def recording(dc, gap):
+        seen.append((dc.shape, gap.shape[0]))
+        return verifier._square_shape(dc, gap)
+
+    mark_free = verifier._dc_integral(base.nu1, base.c1, recording)
+    twin = verifier._dc_integral(expanded.nu1, expanded.c1,
+                                 verifier._square_shape)
+    for x, y, edges in _designated_grid("example_31", "A25").chunks():
+        assert np.array_equal(mark_free(x, y, edges), twin(x, y, edges))
+    # every difference is a (rows, 1) column, none (rows, nodes)
+    assert sum(rows for _, rows in seen) == 74_064
+    assert all(shape == (rows, 1) for shape, rows in seen)
+
+
+def test_short_rows_share_a_block(monkeypatch):
+    # A26 on 602 one-pair rows: 512 rows in one block, then 90
+    check, params = verifier.designated_sets("example_41")["A26"]
+    blocks = []
+
+    def recording(dc, gap):
+        blocks.append(gap.shape[0])
+        return np.abs(dc, out=dc)
+
+    monkeypatch.setattr(verifier, "_abs_shape", recording)
+    report = check(preset("example_41"), **dict(params, grid=SHORT_RUNS))
+    assert report.verdict == NO_VIOLATION
+    # two jump conditions, each integrand called twice
+    assert blocks == [512, 90, 512, 90]
 
 
 def test_designated_corollary_keeps_the_mark_free_c1_a_broadcast_view():

@@ -29,7 +29,9 @@ last, the ``ito_levy_apply`` Y-states on the criterion-10 shape (tamed,
 h = 2^-9 and its coarsening by 2, a few seeds) on both presets; last, the
 exception type, message and state of the two errors the designated A26
 check of ``example_41`` raises on a NaN separation margin and on a jump
-coefficient that fails only at a pair's partner state.
+coefficient that fails only at a pair's partner state; last, ``verify
+--check`` corollary, local and nonconfluence on the degenerate model, whose
+constant ``c1`` and state-free ``c2`` take the compact mark integrals.
 It prints one ``name sha256`` line per output:
 ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
@@ -308,6 +310,16 @@ A26_ERRORS = (
 )
 
 
+# (name, argv) of verify calls on the degenerate model, listed last
+DEGENERATE_CHECKS = tuple(
+    (f"degenerate_verify_{check}",
+     ["verify", "--check", check, "--set", "analysis.rho1=identity",
+      "--set", "analysis.rho2=identity", "--set", "analysis.modulus=identity",
+      "--set", "analysis.delta0=1", "--set", "analysis.alpha=0.5",
+      "--set", "analysis.delta=0.5"])
+    for check in ("corollary", "local", "nonconfluence"))
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -421,6 +433,10 @@ def listing(work):
                      f"{_sha(stdout.encode())}")
     lines.extend(_transform_lines())
     lines.extend(_error_lines())
+    for name, argv in DEGENERATE_CHECKS:
+        rc, stdout = _run_cli(argv[:1] + ["--config", str(degenerate)]
+                              + argv[1:])
+        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     return lines
 
 
