@@ -33,8 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, TransformRangeError
-from .model import (Modulus, _float_array_valued, affine_modulus,
-                    gauss_legendre)
+from .model import _float_array_valued, gauss_legendre
 
 __all__ = [
     "OmegaTransform",
@@ -51,7 +50,6 @@ __all__ = [
     "p_alpha",
     "NonconfluenceConstants",
     "nonconfluence_constants",
-    "nonconfluence_modulus",
     "r_inequality_check",
 ]
 
@@ -563,14 +561,6 @@ def nonconfluence_constants(alpha, delta, M):
     K1 = M * (K + Kp)
     K2 = alpha + 0.5 * alpha * (alpha + 1.0) + K + Kp
     return NonconfluenceConstants(K, Kp, K1, K2)
-
-
-def nonconfluence_modulus(alpha, delta, M, modulus, label=None):
-    """``rho_0(x) = K1*x + K2*rho(x)`` — the combined modulus driving the
-    separation bound; concave and divergent alongside ``rho``."""
-    c = nonconfluence_constants(alpha, delta, M)
-    return affine_modulus(c.K1, c.K2, modulus,
-                          label=label or f"rho0({modulus.label},a={alpha:g})")
 
 
 def r_inequality_check(alpha, delta, samples):

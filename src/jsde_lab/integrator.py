@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import _compact, _float_array_valued, in_bands
+from .model import _float_array_valued, in_bands
 from .noise import LARGE, SMALL, SOURCES, NoiseBatch, NoiseRealization
 
 TAMING_MODES = ("off", "drift_tamed")
@@ -361,7 +361,7 @@ def ito_levy_apply(f, path, model, noise, scheme):
     j1 = j2 = 0.0
     if model.nu1 is not None:
         xs = x[:, None]
-        c1 = _compact(model.c1(xs, model.nu1.nodes_and_weights()[0]))
+        c1 = model.c1(xs, model.nu1.nodes_and_weights()[0])
         j2 = model.nu1.integrate(lambda u: fn(xs + c1) - fn(xs))
         j1 = j2 - fpx * model.nu1.integrate(lambda u: c1)
     drift = fpx * b_eff + 0.5 * sig * sig * fpp(x) + j1 - j2

@@ -16,7 +16,8 @@ The module also carries two catalogs used throughout the laboratory:
 Every callable evaluated here (coefficients, a modulus's ``rho`` and
 ``log_weight``, a growth envelope's ``upsilon`` and ``upsilon_prime``, mark
 densities) is wrapped by ``_float_array_valued``: it gets float arrays and
-returns a float array shaped like its broadcast arguments, even a constant.
+returns a float array, even a constant: shaped like a single argument, and
+with each axis full or of length 1 for a jump coefficient ``c(x, u)``.
 """
 
 from __future__ import annotations
@@ -64,9 +65,13 @@ def gauss_legendre(n):
 
 def _float_array_valued(fn):
     """``fn`` called with its arguments as float arrays and returning a float
-    array shaped like their broadcast: a value of another shape is broadcast
-    (a read-only view), one of the right dtype and shape is returned as is.
-    None stays None, and a callable already wrapped comes back unchanged."""
+    array: shaped like a single argument (a value of another shape is
+    broadcast, a read-only view), or with two arguments' broadcast number
+    of axes, each full or of length 1 (a mark-free coefficient stays a
+    ``(states, 1)`` column).  A value that does not broadcast to the
+    arguments' shape raises ``ValueError``; one of the right dtype and
+    shape is returned as is.  None stays None, and a callable already
+    wrapped comes back unchanged."""
     if fn is None or getattr(fn, "_float_array_valued", False):
         return fn
 
@@ -80,20 +85,17 @@ def _float_array_valued(fn):
                 args = [np.asarray(a, dtype=float) for a in args]
         value = np.asarray(fn(*args), dtype=float)
         shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
-        return value if value.shape == shape else np.broadcast_to(value, shape)
+        if value.shape == shape:
+            return value
+        if len(args) == 1:
+            return np.broadcast_to(value, shape)
+        if value.ndim > len(shape) or any(n not in (1, m) for n, m in zip(
+                value.shape[::-1], shape[::-1])):
+            raise ValueError(f"a value of shape {value.shape} does not "
+                             f"broadcast to the arguments' shape {shape}")
+        return value[(None,) * (len(shape) - value.ndim)]
     call._float_array_valued = True
     return call
-
-
-def _compact(value):
-    """``value`` with each stride-0 (broadcast) axis cut to length 1: a
-    coefficient's values constant along the marks become a ``[..., :1]``
-    column, those constant along the states a ``[:1]`` row.  A view, which
-    broadcasts back to ``value`` in any elementwise operation."""
-    if 0 not in value.strides:
-        return value
-    return value[tuple(slice(0, 1) if s == 0 else slice(None)
-                       for s in value.strides)]
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +628,10 @@ def builtin_growth(name):
 class CoefficientSet:
     """One jump-SDE model: drift, diffusion, jump coefficients, mark measures.
 
-    Every coefficient returns a float array shaped like its broadcast
-    arguments, whatever the callable given returns, so a constant, a
-    state-free (``c = u``) or a mark-free (``c = g(x)``) coefficient is fine.
+    Every coefficient returns a float array, whatever the callable given
+    returns: ``b`` and ``sigma`` shaped like the state, ``c1`` and ``c2``
+    with each axis full or of length 1, so a constant, a state-free
+    (``c = u``) or a mark-free (``c = g(x)``) coefficient is fine.
 
     Parameters
     ----------
@@ -665,7 +668,7 @@ class CoefficientSet:
         if self._c1_mean is not None:
             return self._c1_mean(x)
         x = np.asarray(x, dtype=float)[..., None]
-        mean = self.nu1.integrate(lambda u: _compact(self.c1(x, u)))
+        mean = self.nu1.integrate(lambda u: self.c1(x, u))
         # a state-free c1 sums once, for every state
         return mean if np.shape(mean) == x.shape[:-1] else \
             np.broadcast_to(mean, x.shape[:-1])

@@ -38,7 +38,7 @@ import numpy as np
 
 from .analysis import _gl_panel, omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
-from .model import (GAMMA, Band, _compact, _float_array_valued,
+from .model import (GAMMA, Band, _float_array_valued,
                     builtin_growth, builtin_modulus, scale_modulus)
 
 NO_VIOLATION = "no_violation_found"
@@ -382,12 +382,12 @@ def _scalar_measure_integral(measure, g):
 
 
 def _dc(cfunc, x, y, u, work=None):
-    """``c(x, u) - c(y, u)`` on the coefficient's compact values: a fresh
+    """``c(x, u) - c(y, u)`` on the coefficient's own values: a fresh
     ``(rows, 1)`` column when ``c`` is mark-free, a fresh ``(1, nodes)``
     row when it is state-free.  Only when one side varies along both axes
     is the difference written into ``work[:rows]`` (one row per ``y``),
     so neither a mark-free nor a state-free ``c`` is expanded here."""
-    cx, cy = _compact(cfunc(x, u)), _compact(cfunc(y, u))
+    cx, cy = cfunc(x, u), cfunc(y, u)
     if work is not None and work[:len(y)].shape in (cx.shape, cy.shape):
         return np.subtract(cx, cy, out=work[:len(y)])
     return cx - cy
@@ -398,7 +398,7 @@ def _dc_integral(measure, cfunc, shape):
     dmeasure(u)`` for each pair of a chunk, by the blocked Gauss-Legendre
     rule.  A block's difference that varies along both pairs and marks
     goes to one ``(_PAIR_BLOCK x nodes)`` workspace, kept from chunk to
-    chunk, which ``shape`` may overwrite; a compact one is fresh."""
+    chunk, which ``shape`` may overwrite; a column or a row is fresh."""
     work = None if measure is None else np.empty(
         (_PAIR_BLOCK, measure.nodes_and_weights()[0].size))
 
@@ -562,13 +562,13 @@ def _growth_lhs(model, x):
     if model.nu1 is not None:
         lhs = lhs + _mark_integral(
             model.nu1,
-            lambda xs, ys, u: np.abs(_compact(model.c1(xs, u))) ** 2,
+            lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2,
             x[:, None], x[:, None])
     u3_measure = model.u3_measure()
     if u3_measure is not None:
         lhs = lhs + 2.0 * _mark_integral(
             u3_measure,
-            lambda xs, ys, u: np.abs(_compact(model.c2(xs, u))) ** 2,
+            lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2,
             x[:, None], x[:, None])
     return lhs
 
@@ -709,7 +709,8 @@ def _corollary_conditions(model, rho1, rho2, delta0, grid,
         if anchors.size < 2:
             raise DomainError(f"pair grid ({grid.describe()}) has one anchor; "
                               "the c1 monotonicity scan needs two")
-        c = model.c1(anchors[:, None], marks[None, :])
+        c = np.broadcast_to(model.c1(anchors[:, None], marks[None, :]),
+                            (anchors.size, marks.size))
         lhs = c[:-1, :].reshape(-1)
         rhs = c[1:, :].reshape(-1)
         xi = np.repeat(anchors[:-1], marks.size)
@@ -913,7 +914,8 @@ def _separation_condition(model, delta, grid, affine_k):
                 x, y = x[keep], y[keep]
                 moved = np.abs((x - y)[:, None] + cfunc(x[:, None], marks)
                                - cfunc(y[:, None], marks))
-                lhs = delta * np.abs(x - y)[:, None] - moved
+                lhs = np.broadcast_to(delta * np.abs(x - y)[:, None] - moved,
+                                      (x.size, marks.size))
                 pi, mi = divmod(int(np.argmax(lhs)), marks.size)
                 if top is None or _beats(lhs[pi, mi], top[0]):
                     top = (float(lhs[pi, mi]), float(x[pi]), float(y[pi]),

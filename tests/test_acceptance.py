@@ -32,7 +32,7 @@ from jsde_lab.harness import (
     run_nonconfluence,
     run_uniqueness,
 )
-from jsde_lab.integrator import SchemeConfig, ito_levy_apply, simulate
+from jsde_lab.integrator import SchemeConfig, ito_levy_apply, simulate_paths
 from jsde_lab.model import (
     CoefficientSet,
     Modulus,
@@ -354,12 +354,14 @@ def test_criterion_10_chain_rule_residual_halves():
     model = preset("example_41")
     f = (lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
     sups = {2.0 ** -8: [], 2.0 ** -9: []}
-    for i in range(100):
-        seed = derive_path_seed(DEFAULT_SEED, i)
-        fine = sample_noise(model, 1.0, 2.0 ** -9, seed)
-        for h, noise in ((2.0 ** -9, fine), (2.0 ** -8, fine.coarsen(2))):
-            scheme = SchemeConfig(base_step=h, taming="drift_tamed")
-            path = simulate(model, noise, scheme, 1.0)
+    fine = [sample_noise(model, 1.0, 2.0 ** -9,
+                         derive_path_seed(DEFAULT_SEED, i))
+            for i in range(100)]
+    for h, noises in ((2.0 ** -9, fine),
+                      (2.0 ** -8, [noise.coarsen(2) for noise in fine])):
+        scheme = SchemeConfig(base_step=h, taming="drift_tamed")
+        for path, noise in zip(simulate_paths(model, noises, scheme, 1.0),
+                               noises):
             y = ito_levy_apply(f, path, model, noise, scheme)
             sups[h].append(float(np.max(np.abs(y.states
                                                - path.states ** 2))))

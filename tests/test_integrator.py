@@ -688,6 +688,22 @@ def test_two_rows_failing_at_one_step_name_the_lower_index():
         (ref.seed, ref.step, ref.t, ref.state) == (1, 0.25, 0.5, -0.2)
 
 
+def test_a_constant_non_finite_c2_names_the_first_path_that_jumps():
+    # c2 returns one value for every jump of a group
+    model = CoefficientSet(b=lambda x: -x, sigma=lambda x: 0.5, c1=None,
+                           c2=lambda x, u: np.inf, nu1=None,
+                           nu2=lebesgue(1.0, 2.0), label="infinite c2")
+    h = 2.0 ** -4
+    seeds = [derive_path_seed(5, i) for i in range(6)]
+    with pytest.raises(NumericalDomainError) as info:
+        simulate_paths(model, sample_batch(model, 1.0, h, seeds),
+                       SchemeConfig(base_step=h), np.linspace(0.5, 1.0, 6))
+    err = info.value
+    assert str(err) == "jump c2 is non-finite at state 0.7758136762731563"
+    assert (err.path_index, err.seed, err.step, err.t, err.state) == \
+        (2, seeds[2], h, 0.08576092983927253, 0.7758136762731563)
+
+
 @pytest.mark.parametrize("field, value", [("taming", "drift_tamed"),
                                           ("explosion_radius", 3.0),
                                           ("restrict_to_u3", True)])

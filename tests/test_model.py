@@ -12,14 +12,14 @@ from jsde_lab.analysis import implied_state_bound, moment_bound, phi_growth
 from jsde_lab.exprs import parse_expression
 from jsde_lab.integrator import (SchemeConfig, ito_levy_apply, simulate,
                                  simulate_paths)
-from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG, _compact,
+from jsde_lab.model import (_CDF_TABLE, GAMMA, GROWTH_CATALOG,
                             MODULUS_CATALOG, Band, CoefficientSet,
                             GrowthFunction, MarkMeasure, Modulus,
                             affine_modulus, builtin_growth, builtin_modulus,
                             gauss_legendre, in_bands, lebesgue, preset,
                             scale_modulus)
 from jsde_lab.noise import derive_path_seed, sample_batch, sample_noise
-from jsde_lab.verifier import (MU_EXAMPLE_31, _growth_lhs,
+from jsde_lab.verifier import (MU_EXAMPLE_31, PairGrid, _growth_lhs,
                                check_corollary_conditions, check_growth,
                                check_local_conditions, check_modulus,
                                check_nonconfluence_conditions,
@@ -361,18 +361,32 @@ def test_example_41_coefficients():
     assert m.nu2.total_mass == pytest.approx(1.0, rel=1e-10)
 
 
+# each case's value broadcast to its arguments' shape
+BROADCAST_VALUES = {
+    "constant": np.full((4, 3), 2.0),
+    "state-free": np.tile(np.arange(5.0), (3, 1)),
+    "mark-free": np.repeat(np.arange(3.0)[:, None], 5, axis=1),
+    "scalar": np.array(2.0),
+}
+
+
 @pytest.mark.parametrize("name, fn, args, shape", [
-    ("constant", lambda x, u: 2, (np.zeros(3), np.zeros((4, 1))), (4, 3)),
-    ("state-free", lambda x, u: u, (np.zeros((3, 1)), np.ones(5)), (3, 5)),
-    ("mark-free", lambda x, u: x, (np.zeros((3, 1)), np.ones(5)), (3, 5)),
+    ("constant", lambda x, u: 2, (np.zeros(3), np.zeros((4, 1))), (1, 1)),
+    ("state-free", lambda x, u: u, (np.zeros((3, 1)), np.arange(5.0)),
+     (1, 5)),
+    ("mark-free", lambda x, u: x, (np.arange(3.0)[:, None], np.ones(5)),
+     (3, 1)),
     ("scalar", lambda x, u: x * u, (1.0, 2.0), ()),
 ])
 def test_coefficients_return_floats_shaped_like_their_arguments(
         name, fn, args, shape):
     m = CoefficientSet(b=None, sigma=None, c1=fn, c2=fn, nu1=None,
                        nu2=None, c1_mean=lambda x: 1)
+    expected = BROADCAST_VALUES[name]
     for value in (m.c1(*args), m.c2(*args)):
         assert value.dtype == float and value.shape == shape
+        assert np.array_equal(np.broadcast_to(value, expected.shape),
+                              expected)
     assert m.b is None and m.sigma is None
     x = np.arange(3.0)
     assert m.c1_mean(x).dtype == float and m.c1_mean(x).shape == (3,)
@@ -430,8 +444,7 @@ WRAPPER_CASES = (
      lambda x, u: _saw_plain_float64(x) * _saw_plain_float64(u),
      (np.zeros(2), np.zeros(2).view(_Sub)), np.ones(2)),
     ("mark-free value", lambda x, u: 2 * x,
-     (np.arange(2.0)[:, None], np.zeros((1, 3))),
-     np.repeat([[0.0], [2.0]], 3, axis=1)),
+     (np.arange(2.0)[:, None], np.zeros((1, 3))), np.array([[0.0], [2.0]])),
 )
 
 
@@ -443,9 +456,20 @@ def test_wrapper_values_by_argument_kind(name, fn, args, expected):
     assert value.shape == expected.shape
     assert value.tobytes() == expected.tobytes()
     assert (value is _OWN) == (name == "float64 array")
-    # a value broadcast to the arguments' shape is a read-only view
-    assert value.flags.writeable == (
-        name not in ("wrong-shape value", "mark-free value"))
+    # a one-argument value broadcast to the argument's shape is a read-only
+    # view; a two-argument value keeps its length-1 axes
+    assert value.flags.writeable == (name != "wrong-shape value")
+
+
+@pytest.mark.parametrize("shape, args", [
+    ((7,), (np.zeros((3, 1)), np.zeros((1, 5)))),
+    ((2, 1, 5), (np.zeros((3, 1)), np.zeros((1, 5)))),
+    ((3, 5), (np.zeros((3, 1)), np.zeros((3, 1)))),
+], ids=["too long", "too many axes", "full where the arguments are not"])
+def test_a_two_argument_value_that_does_not_broadcast_raises(shape, args):
+    wrapped = model_module._float_array_valued(lambda x, u: np.ones(shape))
+    with pytest.raises(ValueError, match="does not broadcast"):
+        wrapped(*args)
 
 
 def test_wrapped_callables_get_float_arrays_and_are_not_rewrapped():
@@ -577,6 +601,14 @@ def _twin_a25(m):
     return reports_to_json([check(m, **params)])
 
 
+def _twin_nonconfluence(m):
+    # no affine_k: the separation condition is the sampled pair scan
+    grid = PairGrid(anchors=np.linspace(-3.0, 3.0, 21),
+                    gaps=np.geomspace(1e-3, 2.0, 33))
+    return reports_to_json([check_nonconfluence_conditions(
+        m, builtin_modulus("identity"), 0.5, 0.5, grid=grid)])
+
+
 # (name -> run); each returns an array or a JSON report
 TWIN_RUNS = {
     "c1_mean": lambda m: m.c1_mean(np.linspace(-3.0, 3.0, 7)),
@@ -588,6 +620,7 @@ TWIN_RUNS = {
     "check_growth": lambda m: reports_to_json(
         [check_growth(m, builtin_growth("log"), MU_EXAMPLE_31)]),
     "growth_lhs": lambda m: _growth_lhs(m, np.linspace(-10.0, 10.0, 101)),
+    "nonconfluence": _twin_nonconfluence,
 }
 
 
@@ -621,24 +654,9 @@ def test_state_free_c1_gets_its_expanded_twins_bits(twin, run):
         assert np.array_equal(state_free, expanded)
 
 
-def test_compact_cuts_the_broadcast_axes_only():
-    col, row = np.arange(3.0)[:, None], np.arange(5.0)[None, :]
-    cases = [(np.broadcast_to(col, (3, 5)), (3, 1)),
-             (np.broadcast_to(row, (3, 5)), (1, 5)),
-             (np.broadcast_to(2.0, (3, 5)), (1, 1)),
-             (np.broadcast_to(np.arange(5.0), (5,)), (5,)),
-             (np.broadcast_to(1.0, (5,)), (1,))]
-    for value, shape in cases:
-        got = _compact(value)
-        assert got.shape == shape and np.may_share_memory(got, value)
-        assert np.array_equal(np.broadcast_to(got, value.shape), value)
-    full = col * row
-    assert _compact(full) is full
-
-
 @pytest.mark.parametrize("value", [np.sqrt(np.linspace(0.0, 3.0, 7))[:, None],
                                    np.array([0.7]), 0.7])
-def test_integrate_expands_a_compact_value_to_its_twins_bits(value):
+def test_integrate_expands_a_mark_free_value_to_its_twins_bits(value):
     measure = lebesgue(-1.0, 1.0)
     nodes = measure.nodes_and_weights()[0].size
     expanded = np.broadcast_to(value, np.shape(value)[:-1] + (nodes,)).copy()

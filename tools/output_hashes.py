@@ -31,7 +31,8 @@ exception type, message and state of the two errors the designated A26
 check of ``example_41`` raises on a NaN separation margin and on a jump
 coefficient that fails only at a pair's partner state; last, ``verify
 --check`` corollary, local and nonconfluence on the degenerate model, whose
-constant ``c1`` and state-free ``c2`` take the compact mark integrals.
+constant ``c1`` and state-free ``c2`` return a ``(1, 1)`` and a ``(1, marks)``
+value to every mark integral.
 It prints one ``name sha256`` line per output:
 ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
