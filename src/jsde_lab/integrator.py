@@ -54,7 +54,8 @@ LARGE_CODE = SOURCES.index(LARGE)
 class PathResult:
     """One integrated path.  ``event_codes[i]`` says what made state ``i``:
     an index into :data:`KIND_NAMES` (the last jump applied there, or
-    ``exit`` where the path ends beyond the radius)."""
+    ``exit`` where the path ends beyond the radius).  From a batch, the
+    arrays are strided views that keep the batch's arrays alive."""
 
     times: np.ndarray
     states: np.ndarray
@@ -190,6 +191,8 @@ def simulate_paths(model, noises, scheme, x0):
     replayed with every coefficient checked, paths in input order, to raise
     :class:`NumericalDomainError` with ``path_index`` (the position in
     ``noises``), that path's ``seed`` and base ``step``, ``t`` and ``state``.
+    A path's arrays view its column of the run's step-major arrays, without
+    a copy: they are strided, and one kept path keeps the run's arrays alive.
     """
     batches = _batches(noises)
     n = sum(len(batch) for batch in batches)
@@ -292,10 +295,10 @@ def simulate_paths(model, noises, scheme, x0):
 
     del dws                     # unread from here on; lowers the peak RSS
     codes[ends[exploded], exploded] = 3
-    return [PathResult(times[:end + 1, p].copy(), states[:end + 1, p].copy(),
+    return [PathResult(times[:end + 1, p], states[:end + 1, p],
                        bool(exploded[p]),
                        float(times[end, p]) if exploded[p] else None,
-                       seed, codes[:end + 1, p].copy())
+                       seed, codes[:end + 1, p])
             for p, end, seed in zip(rank.tolist(), ends[rank].tolist(), seeds)]
 
 
@@ -395,7 +398,7 @@ def ito_levy_apply(f, path, model, noise, scheme):
             f"transformed state became non-finite at t = {t:g}",
             state=float(ys[i + 1]), path_index=0, seed=noise.seed, t=t,
             step=scheme.base_step)
-    return PathResult(path.times.copy(), ys, path.exploded, path.exit_time,
+    return PathResult(path.times, ys, path.exploded, path.exit_time,
                       path.realization_seed, path.event_codes)
 
 

@@ -337,8 +337,8 @@ def sample_batch(model, horizon, base_step, seeds):
     """
     horizon = float(horizon)
     base_step = float(base_step)
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise DomainError("horizon must be positive and finite")
     if not 0 < base_step <= horizon:
         raise DomainError("need 0 < base_step <= horizon")
     nu1, nu2 = model.nu1, model.nu2

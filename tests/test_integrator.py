@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from jsde_lab.analysis import moment_bound
 from jsde_lab.errors import DomainError, NumericalDomainError
 from jsde_lab.harness import ExperimentConfig, run_uniqueness
 from jsde_lab.integrator import (PathResult, SchemeConfig, dump_path_csv,
                                  exit_times, first_exit_time, ito_levy_apply,
                                  simulate, simulate_paths)
-from jsde_lab.model import (Band, CoefficientSet, MarkMeasure, in_bands,
-                            lebesgue, preset)
+from jsde_lab.model import (Band, CoefficientSet, MarkMeasure,
+                            builtin_growth, in_bands, lebesgue, preset)
 from jsde_lab.noise import (LARGE, SMALL, SOURCES, NoiseRealization,
                             derive_path_seed, sample_batch, sample_noise)
+from jsde_lab.verifier import growth_ratio_supremum
 
 
 def _zeros(x):
@@ -780,3 +782,87 @@ def test_a_batch_runs_as_its_rows_run():
     assert any(path.exploded for path in batch)
     with pytest.raises(DomainError, match="base_step"):
         simulate_paths(model, noises, SchemeConfig(base_step=2.0 ** -6), 1.0)
+
+
+def test_rows_are_views_of_the_runs_arrays():
+    model = preset("example_31")
+    noises = sample_batch(model, 1.0, 2.0 ** -5,
+                          [derive_path_seed(4, i) for i in range(3)])
+    rows = simulate_paths(model, noises, SchemeConfig(base_step=2.0 ** -5),
+                          [1.0, 0.5, 2.0])
+    for field in ("times", "states", "event_codes"):
+        first, second = (getattr(row, field) for row in rows[:2])
+        assert first.base is not None and first.base is second.base
+        # one column each: the rows share a buffer but no element
+        assert not np.shares_memory(first, second)
+
+
+# ---------------------------------------------------------------------------
+# a linear model against its exact solution
+# ---------------------------------------------------------------------------
+
+def _linear_model(a, s, g, large=True):
+    """``b = a x``, ``sigma = s x`` and ``c1 = c2 = g|u| x`` on the presets'
+    two measures (``nu2`` left out unless ``large``); ``c1_mean = g x``,
+    since the integral of ``|u|`` over ``[-1, 1]`` is 1."""
+    def jump(x, u):
+        return g * np.abs(u) * x
+
+    return CoefficientSet(
+        b=lambda x: a * x, sigma=lambda x: s * x, c1=jump,
+        c2=jump if large else None, nu1=lebesgue(-1.0, 1.0),
+        nu2=lebesgue(1.0, 2.0) if large else None,
+        c1_mean=lambda x: g * x, label="linear")
+
+
+def _linear_exact(noises, a, s, g, x0):
+    """Each row's exact ``X_T`` on its own noise: ``x0 exp((a - g -
+    s^2 / 2) T + s W_T)`` times ``1 + g|u|`` for every mark of both
+    streams."""
+    w = np.array([row.union_increments.sum() for row in noises])
+    jumps = np.array([np.prod(1.0 + g * np.abs(row.events["mark"]))
+                      for row in noises])
+    return x0 * np.exp((a - g - s * s / 2) * noises.horizon + s * w) * jumps
+
+
+def test_euler_error_to_the_exact_solution_has_order_one_half():
+    """The jump-adapted Euler scheme with taming off converges to the
+    exact solution at strong order 1/2 (Platen & Bruti-Liberati 2010,
+    ch. 6 and 8).  The slope of log mean |X_T^h - X_T| against log h over
+    h = 2^-4 .. 2^-10, one batch and its coarsenings, has a standard error
+    of about 0.008 (delta method over the paths), so the band around 1/2
+    is more than 4 se wide on each side."""
+    a, s, g, x0, paths = -0.5, 0.8, 0.3, 1.0, 2000
+    model = _linear_model(a, s, g)
+    fine = sample_batch(model, 1.0, 2.0 ** -10,
+                        [derive_path_seed(27, i) for i in range(paths)])
+    ks = (4, 6, 8, 10)
+    noises = [fine.coarsen(2 ** (10 - k)) for k in ks]
+    schemes = [SchemeConfig(base_step=2.0 ** -k) for k in ks
+               for _ in range(paths)]
+    ends = [path.state_at_end()
+            for path in simulate_paths(model, noises, schemes, x0)]
+    errors = np.abs(np.reshape(ends, (len(ks), paths))
+                    - _linear_exact(fine, a, s, g, x0))
+    means = errors.mean(axis=1)
+    assert np.all(np.diff(means) < 0)
+    logh = np.log(2.0 ** -np.array(ks))
+    w = (logh - logh.mean()) / np.sum((logh - logh.mean()) ** 2)
+    slope = float(w @ np.log(means))
+    se = math.sqrt(w @ np.cov(errors / means[:, None]) @ w / paths)
+    assert 4 * se <= 0.1
+    assert 0.4 <= slope <= 0.6, (slope, se, means)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+def test_moment_bound_lies_above_the_exact_second_moment(a):
+    """Without ``nu2``, ``E X_t^2 = x0^2 exp((2a + s^2 + 2 g^2 / 3) t)``,
+    the last term being the integral of ``(g u)^2`` over ``[-1, 1]``.
+    The constant envelope has ``phi(x) = 1 + x``, so the Gronwall bound
+    with the checker's ``mu`` must lie above ``1 + E X_t^2``."""
+    s, g = 0.8, 0.3
+    one = builtin_growth("one")
+    mu, _ = growth_ratio_supremum(_linear_model(a, s, g, large=False), one)
+    for t in (0.25, 0.5, 1.0):
+        exact = 1.0 + math.exp((2 * a + s * s + 2 * g * g / 3) * t)
+        assert moment_bound(one, mu, 0.0, 1.0, t) >= exact

@@ -97,6 +97,24 @@ def test_sampling_from_two_threads_equals_serial_sampling():
     assert results == [serial, serial]
 
 
+def test_a_stream_is_not_reset_by_another_threads_stream():
+    """``_stream`` reuses one generator per thread, not per process: a
+    generator handed out in this thread draws what a fresh ``Philox`` keyed
+    ``(seed, stream)`` draws, even after another thread asked for its own
+    stream and drew from it."""
+    seed = derive_path_seed(11, 0)
+    rng = noise_module._stream(seed, 1)
+    head = rng.random(3)
+    other = threading.Thread(
+        target=lambda: noise_module._stream(derive_path_seed(11, 1),
+                                            2).random(5))
+    other.start()
+    other.join(timeout=60)
+    assert not other.is_alive()
+    fresh = _fresh_stream(seed, 1).random(6)
+    assert np.concatenate([head, rng.random(3)]).tobytes() == fresh.tobytes()
+
+
 def test_nearby_seeds_give_distinct_streams():
     # Regression: derived seeds live above 2**63, and building the
     # generator key from a plain int list went through float64, which
@@ -224,6 +242,19 @@ def test_invalid_sampling_arguments():
         sample_noise(model, -1.0, 2.0 ** -4, seed=1)
     with pytest.raises(DomainError):
         sample_noise(model, 1.0, 0.0, seed=1)
+
+
+@pytest.mark.parametrize("jumps", [True, False])
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_a_non_finite_horizon_is_a_domain_error(horizon, jumps):
+    model = preset("example_31") if jumps else CoefficientSet(
+        b=lambda x: -x, sigma=lambda x: 0.0 * x, c1=None, c2=None,
+        nu1=None, nu2=None)
+    message = "horizon must be positive and finite"
+    with pytest.raises(DomainError, match=message):
+        noise_module.sample_batch(model, horizon, 0.25, [1, 2])
+    with pytest.raises(DomainError, match=message):
+        sample_noise(model, horizon, 0.25, seed=1)
 
 
 def test_realization_arrays_are_read_only_and_sums_cached():

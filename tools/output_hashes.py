@@ -38,7 +38,11 @@ It prints one ``name sha256`` line per output:
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
 checker's ``reports_to_json``.  The listing goes to
 ``OUT`` when given, else to stdout, so that "only this column moved"
-between two checkouts is a single ``diff`` of their listings.
+between two checkouts is a single ``diff`` of their listings::
+
+    python tools/output_hashes.py new.txt && diff old.txt new.txt
+
+which prints the lines that moved and exits 1 if any did.
 
 The package is imported from the ``src`` directory next to this script.
 """
