@@ -89,7 +89,7 @@ class ExperimentConfig:
     explosion_radius: float = 1e6
 
     def __post_init__(self):
-        if not isinstance(self.paths, int) or self.paths < 1:
+        if type(self.paths) is not int or self.paths < 1:   # not a bool
             raise DomainError("paths must be an integer >= 1")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DomainError("horizon must be positive and finite")
@@ -105,7 +105,7 @@ class ExperimentConfig:
             raise DomainError("x0 must be finite")
         if self.y0 is not None and not math.isfinite(float(self.y0)):
             raise DomainError("y0 must be finite")
-        if self.budget_cap < 1:
+        if not self.budget_cap >= 1:
             raise DomainError("budget_cap must be positive")
         if not 0.0 < self.delta < math.inf:
             raise DomainError("delta must be positive and finite")

@@ -104,12 +104,17 @@ def _float_array_valued(fn):
 
 @dataclass(frozen=True)
 class Band:
-    """Half-open-by-default interval of marks, ``lo < u <= hi``."""
+    """Half-open-by-default interval of marks, ``lo < u <= hi``; a bound
+    may be infinite, not NaN."""
 
     lo: float
     hi: float
     closed_lo: bool = False
     closed_hi: bool = True
+
+    def __post_init__(self):
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise DomainError(f"band ({self.lo}, {self.hi}] has a NaN bound")
 
     def contains(self, u):
         u = np.asarray(u)
@@ -140,13 +145,14 @@ def in_bands(u3, marks):
 class MarkMeasure:
     """A finite (or explicitly infinite) measure on real marks.
 
-    Supported forms: a list of density pieces ``(lo, hi, d)`` with ``d`` a
-    nonnegative density (any callable of the mark, wrapped to return float
-    arrays shaped like its argument), and/or a list of atoms ``(u, w)`` with
-    weights ``w > 0``.  Pieces straddling 0 are split there so piecewise
-    quadrature never integrates across the ``|u|`` kink.  ``total_mass`` is
-    computed on its first read (and kept) unless it is given: ``hi - lo``
-    for a :func:`lebesgue` piece, adaptive quadrature for other densities.
+    Supported forms: a list of density pieces ``(lo, hi, d)`` on finite
+    bounds with ``d`` a nonnegative density (any callable of the mark,
+    wrapped to return float arrays shaped like its argument), and/or a list
+    of atoms ``(u, w)`` with finite ``u`` and weights ``0 < w < inf``.
+    Pieces straddling 0 are split there so piecewise quadrature never
+    integrates across the ``|u|`` kink.  ``total_mass`` is computed on its
+    first read (and kept) unless it is given: ``hi - lo`` for a
+    :func:`lebesgue` piece, adaptive quadrature for other densities.
     """
 
     def __init__(self, pieces=(), atoms=(), label="", total_mass=None):
@@ -154,6 +160,8 @@ class MarkMeasure:
         for lo, hi, dens in pieces:
             lo, hi = float(lo), float(hi)
             dens = _float_array_valued(dens)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"density piece [{lo}, {hi}] is not finite")
             if hi <= lo:
                 raise DomainError(f"empty density piece [{lo}, {hi}]")
             if lo < 0.0 < hi:
@@ -164,6 +172,8 @@ class MarkMeasure:
         self.pieces = tuple(split)
         self.atoms = tuple((float(u), float(w)) for u, w in atoms)
         for u, w in self.atoms:
+            if not (math.isfinite(u) and math.isfinite(w)):
+                raise DomainError(f"atom at {u} of weight {w} is not finite")
             if w <= 0.0:
                 raise DomainError(f"atom at {u} has non-positive weight {w}")
         self.label = label

@@ -412,12 +412,14 @@ def truncate_small_jumps(model_measure, epsilon):
     """Restrict a mark measure to ``|u| >= epsilon``.
 
     Returns ``(measure, compensator_rate)``.  ``epsilon = 0`` keeps a finite
-    measure unchanged (no truncation needed); negative thresholds are domain
-    errors, and so is a retained mass that is still infinite.
+    measure unchanged (no truncation needed); negative or non-finite
+    thresholds are domain errors, and so is a retained mass that is still
+    infinite.
     """
     epsilon = float(epsilon)
-    if epsilon < 0:
-        raise DomainError("truncation threshold must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise DomainError("truncation threshold must be nonnegative and "
+                          "finite")
     if epsilon == 0.0:
         if not model_measure.is_finite:
             raise DomainError("retained mass is infinite at epsilon = 0; "

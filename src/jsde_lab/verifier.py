@@ -196,19 +196,14 @@ class PairGrid:
                    f"[1e-06,{gap_max:g}], both directions"),
         )
 
-    def pairs(self, gap_cap=None):
-        """Every pair ``(x, y)``: each anchor minus each gap, then each
-        anchor plus each gap, without the pairs that leave ``interval`` or
-        have ``x == y``."""
-        xs, ys, _ = zip(*self.chunks(gap_cap))
-        return np.concatenate(xs), np.concatenate(ys)
-
     def chunks(self, gap_cap=None):
-        """The pairs of :meth:`pairs`, in order, as ``(x, y, edges)``
-        chunks of whole rows of pairs, one row per anchor and direction
-        with the anchor as every pair's ``x``: at most ``_CHUNK_PAIRS``
-        pairs a chunk, a longer row cut.  ``edges`` are the chunk's row
-        edges from 0 to its length.
+        """Every pair ``(x, y)``, each anchor minus each gap and then each
+        anchor plus each gap, without the pairs that leave ``interval`` or
+        have ``x == y``: in that order, as ``(x, y, edges)`` chunks of
+        whole rows of pairs, one row per anchor and direction with the
+        anchor as every pair's ``x``.  At most ``_CHUNK_PAIRS`` pairs a
+        chunk, a longer row cut.  ``edges`` are the chunk's row edges from
+        0 to its length.
 
         The grid's values are checked when this is called; each chunk is
         built when it is read.
@@ -398,7 +393,10 @@ def _dc_integral(measure, cfunc, shape):
     dmeasure(u)`` for each pair of a chunk, by the blocked Gauss-Legendre
     rule.  A block's difference that varies along both pairs and marks
     goes to one ``(_PAIR_BLOCK x nodes)`` workspace, kept from chunk to
-    chunk, which ``shape`` may overwrite; a column or a row is fresh."""
+    chunk, which ``shape`` may overwrite; a column or a row is fresh.  A
+    fresh difference per block makes the C allocator trim and re-fault the
+    heap top on every block in many heap layouts: 68 000 page faults and
+    twice the time of an ``example_41`` ``verify``."""
     work = None if measure is None else np.empty(
         (_PAIR_BLOCK, measure.nodes_and_weights()[0].size))
 

@@ -51,6 +51,7 @@ from jsde_lab.verifier import (
     check_modulus,
     check_nonconfluence_conditions,
     designated_checks,
+    designated_sets,
 )
 
 MODULUS_NAMES = ("identity", "neg_x_log_x", "x_log_log", "one_minus_x_pow_x")
@@ -514,3 +515,80 @@ def test_criterion_14_rerun_byte_identity(tmp_path):
                     f"identical {summary_same}")
     assert data_same
     assert summary_same
+
+
+# ---------------------------------------------------------------------------
+# evidence table — each designated verdict against the Monte Carlo trend it
+# predicts.  An Euler trend stands for the exact dynamics only where Euler
+# converges, so each row's docstring names the result it leans on.  Rows not
+# run here: A25 on example_31 is criterion 12 above; A26 on example_41 waits
+# for a sound near-diagonal check, since its count of coupled paths below
+# 1e-6 rises as the step refines
+# (test_cube_root_merging_grows_as_the_step_refines).
+# ---------------------------------------------------------------------------
+
+_EVIDENCE_SEED = 7
+
+
+def _moment_bound_holds(label, envelope):
+    # A23's moment bound against the explosion run's Monte Carlo mean of
+    # phi(X_T^2) at two base steps, under the designated envelope and mu
+    holds, detail = True, []
+    for k in (6, 8):
+        s = run_explosion(ExperimentConfig(
+            model=label, paths=1000, step_ladder=(2.0 ** -k,),
+            master_seed=_EVIDENCE_SEED))
+        row = s.extras["bound_row"]
+        assert row["growth"] == envelope
+        holds &= row["satisfied_within_3se"] is True
+        detail.append(f"h=2^-{k}: mc {row['mc_mean']:.3f} +- "
+                      f"{row['mc_se']:.3f} vs bound {row['bound']:.2f}")
+    return holds, "; ".join(detail)
+
+
+def _evidence_a23_example_31():
+    """A23 growth on example_31 (envelope ``log``): the moment bound holds
+    at every step.  Leans on Gyöngy & Rásonyi 2011 (SPA 121): Euler
+    converges strongly with a 1/2-Hölder diffusion such as ``sqrt|x|``."""
+    return _moment_bound_holds("example_31", "log")
+
+
+def _evidence_a23_example_41():
+    """A23 growth on example_41 (envelope ``one``): the moment bound holds
+    at every step.  Leans on Higham, Mao & Stuart 2002 (SIAM J. Numer.
+    Anal. 40): Euler converges strongly under locally Lipschitz
+    coefficients with bounded moments, which A23 supplies; the cube-root
+    drift term, only Hölder at 0, is the case Gyöngy & Rásonyi 2011 add."""
+    return _moment_bound_holds("example_41", "one")
+
+
+def _evidence_a24_example_41():
+    """A24 local uniqueness on example_41: the mean terminal gap to the
+    finest level falls strictly as the step refines.  Leans on Gyöngy &
+    Rásonyi 2011 (SPA 121): Euler converges strongly when the drift is a
+    Lipschitz part plus a decreasing Hölder one, like ``-cbrt(x)``."""
+    s = run_uniqueness(ExperimentConfig(model="example_41", paths=1000,
+                                        master_seed=_EVIDENCE_SEED))
+    gaps = [f"{r['mean_gap_pow_alpha']:.4f}" for r in s.ladder]
+    return s.extras["strictly_decreasing"], f"mean terminal gaps {gaps}"
+
+
+# row -> (preset, designated assumption, evidence)
+EVIDENCE_ROWS = {
+    "A23_example_31": ("example_31", "A23", _evidence_a23_example_31),
+    "A23_example_41": ("example_41", "A23", _evidence_a23_example_41),
+    "A24_example_41": ("example_41", "A24", _evidence_a24_example_41),
+}
+
+
+@pytest.mark.parametrize("row", sorted(EVIDENCE_ROWS))
+def test_evidence_table(row):
+    label, assumption, evidence = EVIDENCE_ROWS[row]
+    check, params = designated_sets(label)[assumption]
+    verdict = check(preset(label), **params).verdict
+    agrees, detail = evidence()
+    ok = verdict == NO_VIOLATION and agrees
+    print(f"[evidence {row}] {'PASS' if ok else 'FAIL'} — designated "
+          f"{assumption} {verdict}; {detail}")
+    assert verdict == NO_VIOLATION
+    assert agrees, detail

@@ -79,6 +79,9 @@ def test_config_ladders_normalized():
     {"delta": 0.0},
     {"step_ladder": ()},
     {"step_ladder": (0.25, 0.25)},
+    # a NaN cap passed `budget_cap < 1` and turned the budget off
+    {"budget_cap": float("nan")},
+    {"paths": True},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(DomainError):

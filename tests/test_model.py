@@ -70,6 +70,32 @@ def test_measure_atoms():
         MarkMeasure(pieces=[(2.0, 1.0, lambda u: np.ones_like(u))])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MarkMeasure(atoms=[(math.nan, 1.0)]),
+     "atom at nan of weight 1.0 is not finite"),
+    (lambda: MarkMeasure(atoms=[(math.inf, 1.0)]),
+     "atom at inf of weight 1.0 is not finite"),
+    (lambda: MarkMeasure(atoms=[(0.5, math.nan)]),
+     "atom at 0.5 of weight nan is not finite"),
+    (lambda: MarkMeasure(atoms=[(0.5, math.inf)]),
+     "atom at 0.5 of weight inf is not finite"),
+    # a non-unit density on (0, inf) read total_mass -1 as a finite mass
+    (lambda: MarkMeasure(pieces=[(0.0, math.inf, lambda u: 2.0 + 0 * u)]),
+     "density piece [0.0, inf] is not finite"),
+    (lambda: MarkMeasure(pieces=[(math.nan, 1.0, lambda u: 1.0 + 0 * u)]),
+     "density piece [nan, 1.0] is not finite"),
+    (lambda: lebesgue(-math.inf, 1.0),
+     "density piece [-inf, 1.0] is not finite"),
+    (lambda: Band(math.nan, 1.0), "band (nan, 1.0] has a NaN bound"),
+    (lambda: Band(0.0, math.nan), "band (0.0, nan] has a NaN bound"),
+], ids=["nan_atom", "inf_atom", "nan_weight", "inf_weight", "inf_piece",
+        "nan_piece", "inf_lebesgue", "nan_band_lo", "nan_band_hi"])
+def test_measures_and_bands_reject_non_finite_input(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_measure_restriction():
     nu = lebesgue(1.0, 2.0)
     assert nu.restricted(None) is nu

@@ -182,8 +182,10 @@ def test_truncate_small_jumps():
         0.0, abs=1e-12)
     same, full = truncate_small_jumps(nu, 0.0)
     assert same is nu and full == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        truncate_small_jumps(nu, -0.1)
+    # a NaN threshold used to keep every piece twice, at rate 4 for mass 2
+    for epsilon in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError, match="nonnegative and finite"):
+            truncate_small_jumps(nu, epsilon)
 
 
 def test_split_large_jumps():

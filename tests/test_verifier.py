@@ -50,6 +50,12 @@ def _small_grid(lo=-3.0, hi=3.0, gap_max=1.0, interval=None):
                     interval=interval, label="test grid")
 
 
+def _pairs(grid, gap_cap=None):
+    # every pair of a grid, its chunks concatenated
+    xs, ys, _ = zip(*grid.chunks(gap_cap))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def _linear_model():
     return CoefficientSet(
         b=lambda x: -np.asarray(x, dtype=float),
@@ -276,7 +282,7 @@ def test_checkers_reject_non_finite_parameters(checker, param, value):
 ], ids=["no_anchors", "no_gaps", "clipped_away"])
 def test_pair_grid_without_pairs_is_a_domain_error(grid):
     with pytest.raises(DomainError, match="has no pairs"):
-        grid.pairs()
+        _pairs(grid)
     model, modulus = preset("example_41"), builtin_modulus("identity")
     with pytest.raises(DomainError, match="has no pairs"):
         check_local_conditions(model, modulus, alpha=0.5, delta0=1.0,
@@ -298,7 +304,7 @@ def test_pair_grid_with_a_non_finite_anchor_or_gap_is_a_domain_error(
     grid = PairGrid(anchors=np.array(anchors), gaps=np.array(gaps))
     message = f"^pair grid \\({grid.describe()}\\) has a non-finite {kind}$"
     with pytest.raises(DomainError, match=message):
-        grid.pairs()
+        _pairs(grid)
     model = preset("example_41")
     modulus = scale_modulus(builtin_modulus("identity"), 5.0)
     with pytest.raises(DomainError, match=message):
@@ -477,7 +483,7 @@ def _grid_rows(grid):
 
 def _chunked_pairs(grid):
     # a grid's pairs, their integrals chunk by chunk, and its rows
-    return lambda measure, integrand: (*grid.pairs(),
+    return lambda measure, integrand: (*_pairs(grid),
                                        _chunked(measure, integrand, grid),
                                        _grid_rows(grid))
 
@@ -710,14 +716,14 @@ def test_designated_corollary_keeps_the_mark_free_c1_a_column():
     assert (reports_to_json([check(model, **params)])
             == reports_to_json([check(base, **params)]))
     # each block's y side is a (rows, 1) column
-    x, _ = params["grid"].pairs(gap_cap=params["delta0"])
+    x, _ = _pairs(params["grid"], gap_cap=params["delta0"])
     assert sum(rows for rows, _ in y_sides) == x.size
     assert all(cols == 1 for _, cols in y_sides)
 
 
 def test_blocked_pair_integral_reports_a_first_bad_pair_in_a_one_x_block():
     model = preset("example_41")
-    x, y = LONG_RUNS.pairs()
+    x, y = _pairs(LONG_RUNS)
 
     def integrand(xs, ys, u):
         # non-finite from gap 0.5 up, past the cut of an anchor's run
@@ -743,7 +749,7 @@ def test_blocked_pair_integral_lets_a_finite_overflow_through():
             model.nu1,
             lambda xs, ys, u: np.full((ys.shape[0], u.size), 1e308),
             SHORT_RUNS)
-    assert out.size == SHORT_RUNS.pairs()[0].size
+    assert out.size == _pairs(SHORT_RUNS)[0].size
     assert np.all(np.isinf(out))
 
 
@@ -916,10 +922,9 @@ def test_chunks_are_the_pairs_in_whole_blocks(grid, blocks, monkeypatch):
     grid = CHUNK_GRIDS[grid]()
     want_x, want_y, want_rows = _whole_grid_pairs(grid)
     chunks = list(grid.chunks())
-    for got in ([np.concatenate([c[i] for c in chunks]) for i in (0, 1)],
-                grid.pairs()):
-        assert got[0].tobytes() == want_x.tobytes()
-        assert got[1].tobytes() == want_y.tobytes()
+    got_x, got_y = (np.concatenate([c[i] for c in chunks]) for i in (0, 1))
+    assert got_x.tobytes() == want_x.tobytes()
+    assert got_y.tobytes() == want_y.tobytes()
     # each chunk holds at most `pairs` pairs, its rows each from one row of
     # the grid, which is split only when it does not fit in a chunk
     seen, offset = [], 0
