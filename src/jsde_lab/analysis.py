@@ -134,15 +134,10 @@ class OmegaTransform:
             raise DomainError("forward() needs t > 0")
         if self._cf is not None:
             return float(self._cf[0](t, self.base_point))
-        lt = -math.log(t)
-        if lt <= self._lb:
-            return w_integral(self.modulus, lt, self._lb)
-        return -w_integral(self.modulus, self._lb, lt)
+        return self._g(-math.log(t))
 
     def _g(self, ell):
-        if ell <= self._lb:
-            return w_integral(self.modulus, ell, self._lb)
-        return -w_integral(self.modulus, self._lb, ell)
+        return w_integral(self.modulus, ell, self._lb)
 
     def inverse(self, y):
         y = float(y)

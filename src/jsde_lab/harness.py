@@ -91,6 +91,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if type(self.paths) is not int or self.paths < 1:   # not a bool
             raise DomainError("paths must be an integer >= 1")
+        # a float or bool seed would be truncated, and its echo not replay
+        if isinstance(self.master_seed, bool) \
+                or not isinstance(self.master_seed, (int, np.integer)):
+            raise DomainError("master_seed must be an integer")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DomainError("horizon must be positive and finite")
         object.__setattr__(self, "step_ladder", _sorted_ladder(
@@ -103,7 +107,11 @@ class ExperimentConfig:
             raise DomainError("alpha must be nonnegative and finite")
         if not math.isfinite(self.x0):
             raise DomainError("x0 must be finite")
-        if self.y0 is not None and not math.isfinite(float(self.y0)):
+        try:
+            y0_ok = self.y0 is None or math.isfinite(float(self.y0))
+        except (TypeError, ValueError):
+            y0_ok = False
+        if not y0_ok:
             raise DomainError("y0 must be finite")
         if not self.budget_cap >= 1:
             raise DomainError("budget_cap must be positive")

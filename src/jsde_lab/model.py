@@ -397,8 +397,8 @@ class Modulus:
 def scale_modulus(modulus, c):
     """``c * rho`` — still a valid modulus for ``c > 0``."""
     c = float(c)
-    if c <= 0:
-        raise DomainError("modulus scale must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("modulus scale must be positive and finite")
     cf = None
     if modulus.closed_form_omega is not None:
         fwd, inv = modulus.closed_form_omega
@@ -418,8 +418,9 @@ def affine_modulus(k1, k2, modulus, label=None):
     """``k1 * x + k2 * rho(x)`` — concave with a divergent reciprocal integral
     whenever ``rho`` has one (or ``k1 > 0``)."""
     k1, k2 = float(k1), float(k2)
-    if k1 < 0 or k2 < 0 or k1 + k2 == 0:
-        raise DomainError("affine modulus needs nonnegative k1, k2, not both 0")
+    if not (0 <= k1 < math.inf and 0 <= k2 < math.inf) or k1 + k2 == 0:
+        raise DomainError("affine modulus needs finite nonnegative k1, k2, "
+                          "not both 0")
 
     def w0(ell, _m=modulus):
         # 1 / (k1 + k2 / W(ell)) with W = exp(-ell)/rho(exp(-ell))

@@ -294,65 +294,48 @@ def _per_row(f, x, edges):
     return np.repeat(f(x[edges[:-1]]), np.diff(edges))
 
 
-def _mark_integral(measure, integrand, xs, ys, cfunc=None):
-    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair, in
-    blocks of ``_PAIR_BLOCK`` pairs: ``ys`` is a ``(pairs, 1)`` column of
-    states, and ``xs`` another or a ``(1, 1)`` array shared by every pair.
+def _mark_integral(measure, integrand, x, y, edges, cfunc=None):
+    """``integral integrand(x_i, y_i, u) dmeasure(u)`` for each pair of a
+    chunk, whose rows of pairs are ``edges[k]:edges[k + 1]``, in blocks of
+    at most ``_PAIR_BLOCK`` pairs: consecutive whole rows share a block
+    while they fit, and a longer row is cut into blocks of its own.
 
-    ``integrand(xs, ys, u)`` receives a block's states and the marks as a
-    ``(1, nodes)`` row, and returns an array that broadcasts to ``(rows,
-    nodes)``, as any function of the model's coefficient values there
-    does.  :meth:`MarkMeasure.integrate` sums each pair's row with its own
-    dot product, so a pair's integral has the same bits in any block.  A
-    non-finite integrand raises, naming the first failing pair's ``x``, or
-    its ``y`` when the integrand reads the coefficient ``cfunc`` and only
-    ``cfunc(y, u)`` is non-finite.
+    ``integrand(xs, ys, u)`` receives a block's ``y`` as a ``(pairs, 1)``
+    column, its ``x`` as another or, in a block of one row, the anchor as a
+    ``(1, 1)`` array, and the marks as a ``(1, nodes)`` row.  It returns an
+    array that broadcasts to ``(pairs, nodes)``, as any function of the
+    model's coefficient values there does.  :meth:`MarkMeasure.integrate`
+    sums each pair's row with its own dot product, so a pair's integral has
+    the same bits in any block.  A non-finite integrand raises, naming the
+    first failing pair's ``x``, or its ``y`` when the integrand reads the
+    coefficient ``cfunc`` and only ``cfunc(y, u)`` is non-finite.
     """
-    out = np.zeros(len(ys))
-    u = measure.nodes_and_weights()[0]
-    if u.size == 0:
-        return out
-    for a in range(0, len(ys), _PAIR_BLOCK):
-        block = slice(a, a + _PAIR_BLOCK)
-        vals = integrand(xs if len(xs) == 1 else xs[block], ys[block],
-                         u[None, :])
-        total = out[block] = measure.integrate(lambda _: vals)
+    out = np.zeros(len(x))
+    u = np.zeros(0) if measure is None else measure.nodes_and_weights()[0]
+    edges = edges.tolist()
+    k = a = 0
+    while u.size and k < len(edges) - 1:
+        # the last row edge within _PAIR_BLOCK pairs of the row's start,
+        # past at least one row; a longer row is cut at _PAIR_BLOCK pairs
+        end = max(k + 1, bisect.bisect_right(edges, edges[k] + _PAIR_BLOCK)
+                  - 1)
+        b = min(edges[end], a + _PAIR_BLOCK)
+        vals = integrand(x[a:a + 1 if end == k + 1 else b, None],
+                         y[a:b, None], u[None, :])
+        total = out[a:b] = measure.integrate(lambda _: vals)
         # a non-finite value makes its sum non-finite; overflow alone passes
         if not np.isfinite(total).all() and not np.isfinite(vals).all():
             i = a + int(np.argmax(~np.isfinite(vals).all(axis=1)))
-            x, y = (float(col[min(i, len(col) - 1), 0]) for col in (xs, ys))
-            state = x
-            if cfunc is not None and _finite_at(cfunc, x, u) \
-                    and not _finite_at(cfunc, y, u):
-                state = y
+            state = float(x[i])
+            if cfunc is not None and _finite_at(cfunc, state, u) \
+                    and not _finite_at(cfunc, float(y[i]), u):
+                state = float(y[i])
             raise NumericalDomainError(
                 f"mark integral failed to evaluate at x = {state:g}",
                 state=state)
-    return out
-
-
-def _pair_measure_integral(measure, integrand, x, y, edges, cfunc=None):
-    """:func:`_mark_integral` over a chunk's pairs in blocks of whole rows
-    of pairs (rows ``edges[k]:edges[k + 1]``): consecutive rows share a
-    block while their pairs fit in ``_PAIR_BLOCK``.  A block of one row
-    gets its ``x`` as a ``(1, 1)`` array, so the anchor side is evaluated
-    on one row of marks; a block of several rows gets the per-pair ``x``
-    column."""
-    if measure is None or measure.nodes_and_weights()[0].size == 0:
-        return np.zeros_like(x)
-    out = np.empty(len(x))
-    edges = edges.tolist()
-    k = 0
-    while k < len(edges) - 1:
-        # the last row edge that keeps the block within _PAIR_BLOCK pairs,
-        # past at least one row
-        end = max(k + 1, bisect.bisect_right(edges, edges[k] + _PAIR_BLOCK)
-                  - 1)
-        start, stop = edges[k], edges[end]
-        xs = x[start:start + 1 if end == k + 1 else stop, None]
-        out[start:stop] = _mark_integral(measure, integrand, xs,
-                                         y[start:stop, None], cfunc)
-        k = end
+        if b == edges[end]:
+            k = end
+        a = b
     return out
 
 
@@ -401,7 +384,7 @@ def _dc_integral(measure, cfunc, shape):
         (_PAIR_BLOCK, measure.nodes_and_weights()[0].size))
 
     def integral(x, y, edges):
-        return _pair_measure_integral(
+        return _mark_integral(
             measure, lambda xs, ys, u: shape(_dc(cfunc, xs, ys, u, work),
                                              np.abs(xs - ys)), x, y, edges,
             cfunc)
@@ -556,19 +539,15 @@ def _growth_lhs(model, x):
             i = int(np.argmax(~np.isfinite(arr)))
             raise NumericalDomainError(
                 f"{name} evaluation failed at x = {x[i]:g}", state=float(x[i]))
-    lhs = 2.0 * x * b + sig ** 2
-    if model.nu1 is not None:
-        lhs = lhs + _mark_integral(
-            model.nu1,
-            lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2,
-            x[:, None], x[:, None])
-    u3_measure = model.u3_measure()
-    if u3_measure is not None:
-        lhs = lhs + 2.0 * _mark_integral(
-            u3_measure,
-            lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2,
-            x[:, None], x[:, None])
-    return lhs
+    # each anchor a row of one pair, so anchors share blocks
+    rows = np.arange(x.size + 1)
+    return (2.0 * x * b + sig ** 2
+            + _mark_integral(model.nu1,
+                             lambda xs, ys, u: np.abs(model.c1(xs, u)) ** 2,
+                             x, x, rows)
+            + 2.0 * _mark_integral(
+                model.u3_measure(),
+                lambda xs, ys, u: np.abs(model.c2(xs, u)) ** 2, x, x, rows))
 
 
 def _growth_decade_increments(upsilon):
@@ -657,6 +636,10 @@ def growth_ratio_supremum(model, upsilon, anchors=None):
     if anchors is None:
         anchors = np.linspace(-10.0, 10.0, 101)
     anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 1 or anchors.size == 0 \
+            or not np.all(np.isfinite(anchors)):
+        raise DomainError("growth ratio anchors must be a non-empty 1-D "
+                          "array of finite states")
     lhs = _growth_lhs(model, anchors)
     rhs = anchors ** 2 * upsilon(anchors ** 2) + 1.0
     ratio = lhs / rhs

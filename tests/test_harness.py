@@ -82,10 +82,20 @@ def test_config_ladders_normalized():
     # a NaN cap passed `budget_cap < 1` and turned the budget off
     {"budget_cap": float("nan")},
     {"paths": True},
+    # a float or bool seed was truncated, so its echo did not replay the run
+    {"master_seed": 1.5},
+    {"master_seed": True},
+    {"y0": "abc"},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(DomainError):
         ExperimentConfig(model=_contraction_model(), **kw)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7)])
+def test_config_accepts_integer_seeds(seed):
+    cfg = ExperimentConfig(model=_contraction_model(), master_seed=seed)
+    assert cfg.master_seed == seed
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"),

@@ -314,6 +314,13 @@ def test_scale_and_affine_modulus():
     assert combo(0.5) == pytest.approx(2.0 * 0.5 + 3.0 * 0.5)
     with pytest.raises(DomainError):
         scale_modulus(rho, -1.0)
+    # a non-finite factor built nan*identity, inf*identity or nan*x+1*rho
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            scale_modulus(rho, bad)
+        for k1, k2 in ((bad, 1.0), (1.0, bad), (bad, 0.0), (0.0, bad)):
+            with pytest.raises(DomainError):
+                affine_modulus(k1, k2, rho)
 
 
 # ---------------------------------------------------------------------------

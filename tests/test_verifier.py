@@ -146,6 +146,42 @@ def test_growth_ratio_supremum_linear_drift():
     assert abs(sup_arg) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("anchors", [
+    np.zeros(0), np.array([0.0, math.nan]), np.array([math.inf, 1.0]),
+    np.array([-math.inf]), np.array(1.0), np.ones((2, 2))])
+def test_growth_ratio_supremum_rejects_bad_anchors(anchors):
+    # empty anchors raised a raw ValueError from argmax, and non-finite ones
+    # a NumericalDomainError, as if the model had failed
+    with pytest.raises(DomainError, match="growth ratio anchors"):
+        growth_ratio_supremum(preset("example_41"), builtin_growth("one"),
+                              anchors=anchors)
+
+
+def test_growth_lhs_lays_its_anchors_as_rows_of_one_pair():
+    base = preset("example_41")
+    x_shapes = []
+
+    def c1(x, u):
+        x_shapes.append(np.shape(x))
+        return base.c1(x, u)
+
+    model = CoefficientSet(b=base.b, sigma=base.sigma, c1=c1, c2=base.c2,
+                           nu1=base.nu1, nu2=base.nu2, u3=(),
+                           label=base.label, c1_mean=base.c1_mean)
+    x = np.linspace(-10.0, 10.0, 3 * verifier._PAIR_BLOCK + 7)
+    lhs = verifier._growth_lhs(model, x)
+    # consecutive anchors share blocks of 512, each with x as a column
+    assert x_shapes == [(512, 1)] * 3 + [(7, 1)]
+    # each anchor has the bits of that anchor integrated alone
+    alone = np.concatenate([verifier._growth_lhs(base, x[i:i + 1])
+                            for i in range(x.size)])
+    assert lhs.tobytes() == alone.tobytes()
+    ratio = alone / (x ** 2 + 1.0)
+    i = int(np.argmax(ratio))
+    assert growth_ratio_supremum(model, builtin_growth("one"), anchors=x) \
+        == (float(ratio[i]), float(x[i]))
+
+
 # ---------------------------------------------------------------------------
 # A25 corollary conditions
 # ---------------------------------------------------------------------------
@@ -402,15 +438,15 @@ _BLOCK = verifier._PAIR_BLOCK
 
 
 def _blocked(measure, integrand, x, y):
-    # pairs of their own x each, as the growth bound lays its anchors
-    return verifier._mark_integral(measure, integrand, x[:, None],
-                                   y[:, None])
+    # rows of one pair each, as the growth bound lays its anchors
+    return verifier._mark_integral(measure, integrand, x, y,
+                                   np.arange(x.size + 1))
 
 
 def _chunked(measure, integrand, grid):
     # the grid's pairs chunk by chunk, as the pair conditions evaluate them
     return np.concatenate([
-        verifier._pair_measure_integral(measure, integrand, x, y, edges)
+        verifier._mark_integral(measure, integrand, x, y, edges)
         for x, y, edges in grid.chunks()])
 
 
@@ -637,7 +673,7 @@ def test_dc_integral_matches_a_fresh_difference(label, grid):
             integral = verifier._dc_integral(measure, cfunc, recording)
             for x, y, edges in chunks:
                 got = integral(x, y, edges)
-                want = verifier._pair_measure_integral(
+                want = verifier._mark_integral(
                     measure, _fresh_dc_integrand(cfunc, shape), x, y, edges)
                 assert np.array_equal(got, want)
             nodes = measure.nodes_and_weights()[0].size
