@@ -37,9 +37,8 @@ from .model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
                     CoefficientSet, GrowthFunction, MarkMeasure, Modulus,
                     affine_modulus, builtin_growth, builtin_modulus, lebesgue,
                     preset, scale_modulus)
-from .noise import (NoiseBatch, NoiseRealization, derive_path_seed,
-                    sample_batch, sample_noise, split_large_jumps,
-                    truncate_small_jumps)
+from .noise import (NoiseBatch, derive_path_seed, sample_batch,
+                    sample_noise, truncate_small_jumps)
 from .verifier import (NO_VIOLATION, VIOLATED, AssumptionReport,
                        ConditionResult, check_corollary_conditions,
                        check_growth, check_local_conditions, check_modulus,
@@ -55,7 +54,7 @@ __all__ = [
     "DomainError", "ExperimentConfig", "ExperimentSummary", "Expression",
     "ExpressionError", "GAMMA", "GROWTH_CATALOG", "GrowthFunction",
     "MODULUS_CATALOG", "MarkMeasure", "Modulus",
-    "NO_VIOLATION", "NoiseBatch", "NoiseRealization", "NumericalDomainError",
+    "NO_VIOLATION", "NoiseBatch", "NumericalDomainError",
     "OmegaTransform", "PathResult", "PsiFamily", "ResourceLimitError",
     "SchemeConfig", "TAMING_MODES", "TransformRangeError", "UsageError",
     "VIOLATED", "a_sequence", "affine_modulus", "bihari_bound",
@@ -70,6 +69,6 @@ __all__ = [
     "r_inequality_check", "reciprocal_mass", "reports_to_json",
     "resolve_seed", "run_convergence", "run_experiment", "run_explosion",
     "run_nonconfluence", "run_uniqueness", "sample_batch", "sample_noise",
-    "scale_modulus", "simulate", "simulate_paths", "split_large_jumps",
+    "scale_modulus", "simulate", "simulate_paths",
     "truncate_small_jumps", "w_integral",
 ]

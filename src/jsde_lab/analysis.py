@@ -469,6 +469,8 @@ class PsiFamily:
         return out if out.shape else float(out)
 
     def psi_prime(self, r):
+        """First derivative ``psi_n'``, odd in ``r``; it checks the statement
+        ``0 <= psi_n' <= 1`` for ``r >= 0``."""
         r = np.asarray(r, dtype=float)
         sign = np.sign(r)
         ra = np.abs(r)
@@ -484,8 +486,9 @@ class PsiFamily:
         return out if out.shape else float(out)
 
     def psi_ddot(self, r):
-        """Second derivative ``rho_n(|r|)``; overflows to ``inf`` when the
-        support sits below float range (use :meth:`envelope_ratio` there)."""
+        """Second derivative ``rho_n(|r|)``; it checks the statement
+        ``psi_n'' <= 2/(n rho)``, and overflows to ``inf`` when the support
+        sits below float range."""
         ra = np.abs(np.asarray(r, dtype=float))
         out = np.zeros_like(ra)
         pos = ra > 0
@@ -497,13 +500,9 @@ class PsiFamily:
                 out[mid] = self.q(ell[mid]) * np.exp(np.minimum(ell[mid], 745.0))
         return out if out.shape else float(out)
 
-    def envelope_ratio(self, ell):
-        """``psi''(r) / (2/(n*rho(r)))`` at ``r = exp(-ell)``, computed in the
-        log domain; structurally ``lam * cutoff <= 1``."""
-        return self.lam * self._cutoff(ell)
-
     def mass_quad(self):
-        """Independent adaptive re-integration of the density (should be 1)."""
+        """Independent adaptive re-integration of the density: checks that
+        the ``psi_n''`` mass is 1."""
         from scipy.integrate import quad
         total = 0.0
         for a, b in _w_segments(self.modulus.log_weight_breaks,
@@ -514,8 +513,8 @@ class PsiFamily:
 
     def gap_mass_check(self):
         """Reciprocal-modulus mass of (a_n, a_{n-1}) by dense trapezoid in the
-        tau domain, on 200001 nodes — an independent check that it equals
-        ``n``."""
+        tau domain, on 200001 nodes — an independent check of
+        ``integral_{a_n}^{a_{n-1}} dr/rho = n``."""
         tau = np.linspace(self._tau_lo, self._tau_hi, 200001)
         ell = np.expm1(tau)
         wv = self.modulus.log_weight(ell)

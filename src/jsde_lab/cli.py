@@ -175,7 +175,7 @@ def _cmd_simulate(ns):
     seeds = [derive_path_seed(seed, i) for i in range(ns.paths)]
     noises = sample_batch(model, horizon, scheme.base_step, seeds)
     paths = simulate_paths(model, noises, scheme, x0)
-    for i, (path_seed, noise, path) in enumerate(zip(seeds, noises, paths)):
+    for i, (path_seed, path) in enumerate(zip(seeds, paths)):
         tail = (f"exploded at t={path.exit_time:g}" if path.exploded
                 else f"terminal={path.state_at_end():.17g}")
         print(f"path {i}: seed={path_seed} steps={len(path.times) - 1} "
@@ -184,7 +184,7 @@ def _cmd_simulate(ns):
             dump_path_csv(path, model, scheme,
                           os.path.join(outdir, f"path_{i:04d}.csv"))
             if ns.dump_noise:
-                noise.dump_csv(os.path.join(outdir, f"noise_{i:04d}.csv"))
+                noises[i].dump_csv(os.path.join(outdir, f"noise_{i:04d}.csv"))
     if outdir:
         print(f"wrote {ns.paths} path file(s) to {outdir}")
     return 0

@@ -74,10 +74,6 @@ class Expression:
         self.variables = tuple(variables)
         self._fn = fn
 
-    @property
-    def arity(self):
-        return len(self.variables)
-
     def __call__(self, *args):
         if len(args) != len(self.variables):
             raise ExpressionError(

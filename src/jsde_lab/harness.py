@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +96,15 @@ class ExperimentConfig:
         if isinstance(self.master_seed, bool) \
                 or not isinstance(self.master_seed, (int, np.integer)):
             raise DomainError("master_seed must be an integer")
+        # a str or None would reach a raw TypeError, and a bool would echo
+        # as true or false, which does not replay the run
+        for name in ("horizon", "alpha", "x0", "y0", "delta", "budget_cap",
+                     "explosion_radius"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real)
+                    or name == "y0" and value is None):
+                raise DomainError(f"{name} must be a real number")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DomainError("horizon must be positive and finite")
         object.__setattr__(self, "step_ladder", _sorted_ladder(
@@ -107,11 +117,7 @@ class ExperimentConfig:
             raise DomainError("alpha must be nonnegative and finite")
         if not math.isfinite(self.x0):
             raise DomainError("x0 must be finite")
-        try:
-            y0_ok = self.y0 is None or math.isfinite(float(self.y0))
-        except (TypeError, ValueError):
-            y0_ok = False
-        if not y0_ok:
+        if self.y0 is not None and not math.isfinite(self.y0):
             raise DomainError("y0 must be finite")
         if not self.budget_cap >= 1:
             raise DomainError("budget_cap must be positive")

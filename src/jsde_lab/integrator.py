@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .model import _float_array_valued, in_bands
-from .noise import LARGE, SMALL, SOURCES, NoiseBatch, NoiseRealization
+from .noise import LARGE, SMALL, SOURCES, NoiseBatch
 
 TAMING_MODES = ("off", "drift_tamed")
 
@@ -111,12 +111,9 @@ def _continuous_step(x, dt, dw, model, tamed, where=None, check=True):
 
 
 def _batches(noises):
-    """``noises`` as a list of :class:`NoiseBatch`: a batch, a realization
-    (a batch of one) or a sequence of either."""
-    if isinstance(noises, (NoiseBatch, NoiseRealization)):
-        noises = [noises]
-    return [noise if isinstance(noise, NoiseBatch) else noise.as_batch()
-            for noise in noises]
+    """``noises`` as a list of :class:`NoiseBatch`: a batch or a sequence
+    of them."""
+    return [noises] if isinstance(noises, NoiseBatch) else list(noises)
 
 
 def _joined(batches, field):
@@ -176,7 +173,7 @@ def simulate_paths(model, noises, scheme, x0):
     """Run the scheme over each noise realization.
 
     ``noises`` is a :class:`NoiseBatch` or a sequence of them, whose rows
-    run in order; a :class:`NoiseRealization` counts as a batch of one.
+    run in order; one realization is a batch of one.
     ``scheme`` and the initial state ``x0`` are given once or once per row.
     Each batch's base grid must match its rows' schemes' ``base_step``, so
     one call can mix a batch with its coarsenings; the schemes must agree
@@ -342,14 +339,15 @@ def ito_levy_apply(f, path, model, noise, scheme):
     """March the transformed process ``Y = f(X)`` term-by-term.
 
     ``f`` is a triple ``(f, f', f'')`` of callables of the state, called
-    with float arrays and wrapped like every coefficient.  ``path`` must be
-    integrated on ``noise``, else :class:`DomainError`.  Each step adds, in
-    turn: the drift ``f'b + (1/2) sigma^2 f'' + integral{f(x+c1)-f(x)-f'c1}
-    dnu1 - integral{f(x+c1)-f(x)} dnu1`` (the last term compensates the
-    small jumps) times ``dt``, ``f' sigma dW``, and ``f(x- + c) - f(x-)``
-    for each jump ``scheme`` applied, from the left limit ``x-`` that its
-    continuous update gives.  A non-finite value raises
-    :class:`NumericalDomainError` with the ``seed``, ``step`` and ``t``.
+    with float arrays and wrapped like every coefficient.  ``noise`` must be
+    a batch of one and ``path`` integrated on it, else :class:`DomainError`.
+    Each step adds, in turn: the drift ``f'b + (1/2) sigma^2 f'' +
+    integral{f(x+c1)-f(x)-f'c1} dnu1 - integral{f(x+c1)-f(x)} dnu1`` (the
+    last term compensates the small jumps) times ``dt``, ``f' sigma dW``,
+    and ``f(x- + c) - f(x-)`` for each jump ``scheme`` applied, from the
+    left limit ``x-`` that its continuous update gives.  A non-finite value
+    raises :class:`NumericalDomainError` with the ``seed``, ``step`` and
+    ``t``.
     """
     fn, fp, fpp = map(_float_array_valued, f)
     n = len(path.times)

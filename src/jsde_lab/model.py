@@ -365,13 +365,11 @@ class Modulus:
     float range.
     """
 
-    def __init__(self, rho, domain_hint, label, concave=True,
-                 closed_form_omega=None, log_weight=None,
-                 log_weight_breaks=()):
+    def __init__(self, rho, domain_hint, label, closed_form_omega=None,
+                 log_weight=None, log_weight_breaks=()):
         self.rho = _float_array_valued(rho)
         self.domain_hint = float(domain_hint)
         self.label = label
-        self.concave = bool(concave)
         self.closed_form_omega = closed_form_omega
         self.log_weight = _float_array_valued(
             self._rho_log_weight if log_weight is None else log_weight)
@@ -407,7 +405,6 @@ def scale_modulus(modulus, c):
         rho=lambda x, _m=modulus, _c=c: _c * _m.rho(x),
         domain_hint=modulus.domain_hint,
         label=f"{c:g}*{modulus.label}",
-        concave=modulus.concave,
         closed_form_omega=cf,
         log_weight=lambda ell, _m=modulus, _c=c: _m.log_weight(ell) / _c,
         log_weight_breaks=modulus.log_weight_breaks,
@@ -430,7 +427,6 @@ def affine_modulus(k1, k2, modulus, label=None):
         rho=lambda x, _m=modulus: k1 * x + k2 * _m.rho(x),
         domain_hint=modulus.domain_hint,
         label=label or f"{k1:g}*x+{k2:g}*{modulus.label}",
-        concave=modulus.concave,
         log_weight=w0 if k2 > 0 else (lambda ell: 1.0 / k1),
         log_weight_breaks=modulus.log_weight_breaks if k2 > 0 else (),
     )

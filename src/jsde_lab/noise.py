@@ -1,10 +1,10 @@
 """Reproducible driving noise: Brownian increments plus marked jump events.
 
-A :class:`NoiseRealization` is a pure record of random draws — Brownian
-increments on the union of the base grid with the jump times, and the two
-marked event streams as one array of ``(time, mark, code)`` rows: ``code``
-1 for compensated small jumps, 2 for interlaced large jumps.  All randomness
-comes from a counter-based generator keyed by ``(seed, stream)``:
+A realization is a pure record of random draws — Brownian increments on the
+union of the base grid with the jump times, and the two marked event streams
+as one array of ``(time, mark, code)`` rows: ``code`` 1 for compensated
+small jumps, 2 for interlaced large jumps.  All randomness comes from a
+counter-based generator keyed by ``(seed, stream)``:
 
 * stream 0 — Brownian increments,
 * stream 1 — small-jump (compensated) events,
@@ -19,9 +19,9 @@ same Brownian path.
 
 :func:`sample_batch` draws the noise of many paths as one
 :class:`NoiseBatch` of ragged arrays: each row draws from its own keys, and
-the work after the draws runs on all rows at once.  ``batch[i]`` is row
-``i`` as a :class:`NoiseRealization` viewing the batch's arrays, and
-:func:`sample_noise` is the batch of one.
+the work after the draws runs on all rows at once.  One realization is a
+batch of one: ``batch[i]`` is row ``i`` as a batch of one viewing the
+batch's arrays, and :func:`sample_noise` is the batch of one seed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import threading
 import numpy as np
 
 from .errors import DomainError
-from .model import Band, in_bands
+from .model import Band
 
 SMALL = "small"
 LARGE = "large"
@@ -80,91 +80,28 @@ def _stream(seed, stream):
     return rng
 
 
-class NoiseRealization:
-    """Immutable record of one realization of the driving noise.
-
-    ``base_grid`` is the requested uniform-ish grid ``0 = t_0 < ... < t_m = T``;
-    internally the Brownian increments live on the union of the base grid with
-    all event times (the jump-adapted grid the integrator walks), and
-    :attr:`brownian_increments` exposes the per-base-step sums.  ``events``
-    rows (an array or a list or tuple of row tuples) are applied in order,
-    each at a union time in ``(0, T]``: event ``j`` lands at the end of step
-    ``event_steps[j]``, ``union_times[event_steps[j] + 1]``.  The arrays are
-    read-only copies (unless already sealed, see :func:`_frozen`), so the
-    sums stay valid.
-    """
-
-    def __init__(self, horizon, base_grid, union_times, union_increments,
-                 events, compensator_rate, seed):
-        self.horizon = float(horizon)
-        self.base_grid = _frozen(base_grid)
-        self.union_times = _frozen(union_times)
-        self.union_increments = _frozen(union_increments)
-        # numpy reads a tuple as one record, so rows go in as a list
-        self.events = _frozen(events if isinstance(events, np.ndarray)
-                              else list(events), EVENT_DTYPE)
-        self.compensator_rate = float(compensator_rate)
-        self.seed = int(seed)
-        self.event_steps = _frozen(self.union_times[1:].searchsorted(
-            self.events["time"]), np.intp)
-        self.as_batch()             # checks that each event lands in (0, T]
-
-    def as_batch(self):
-        """This realization as a :class:`NoiseBatch` of one, sharing arrays."""
-        return NoiseBatch(
-            self.horizon, self.base_grid, [self.seed], self.compensator_rate,
-            [0, len(self.union_times)], self.union_times, self.union_increments,
-            [0, len(self.events)], self.events, self.event_steps)
-
-    @functools.cached_property
-    def brownian_increments(self):
-        """One increment per base-grid step (sums of the union increments)."""
-        return self.as_batch().brownian_increments[0]
-
-    def events_from(self, source):
-        """The rows of ``events`` from ``source``, in order."""
-        return self.events[self.events["code"] == SOURCES.index(source)]
-
-    def coarsen(self, factor):
-        """The same noise on a base grid thinned by ``factor``: the row of
-        :meth:`NoiseBatch.coarsen` on this realization as a batch of one."""
-        return self.as_batch().coarsen(factor)[0]
-
-    def dump_csv(self, path):
-        """Debug/replay dump: (time, kind, value) — per-base-step Brownian
-        increments tagged by their step's right endpoint, then the events."""
-        times = np.concatenate([self.base_grid[1:], self.events["time"]])
-        kinds = ["brownian_increment"] * (len(self.base_grid) - 1) + [
-            f"{SOURCES[c]}_jump" for c in self.events["code"]]
-        values = np.concatenate([self.brownian_increments,
-                                 self.events["mark"]])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "kind", "value"])
-            for i in np.argsort(times, kind="stable"):
-                w.writerow([f"{times[i]:.17g}", kinds[i], f"{values[i]:.17g}"])
-
-
 class NoiseBatch:
     """The noise of several paths on one base grid, as read-only ragged
-    arrays; made by :func:`sample_batch` and :meth:`coarsen`.
+    arrays; made by :func:`sample_batch` and :meth:`coarsen`.  One noise
+    realization is a batch of one.
 
-    Row ``i`` is the realization of ``seeds[i]``: its union times are
-    ``union_times[offsets[i]:offsets[i + 1]]``, its union increments
-    ``union_increments[offsets[i] - i:offsets[i + 1] - i - 1]`` (one fewer
-    per row), its events ``events[event_offsets[i]:event_offsets[i + 1]]``
-    and their steps ``event_steps`` likewise, each local to the row as in
-    :class:`NoiseRealization`.  ``batch[i]`` is that row as a
-    :class:`NoiseRealization` viewing these arrays, without a copy.
+    Row ``i`` is the realization of ``seeds[i]``: its union times (the base
+    grid and its event times) are ``union_times[offsets[i]:offsets[i + 1]]``,
+    its union increments ``union_increments[offsets[i] - i:offsets[i + 1] -
+    i - 1]`` (one fewer per row), its events
+    ``events[event_offsets[i]:event_offsets[i + 1]]`` and their steps
+    ``event_steps`` likewise.  A row applies its events in order: event
+    ``j`` lands at the end of its step ``event_steps[j]``, a union time in
+    ``(0, T]``.  The arrays are read-only copies unless already sealed (see
+    :func:`_frozen`), so the sums stay valid.  ``batch[i]`` is row ``i`` as
+    a batch of one viewing these arrays, without a copy.
     """
 
-    def __init__(self, horizon, base_grid, seeds, compensator_rate, offsets,
-                 union_times, union_increments, event_offsets, events,
-                 event_steps):
+    def __init__(self, horizon, base_grid, seeds, offsets, union_times,
+                 union_increments, event_offsets, events, event_steps):
         self.horizon = float(horizon)
         self.base_grid = _frozen(base_grid)
         self.seeds = tuple(int(seed) for seed in seeds)
-        self.compensator_rate = float(compensator_rate)
         self.offsets = _frozen(offsets, np.intp)
         self.union_times = _frozen(union_times)
         self.union_increments = _frozen(union_increments)
@@ -182,23 +119,31 @@ class NoiseBatch:
     def __len__(self):
         return len(self.seeds)
 
+    @property
+    def seed(self):
+        """The seed of a batch of one; other sizes raise DomainError."""
+        if len(self) != 1:
+            raise DomainError(f"a batch of {len(self)} rows has no single "
+                              "seed")
+        return self.seeds[0]
+
     def __getitem__(self, i):
         i = range(len(self))[operator.index(i)]
+        if len(self) == 1:
+            return self
         a, b = self.offsets[i:i + 2].tolist()
         e, f = self.event_offsets[i:i + 2].tolist()
-        noise = NoiseRealization.__new__(NoiseRealization)
-        vars(noise).update(
-            horizon=self.horizon, base_grid=self.base_grid,
-            union_times=self.union_times[a:b],
-            union_increments=self.union_increments[a - i:b - i - 1],
-            # a batch of one lends its row the event array itself
-            events=self.events if len(self) == 1 else self.events[e:f],
-            event_steps=self.event_steps[e:f],
-            compensator_rate=self.compensator_rate, seed=self.seeds[i])
-        return noise
+        return NoiseBatch(
+            self.horizon, self.base_grid, [self.seeds[i]], [0, b - a],
+            self.union_times[a:b], self.union_increments[a - i:b - i - 1],
+            [0, f - e], self.events[e:f], self.event_steps[e:f])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    def events_from(self, source):
+        """The rows of ``events`` from ``source``, in order."""
+        return self.events[self.events["code"] == SOURCES.index(source)]
 
     @functools.cached_property
     def _motion(self):
@@ -250,8 +195,24 @@ class NoiseBatch:
         steps = at.searchsorted(events_at) - offsets[rows] - 1
         increments = np.delete(np.diff(self._motion[at]), offsets[1:-1] - 1)
         return NoiseBatch(self.horizon, self.base_grid[::factor], self.seeds,
-                          self.compensator_rate, offsets, self.union_times[at],
-                          increments, self.event_offsets, self.events, steps)
+                          offsets, self.union_times[at], increments,
+                          self.event_offsets, self.events, steps)
+
+    def dump_csv(self, path):
+        """Debug/replay dump of a batch of one: (time, kind, value) —
+        per-base-step Brownian increments tagged by their step's right
+        endpoint, then the events."""
+        self.seed                       # one row, else a DomainError
+        times = np.concatenate([self.base_grid[1:], self.events["time"]])
+        kinds = ["brownian_increment"] * (len(self.base_grid) - 1) + [
+            f"{SOURCES[c]}_jump" for c in self.events["code"]]
+        values = np.concatenate([self.brownian_increments[0],
+                                 self.events["mark"]])
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["time", "kind", "value"])
+            for i in np.argsort(times, kind="stable"):
+                w.writerow([f"{times[i]:.17g}", kinds[i], f"{values[i]:.17g}"])
 
 
 def _sealed(arr):
@@ -395,17 +356,16 @@ def sample_batch(model, horizon, base_step, seeds):
         _stream(seed, 0).standard_normal(out=increments[a:b])
     increments *= np.sqrt(dts)
 
-    rate = 0.0 if nu1 is None else nu1.total_mass
     arrays = (offsets, union, increments, event_offsets, events, index - 1)
     for arr in arrays:
         arr.setflags(write=False)       # sealed: the batch keeps, not copies
-    return NoiseBatch(horizon, grid, seeds, rate, *arrays)
+    return NoiseBatch(horizon, grid, seeds, *arrays)
 
 
 def sample_noise(model, horizon, base_step, seed):
-    """Draw one :class:`NoiseRealization` for a model: the row of ``seed``
-    in :func:`sample_batch`."""
-    return sample_batch(model, horizon, base_step, [seed])[0]
+    """Draw one noise realization for a model: :func:`sample_batch` of
+    ``seed`` alone, a batch of one."""
+    return sample_batch(model, horizon, base_step, [seed])
 
 
 def truncate_small_jumps(model_measure, epsilon):
@@ -433,14 +393,3 @@ def truncate_small_jumps(model_measure, epsilon):
             f"retained mass is still infinite at epsilon = {epsilon:g}"
         )
     return kept, kept.total_mass
-
-
-def split_large_jumps(noise, u3):
-    """Partition the large-jump events by mark membership in ``u3``.
-
-    Returns ``(inside, outside)``, event arrays in ``events`` order that
-    together hold the realization's large jumps; ``u3 = None`` is all marks.
-    """
-    large = noise.events_from(LARGE)
-    mask = in_bands(u3, large["mark"])
-    return large[mask], large[~mask]

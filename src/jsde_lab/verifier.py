@@ -438,12 +438,11 @@ def _pair_condition(name, grid, gap_cap, terms, recompute):
 # ---------------------------------------------------------------------------
 
 def check_modulus(modulus):
-    """Positivity, nondecrease, midpoint concavity (when claimed), and the
+    """Positivity, nondecrease, midpoint concavity, and the
     reciprocal-integral divergence certificate."""
     points = np.geomspace(1e-12, 1.0, 601)
     vals = modulus.rho(points)
     conditions = []
-    notes = []
 
     def rho1(t):
         return float(modulus.rho(t))
@@ -459,20 +458,17 @@ def check_modulus(modulus):
             vals[:-1], vals[1:]),
         lambda w: (rho1(w["x"]), rho1(w["x_next"]))))
 
-    if modulus.concave:
-        sub = points[::6]
-        xi, xj = np.meshgrid(sub, sub, indexing="ij")
-        xi, xj = xi.reshape(-1), xj.reshape(-1)
-        mid = 0.5 * (xi + xj)
-        lhs = 0.5 * (modulus.rho(xi) + modulus.rho(xj))
-        rhs = modulus.rho(mid)
-        conditions.append(_reconfirm(
-            _condition_from_arrays(
-                "midpoint_concavity", {"x": xi, "y": xj}, lhs, rhs),
-            lambda w: (0.5 * (rho1(w["x"]) + rho1(w["y"])),
-                       rho1(0.5 * (w["x"] + w["y"])))))
-    else:
-        notes.append("concavity not claimed; midpoint check skipped")
+    sub = points[::6]
+    xi, xj = np.meshgrid(sub, sub, indexing="ij")
+    xi, xj = xi.reshape(-1), xj.reshape(-1)
+    mid = 0.5 * (xi + xj)
+    lhs = 0.5 * (modulus.rho(xi) + modulus.rho(xj))
+    rhs = modulus.rho(mid)
+    conditions.append(_reconfirm(
+        _condition_from_arrays(
+            "midpoint_concavity", {"x": xi, "y": xj}, lhs, rhs),
+        lambda w: (0.5 * (rho1(w["x"]) + rho1(w["y"])),
+                   rho1(0.5 * (w["x"] + w["y"])))))
 
     base = min(modulus.domain_hint, 1.0)
     try:
@@ -523,7 +519,7 @@ def check_modulus(modulus):
     grid_spec = (f"{points.size} log-spaced points in "
                  f"[{points.min():g},{points.max():g}]; divergence probed "
                  "over 12 decades below the base point")
-    return _assemble("A22", conditions, grid_spec, notes)
+    return _assemble("A22", conditions, grid_spec)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,15 @@ def test_package_import_leaves_one_thread():
     assert threads == "1"
 
 
+def test_public_names_resolve():
+    # a name deleted from a module but left in the exports fails here
+    import jsde_lab
+    names = jsde_lab.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert getattr(jsde_lab, name) is not None, name
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

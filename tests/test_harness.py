@@ -86,6 +86,14 @@ def test_config_ladders_normalized():
     {"master_seed": 1.5},
     {"master_seed": True},
     {"y0": "abc"},
+    # raw TypeErrors before, and a bool y0 was echoed as true
+    {"x0": "abc"},
+    {"horizon": "1"},
+    {"alpha": None},
+    {"delta": "x"},
+    {"explosion_radius": "3"},
+    {"budget_cap": "5"},
+    {"y0": True},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(DomainError):
@@ -345,9 +353,9 @@ def _perturb_coarsening(monkeypatch, row):
         c = coarsen(self, factor)
         inc = c.union_increments.copy()
         inc[c.offsets[row + 1] - row - 2] += 1e-9
-        return NoiseBatch(c.horizon, c.base_grid, c.seeds,
-                          c.compensator_rate, c.offsets, c.union_times, inc,
-                          c.event_offsets, c.events, c.event_steps)
+        return NoiseBatch(c.horizon, c.base_grid, c.seeds, c.offsets,
+                          c.union_times, inc, c.event_offsets, c.events,
+                          c.event_steps)
 
     monkeypatch.setattr(NoiseBatch, "coarsen", perturbed)
     return _cfg(_noisy_model(), paths=3,

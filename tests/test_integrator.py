@@ -11,7 +11,7 @@ from jsde_lab.integrator import (PathResult, SchemeConfig, dump_path_csv,
                                  simulate, simulate_paths)
 from jsde_lab.model import (Band, CoefficientSet, MarkMeasure,
                             builtin_growth, in_bands, lebesgue, preset)
-from jsde_lab.noise import (LARGE, SMALL, SOURCES, NoiseRealization,
+from jsde_lab.noise import (EVENT_DTYPE, LARGE, SMALL, SOURCES, NoiseBatch,
                             derive_path_seed, sample_batch, sample_noise)
 from jsde_lab.verifier import growth_ratio_supremum
 
@@ -225,6 +225,18 @@ def test_ito_identity_follows_a_restrict_to_u3_path():
         assert np.array_equal(y.states, path.states)
 
 
+@pytest.mark.parametrize("size", [0, 2])
+def test_ito_needs_a_batch_of_one(size):
+    model = preset("example_41")
+    scheme = SchemeConfig(base_step=0.25)
+    noise = sample_noise(model, 1.0, 0.25, seed=3)
+    path = simulate(model, noise, scheme, 1.0)
+    batch = sample_batch(model, 1.0, 0.25, [3, 4][:size])
+    f = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    with pytest.raises(DomainError, match=f"a batch of {size} rows"):
+        ito_levy_apply(f, path, model, batch, scheme)
+
+
 def test_ito_constant_transform_stays_constant():
     # f = 1 makes every small-jump functional a constant integrand
     model = preset("example_31")
@@ -327,14 +339,24 @@ def _with_u3(model, u3):
                           label=f"{model.label}-u3")
 
 
+def _one_row(base_grid, union_times, union_increments, events, seed):
+    """A hand-built noise realization on ``[0, 1]``: a one-row
+    :class:`NoiseBatch` with each event at the union step ending at its
+    time."""
+    times = np.array(events, EVENT_DTYPE)["time"]
+    steps = np.searchsorted(np.asarray(union_times)[1:], times)
+    return NoiseBatch(1.0, base_grid, [seed], [0, len(union_times)],
+                      union_times, union_increments, [0, len(events)],
+                      events, steps)
+
+
 def _hand_built_noise():
     # two events at t = 0.3 (applied in list order) and one on the grid
     # time 0.5; rows are (time, mark, code), code 1 small and 2 large
     events = [(0.3, 0.5, 1), (0.3, 1.5, 2), (0.5, -0.8, 1)]
     union = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
     inc = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
-    return NoiseRealization(1.0, np.linspace(0.0, 1.0, 5), union, inc,
-                            events, 2.0, seed=99)
+    return _one_row(np.linspace(0.0, 1.0, 5), union, inc, events, seed=99)
 
 
 def _batch_case(name):
@@ -415,8 +437,8 @@ def test_the_last_jump_at_a_state_names_its_code():
     base = _hand_built_noise()
     orders = ([(0.3, 0.5, 1), (0.3, 1.5, 2)], [(0.3, 1.5, 2), (0.3, 0.5, 1)],
               [(0.3, 1.5, 2), (0.3, 0.5, 1), (0.3, 1.2, 2)])
-    noises = [NoiseRealization(1.0, base.base_grid, base.union_times,
-                               base.union_increments, events, 2.0, seed=i)
+    noises = [_one_row(base.base_grid, base.union_times,
+                       base.union_increments, events, seed=i)
               for i, events in enumerate(orders)]
     model, scheme = preset("example_41"), SchemeConfig(base_step=0.25)
     paths = simulate_paths(model, noises, scheme, 1.0)

@@ -295,7 +295,6 @@ def test_identity_modulus_values():
     rho = builtin_modulus("identity")
     x = np.geomspace(1e-10, 1.0, 11)
     assert np.allclose(rho(x), x)
-    assert rho.concave
 
 
 def test_catalog_positive_nondecreasing_on_hint():

@@ -9,9 +9,20 @@ import pytest
 from jsde_lab import noise as noise_module
 from jsde_lab.errors import DomainError
 from jsde_lab.model import Band, CoefficientSet, MarkMeasure, lebesgue, preset
-from jsde_lab.noise import (EVENT_DTYPE, LARGE, SMALL, NoiseRealization,
-                            derive_path_seed, sample_noise, split_large_jumps,
+from jsde_lab.noise import (EVENT_DTYPE, LARGE, SMALL, NoiseBatch,
+                            derive_path_seed, sample_noise,
                             truncate_small_jumps)
+
+
+def _one_row(base_grid, union_times, union_increments, events, seed=1):
+    """A hand-built noise realization on ``[0, 1]``: a one-row
+    :class:`NoiseBatch` with each event at the union step ending at its
+    time."""
+    times = np.array(events, EVENT_DTYPE)["time"]
+    steps = np.searchsorted(np.asarray(union_times)[1:], times)
+    return NoiseBatch(1.0, base_grid, [seed], [0, len(union_times)],
+                      union_times, union_increments, [0, len(events)],
+                      events, steps)
 
 
 def test_derive_path_seed_distinct_and_stable():
@@ -139,14 +150,13 @@ def test_event_streams_and_marks():
         assert -1.0 <= mark <= 1.0
     for mark in large["mark"]:
         assert 1.0 < mark <= 2.0
-    assert noise.compensator_rate == pytest.approx(model.nu1.total_mass)
 
 
 def test_brownian_increments_per_base_step():
     model = preset("example_41")
     noise = sample_noise(model, 1.0, 2.0 ** -5, seed=3)
     binc = noise.brownian_increments
-    assert len(binc) == 32
+    assert binc.shape == (1, 32)
     assert binc.sum() == pytest.approx(noise.union_increments.sum())
 
 
@@ -188,18 +198,6 @@ def test_truncate_small_jumps():
             truncate_small_jumps(nu, epsilon)
 
 
-def test_split_large_jumps():
-    model = preset("example_31")
-    noise = sample_noise(model, 1.0, 2.0 ** -4, seed=41)
-    inside, outside = split_large_jumps(noise, (Band(1.0, 1.5),))
-    large = noise.events_from(LARGE)
-    assert len(inside) + len(outside) == len(large)
-    for mark in inside["mark"]:
-        assert 1.0 < mark <= 1.5
-    for mark in outside["mark"]:
-        assert mark > 1.5
-
-
 def test_dump_csv(tmp_path):
     model = preset("example_31")
     noise = sample_noise(model, 1.0, 2.0 ** -4, seed=8)
@@ -210,10 +208,31 @@ def test_dump_csv(tmp_path):
     assert len(lines) == 1 + 16 + len(noise.events)
 
 
+@pytest.mark.parametrize("size", [0, 2])
+def test_only_a_batch_of_one_has_a_seed_and_dumps(size, tmp_path):
+    batch = noise_module.sample_batch(preset("example_31"), 1.0, 0.25,
+                                      [3, 4][:size])
+    target = tmp_path / "noise.csv"
+    with pytest.raises(DomainError, match=f"a batch of {size} rows"):
+        batch.seed
+    with pytest.raises(DomainError, match=f"a batch of {size} rows"):
+        batch.dump_csv(str(target))
+    assert not target.exists()
+
+
+def test_a_realization_is_its_own_only_row():
+    noise = sample_noise(preset("example_31"), 1.0, 2.0 ** -4, seed=5)
+    assert len(noise) == 1 and noise.seeds == (5,) and noise.seed == 5
+    assert noise[0] is noise and noise[-1] is noise
+    assert list(noise) == [noise]
+    with pytest.raises(IndexError):
+        noise[1]
+
+
 def _on_grid_noise(events):
     # base grid 0, 0.5, 1 with one union time added at 0.25
-    return NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0],
-                            [0.1, 0.2, -0.3], events, 0.0, seed=1)
+    return _one_row([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0],
+                    [0.1, 0.2, -0.3], events)
 
 
 def test_dump_csv_puts_the_brownian_row_first_at_a_grid_time(tmp_path):
@@ -269,8 +288,7 @@ def test_realization_arrays_are_read_only_and_sums_cached():
     assert noise.brownian_increments.sum() \
         == pytest.approx(noise.union_increments.sum(), abs=1e-14)
     inc = np.zeros(2)
-    NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], inc, [], 0.0,
-                     seed=1)
+    _one_row([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], inc, [])
     inc[0] = 1.0                       # the caller's array stays writable
 
 
@@ -279,13 +297,12 @@ def test_realization_copies_inputs_a_writable_array_can_reach():
     view = inc[:]
     view.setflags(write=False)          # read-only, but inc still writes it
     for given in (inc, view):
-        noise = NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0],
-                                 given, [], 0.0, seed=1)
+        noise = _one_row([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], given, [])
         cached = noise.brownian_increments
         inc[:] = [5.0, 6.0]
         assert noise.union_increments.tolist() == [0.25, 0.5]
         assert noise.brownian_increments is cached
-        assert cached.tolist() == [0.25, 0.5]
+        assert cached.tolist() == [[0.25, 0.5]]
         inc[:] = [0.25, 0.5]
 
 
@@ -293,19 +310,6 @@ def test_coarsen_keeps_the_sealed_event_array():
     fine = sample_noise(preset("example_41"), 1.0, 2.0 ** -6, seed=9)
     assert fine.coarsen(4).events is fine.events
     assert fine.coarsen(1).events is fine.events
-
-
-@pytest.mark.parametrize("rows", [
-    ((0.5, 0.1, 1),),
-    [(0.5, 0.1, 1)],
-    np.array([(0.5, 0.1, 1)], dtype=EVENT_DTYPE),
-], ids=["tuple", "list", "array"])
-def test_events_given_as_tuple_list_or_array_agree(rows):
-    noise = _on_grid_noise(rows)
-    assert noise.events.tobytes() \
-        == np.array([(0.5, 0.1, 1)], dtype=EVENT_DTYPE).tobytes()
-    assert _on_grid_noise(()).events.tobytes() \
-        == _on_grid_noise([]).events.tobytes() == b""
 
 
 @pytest.mark.parametrize("nu1, nu2, horizon, name, lam", [
@@ -423,7 +427,6 @@ def test_batch_rows_equal_single_draws_bit_for_bit(case, size):
         assert row.union_increments.tobytes() == dw.tobytes()
         assert row.events.tobytes() == events.tobytes()
         assert row.seed == seed and row.base_grid is batch.base_grid
-        assert row.compensator_rate == batch.compensator_rate
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
@@ -666,8 +669,8 @@ def test_empty_batch_coarsens_to_an_empty_batch():
 
 
 def test_union_without_a_grid_time_is_a_domain_error():
-    noise = NoiseRealization(1.0, [0.0, 0.5, 1.0], [0.0, 0.25, 1.0],
-                             [0.1, 0.2], [(0.25, 0.7, 1)], 0.0, seed=1)
+    noise = _one_row([0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [0.1, 0.2],
+                     [(0.25, 0.7, 1)])
     with pytest.raises(DomainError, match="miss a base-grid time"):
         noise.brownian_increments
     with pytest.raises(DomainError, match="miss a base-grid time"):
