@@ -31,8 +31,8 @@ from .harness import (DEFAULT_SEED, ExperimentConfig, ExperimentSummary,
                       run_convergence, run_experiment, run_explosion,
                       run_nonconfluence, run_uniqueness)
 from .integrator import (TAMING_MODES, PathResult, SchemeConfig,
-                         dump_path_csv, exit_times, first_exit_time,
-                         ito_levy_apply, simulate, simulate_paths)
+                         dump_path_csv, first_exit_time, ito_levy_apply,
+                         simulate, simulate_paths)
 from .model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
                     CoefficientSet, GrowthFunction, MarkMeasure, Modulus,
                     affine_modulus, builtin_growth, builtin_modulus, lebesgue,
@@ -61,7 +61,7 @@ __all__ = [
     "builtin_growth", "builtin_modulus", "check_corollary_conditions",
     "check_growth", "check_local_conditions", "check_modulus",
     "check_nonconfluence_conditions", "derive_path_seed",
-    "designated_checks", "dump_path_csv", "exit_times", "first_exit_time",
+    "designated_checks", "dump_path_csv", "first_exit_time",
     "format_report_table", "growth_ratio_supremum", "implied_state_bound",
     "ito_levy_apply", "lebesgue", "moment_bound", "nonconfluence_constants",
     "omega_build", "p_alpha", "parse_config", "parse_expression",

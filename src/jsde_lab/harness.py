@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,8 @@ import numpy as np
 from .analysis import moment_bound, nonconfluence_constants, phi_growth
 from .errors import (AssumptionViolationError, DomainError,
                      NumericalDomainError, ResourceLimitError, UsageError)
-from .integrator import TAMING_MODES, SchemeConfig, exit_times, simulate_paths
+from .integrator import (TAMING_MODES, SchemeConfig, _first_exits,
+                         _integrate, _min_distances)
 from .model import CoefficientSet, builtin_growth, builtin_modulus, preset
 from .noise import derive_path_seed, sample_batch
 from .verifier import (NO_VIOLATION, check_growth,
@@ -47,6 +49,13 @@ PRESET_TAMING = {"example_31": "off", "example_41": "drift_tamed"}
 
 
 def _sorted_ladder(values, name, descending=False):
+    # a string would be read one character at a time, and a bool as 1 or 0
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise DomainError(f"{name} must be a sequence of real numbers")
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+           for v in values):
+        raise DomainError(f"{name} entries must be real numbers")
     vals = tuple(float(v) for v in values)
     if not vals:
         raise DomainError(f"{name} must be nonempty")
@@ -125,6 +134,9 @@ class ExperimentConfig:
             raise DomainError("delta must be positive and finite")
         if not self.explosion_radius > 0:
             raise DomainError("explosion_radius must be positive")
+        # "false" is truthy: it would skip the checks and echo as a string
+        if not isinstance(self.skip_checks, bool):
+            raise DomainError("skip_checks must be a bool")
 
     def echo(self, model_label):
         out = {
@@ -274,18 +286,15 @@ def _coarsening_factors(ladder, h_ref):
     return factors
 
 
-def _simulate_blocks(config, model, noises, scheme, x0):
-    """One :func:`simulate_paths` call over consecutive blocks of
-    ``config.paths`` rows, one block per level or start, split back into
-    blocks.  A failing row is named by its path's index in the run."""
+def _integrate_blocks(config, model, noises, scheme, x0):
+    """:func:`_integrate` over blocks of ``config.paths`` rows, one per level
+    or start; a failing row is named by its path's index in the run."""
     try:
-        rows = simulate_paths(model, noises, scheme, x0)
+        return _integrate(model, noises, scheme, x0)
     except NumericalDomainError as err:
         if err.path_index is not None:
             err.path_index %= config.paths
         raise
-    n = config.paths
-    return [rows[i:i + n] for i in range(0, len(rows), n)]
 
 
 def _ladder_gaps(config, model, taming, h_ref, factors):
@@ -304,16 +313,14 @@ def _ladder_gaps(config, model, taming, h_ref, factors):
             _check_coupling(fine, coarse, f)
             batches.append(coarse)
             schemes += [_scheme(config, h, taming)] * config.paths
-    ref, *coarse_levels = _simulate_blocks(config, model, batches, schemes,
-                                           config.x0)
+    *_, finals, exploded = _integrate_blocks(config, model, batches,
+                                             schemes, config.x0)
+    finals = finals.reshape(-1, config.paths)
+    exploded = exploded.reshape(-1, config.paths)
+    ref, *coarse_levels = np.where(exploded | exploded[0], math.nan,
+                                   np.abs(finals - finals[0])).tolist()
     coarse_levels = iter(coarse_levels)
-    gaps = []
-    for f in factors:
-        level = ref if f == 1 else next(coarse_levels)
-        gaps.append([float("nan") if p.exploded or r.exploded
-                     else abs(p.state_at_end() - r.state_at_end())
-                     for p, r in zip(level, ref)])
-    return seeds, gaps
+    return seeds, [ref if f == 1 else next(coarse_levels) for f in factors]
 
 
 def _check_coupling(fine, coarse, factor):
@@ -390,8 +397,9 @@ def run_explosion(config):
     scheme = _scheme(config, h, taming, radius=radii[-1])
 
     seeds, noises = _sample_paths(config, model, h)
-    paths, = _simulate_blocks(config, model, noises, scheme, config.x0)
-    exits = exit_times(paths, radii)
+    times, states, cols, ends, *_, finals, _ = _integrate_blocks(
+        config, model, noises, scheme, config.x0)
+    exits = _first_exits(times, states, cols, ends, radii)
 
     ladder = []
     for j, r in enumerate(radii):
@@ -406,8 +414,8 @@ def run_explosion(config):
         raise AssertionError(
             f"radius monotonicity violated for seed {seeds[broken[0]]}")
 
-    squares = np.array([_square(path.state_at_end()) for path in paths])
-    phis = np.full(len(paths), math.inf)
+    squares = np.array([_square(x) for x in finals.tolist()])
+    phis = np.full(len(squares), math.inf)
     finite = np.isfinite(squares)
     phis[finite] = phi_growth(growth, squares[finite])
     phis = phis.tolist()
@@ -547,20 +555,12 @@ def run_nonconfluence(config):
     scheme = _scheme(config, h, taming)
 
     seeds, noises = _sample_paths(config, model, h)
-    xs, ys = _simulate_blocks(config, model, [noises, noises], scheme,
-                              [config.x0] * config.paths + [y0] * config.paths)
-    mins = []
-    for px, py in zip(xs, ys):
-        if px.exploded or py.exploded:
-            mins.append(float("nan"))
-            continue
-        if not np.array_equal(px.times, py.times):
-            raise AssertionError("common-noise grids diverged between the "
-                                 "two starts")
-        mins.append(float(np.min(np.abs(px.states - py.states))))
-    excluded = sum(1 for px, py in zip(xs, ys) if px.exploded or py.exploded)
-    mins = np.asarray(mins, dtype=float)
+    times, states, cols, ends, *_, exploded = _integrate_blocks(
+        config, model, [noises, noises], scheme,
+        [config.x0] * config.paths + [y0] * config.paths)
+    mins = _min_distances(times, states, cols, ends, exploded)
     finite = mins[np.isfinite(mins)]
+    excluded = mins.size - finite.size
 
     ladder_rows = []
     for eps in config.epsilon_ladder:
@@ -635,9 +635,7 @@ def run_convergence(config):
         if int(keep.sum()) >= 2:
             slopes.append(float(np.polyfit(log_h[keep],
                                            np.log(e[keep]), 1)[0]))
-    all_zero = all(
-        np.isfinite(e).all() and np.all(np.asarray(e) == 0.0)
-        for e in per_path)
+    all_zero = bool(np.all(np.asarray(errors) == 0.0))     # False on nan
     if all_zero:
         order = {"estimate": "exact", "n_regressed": 0}
     else:

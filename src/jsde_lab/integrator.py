@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,14 @@ class SchemeConfig:
     restrict_to_u3: bool = False
 
     def __post_init__(self):
+        # a str would reach a raw TypeError, a bool pass as 1 or 0, and a
+        # truthy "no" switch the U3 filter on
+        for name in ("base_step", "explosion_radius"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number")
+        if not isinstance(self.restrict_to_u3, bool):
+            raise DomainError("restrict_to_u3 must be a bool")
         if not 0 < self.base_step < math.inf:
             raise DomainError("base_step must be positive and finite")
         if not self.explosion_radius > 0:
@@ -191,6 +200,28 @@ def simulate_paths(model, noises, scheme, x0):
     A path's arrays view its column of the run's step-major arrays, without
     a copy: they are strided, and one kept path keeps the run's arrays alive.
     """
+    run = _integrate(model, noises, scheme, x0)
+    if run is None:
+        return []
+    times, states, cols, ends, seeds, (steps, at, last), _, exploded = run
+    # a state's code: its last jump's, or "exit" where its path ends outside
+    codes = np.zeros(states.shape, dtype=np.int8)
+    codes[steps + 1, at] = last
+    codes[ends[exploded], cols[exploded]] = 3
+    return [PathResult(times[:end + 1, p], states[:end + 1, p], out,
+                       float(times[end, p]) if out else None, seed,
+                       codes[:end + 1, p])
+            for p, end, out, seed in zip(cols.tolist(), ends.tolist(),
+                                         exploded.tolist(), seeds)]
+
+
+def _integrate(model, noises, scheme, x0):
+    """The run of :func:`simulate_paths`, or None for no rows, as ``(times,
+    states, cols, ends, seeds, last_jumps, finals, exploded)``: step-major
+    ``times`` and ``states``, one column per row, to read up to the row's
+    last step (the slots past it may never be written); per input row, its
+    column, last step, seed, last state and whether it exploded; and each
+    state's last jump, as ``(steps, cols, codes)``."""
     batches = _batches(noises)
     n = sum(len(batch) for batch in batches)
     schemes = _per_noise(scheme, n)
@@ -203,7 +234,7 @@ def simulate_paths(model, noises, scheme, x0):
                 "scheme base_step does not match the noise base grid"
             )
     if not n:
-        return []
+        return None
     shared = {(sch.taming, sch.explosion_radius, sch.restrict_to_u3)
               for sch in schemes}
     if len(shared) > 1:
@@ -233,9 +264,6 @@ def simulate_paths(model, noises, scheme, x0):
         batches, model.u3, scheme.restrict_to_u3, rank)
     states = np.empty((m + 1, n))
     states[0] = x0[order]
-    # a state's code: its last jump's, or "exit" where its path ends outside
-    codes = np.zeros((m + 1, n), dtype=np.int8)
-    codes[at_step + 1, at_path] = last
     exploded = np.abs(states[0]) >= radius
     ends = np.where(exploded, 0, lengths)
     grid_ends = set(lengths.tolist())
@@ -290,13 +318,8 @@ def simulate_paths(model, noises, scheme, x0):
         ends[live[~inside]] = s + 1
         live = live[inside]
 
-    del dws                     # unread from here on; lowers the peak RSS
-    codes[ends[exploded], exploded] = 3
-    return [PathResult(times[:end + 1, p], states[:end + 1, p],
-                       bool(exploded[p]),
-                       float(times[end, p]) if exploded[p] else None,
-                       seed, codes[:end + 1, p])
-            for p, end, seed in zip(rank.tolist(), ends[rank].tolist(), seeds)]
+    return (times, states, rank, ends[rank], seeds, (at_step, at_path, last),
+            states[ends[rank], rank], exploded[rank])
 
 
 def simulate(model, noise, scheme, x0):
@@ -313,26 +336,36 @@ def first_exit_time(path, radius):
     return float(path.times[hits[0]]) if hits.size else None
 
 
-def exit_times(paths, radii):
-    """Each path's :func:`first_exit_time` at each radius, ``inf`` where it
-    has none, as a ``(paths, radii)`` array read from one pass over the
-    stacked ``|state|``."""
-    if len(radii) == 0:
-        raise DomainError("exit_times needs at least one radius")
-    if not all(radius > 0 for radius in radii):
-        raise DomainError("radius must be positive")
-    if len(paths) == 0:
-        return np.empty((0, len(radii)))
-    rows = np.repeat(np.arange(len(paths)), [len(p.states) for p in paths])
-    size = np.abs(np.concatenate([p.states for p in paths]))
-    times = np.concatenate([p.times for p in paths])
-    exits = np.full((len(paths), len(radii)), math.inf)
-    for j, radius in enumerate(radii):
-        hits = np.flatnonzero(size >= radius)
-        # the first hit of each row that has one
-        first = hits[np.diff(rows[hits], prepend=-1) != 0]
-        exits[rows[first], j] = times[first]
-    return exits
+def _first_exits(times, states, cols, ends, radii):
+    """Each row's :func:`first_exit_time` at each positive radius, ``inf``
+    where it has none, read from :func:`_integrate`'s arrays."""
+    written = np.arange(len(states))[:, None] <= ends[np.argsort(cols)]
+    size = np.abs(states, where=written, out=np.zeros(states.shape))
+    hits = size[:, :, None] >= np.asarray(radii)
+    first = hits.argmax(axis=0)
+    exits = np.where(hits.any(axis=0),
+                     times[first, np.arange(len(cols))[:, None]], math.inf)
+    return exits[cols]
+
+
+def _min_distances(times, states, cols, ends, exploded):
+    """Per row of the first half, the least ``|X - Y|`` to its partner in
+    the second over their written steps (nan where either exploded), read
+    from :func:`_integrate`'s arrays; partners must share their times."""
+    (a, b), (end_a, end_b) = np.split(cols, 2), np.split(ends, 2)
+    inside = ~np.logical_or(*np.split(exploded, 2))
+    both = np.arange(len(states))[:, None] <= np.where(
+        inside, np.minimum(end_a, end_b), -1)
+    if not ((end_a == end_b)[inside].all() and np.equal(
+            times[:, a], times[:, b], where=both,
+            out=np.ones(both.shape, bool)).all()):
+        raise AssertionError("common-noise grids diverged between the "
+                             "two starts")
+    # one gathered start at a time, and no arithmetic on unwritten slots
+    gaps = states[:, a]
+    np.subtract(gaps, states[:, b], out=gaps, where=both)
+    gaps[~both] = math.nan
+    return np.fmin.reduce(np.abs(gaps, out=gaps), axis=0)
 
 
 def ito_levy_apply(f, path, model, noise, scheme):

@@ -1,6 +1,8 @@
 """Tests for the experiment harness: ladder validation, runners on cheap
 models, file outputs, budget caps, and the condition prechecks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from jsde_lab.harness import (
     run_uniqueness,
 )
 from jsde_lab.analysis import phi_growth
-from jsde_lab.integrator import SchemeConfig, simulate, simulate_paths
+from jsde_lab.integrator import (SchemeConfig, _integrate, first_exit_time,
+                                 simulate)
 from jsde_lab.model import CoefficientSet, builtin_growth
 from jsde_lab.noise import NoiseBatch, derive_path_seed, sample_noise
 
@@ -94,6 +97,15 @@ def test_config_ladders_normalized():
     {"explosion_radius": "3"},
     {"budget_cap": "5"},
     {"y0": True},
+    # a str ladder was read one character at a time, a bool step as 1.0,
+    # and the rest reached raw ValueErrors and TypeErrors
+    {"radius_ladder": "25"},
+    {"step_ladder": (True, 0.5, 0.25)},
+    {"radius_ladder": ("x",)},
+    {"step_ladder": 5},
+    {"step_ladder": None},
+    # truthy, so it skipped the precheck and echoed as "false"
+    {"skip_checks": "false"},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(DomainError):
@@ -188,6 +200,8 @@ def test_explosion_phi_is_one_batched_call_equal_to_per_path_values(
         path = simulate(model, noise, scheme, cfg.x0)
         exited += path.exploded
         assert row[-1] == phi_growth(growth, path.state_at_end() ** 2), i
+        exits = [first_exit_time(path, r) for r in cfg.radius_ladder]
+        assert row[2:-1] == [math.inf if t is None else t for t in exits], i
     assert exited > 0
 
 
@@ -250,6 +264,42 @@ def test_nonconfluence_contraction_control():
     constants = summary.extras["constants"]
     assert constants["K"] == 6.0          # delta^-1 (1 + 2)
     assert constants["K_prime"] == 4.0
+
+
+def test_nonconfluence_min_distance_equals_the_pairs_run_alone():
+    # a radius small enough that some pairs explode, and are excluded
+    h = 2.0 ** -5
+    cfg = _cfg(_noisy_model(3.0), paths=24, x0=0.0, y0=0.5,
+               step_ladder=(h,), explosion_radius=2.0, skip_checks=True)
+    summary = run_nonconfluence(cfg)
+    model = _noisy_model(3.0)
+    scheme = SchemeConfig(base_step=h, explosion_radius=2.0)
+    excluded = 0
+    for i, seed, got in summary.data_rows:
+        noise = sample_noise(model, cfg.horizon, h, seed)
+        px = simulate(model, noise, scheme, cfg.x0)
+        py = simulate(model, noise, scheme, cfg.y0)
+        if px.exploded or py.exploded:
+            excluded += 1
+            assert math.isnan(got), i
+        else:
+            assert got == float(np.min(np.abs(px.states - py.states))), i
+    assert 0 < excluded < cfg.paths
+    assert summary.extras["excluded_exploded_paths"] == excluded
+
+
+def test_nonconfluence_checks_that_the_starts_share_their_times(monkeypatch):
+    def shifted(model, noises, scheme, x0):
+        out = _integrate(model, noises, scheme, x0)
+        times, cols = out[0], out[2]
+        times[1, cols[-1]] += 1e-9      # the last pair's second start
+        return out
+
+    monkeypatch.setattr(harness, "_integrate", shifted)
+    cfg = _cfg(_noisy_model(), paths=3, x0=0.0, y0=0.5,
+               step_ladder=(2.0 ** -4,), skip_checks=True)
+    with pytest.raises(AssertionError, match="grids diverged"):
+        run_nonconfluence(cfg)
 
 
 def test_nonconfluence_unknown_model_needs_explicit_modulus():
@@ -414,14 +464,15 @@ def test_non_finite_path_is_located_and_replays():
                                         2.0 ** -5))),
 ])
 def test_each_run_makes_one_simulate_paths_call(monkeypatch, run, kw):
+    # the harness integrates through _integrate, simulate_paths' own body
     calls = []
 
     def counted(model, noises, scheme, x0):
-        paths = simulate_paths(model, noises, scheme, x0)
-        calls.append(len(paths))
-        return paths
+        out = _integrate(model, noises, scheme, x0)
+        calls.append(len(out[2]))
+        return out
 
-    monkeypatch.setattr(harness, "simulate_paths", counted)
+    monkeypatch.setattr(harness, "_integrate", counted)
     run(_cfg(_noisy_model(), paths=5, **kw))
     rows = {run_explosion: 5, run_uniqueness: 15, run_nonconfluence: 10,
             run_convergence: 25}[run]

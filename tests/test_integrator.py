@@ -6,9 +6,9 @@ import pytest
 from jsde_lab.analysis import moment_bound
 from jsde_lab.errors import DomainError, NumericalDomainError
 from jsde_lab.harness import ExperimentConfig, run_uniqueness
-from jsde_lab.integrator import (PathResult, SchemeConfig, dump_path_csv,
-                                 exit_times, first_exit_time, ito_levy_apply,
-                                 simulate, simulate_paths)
+from jsde_lab.integrator import (PathResult, SchemeConfig, _first_exits,
+                                 _integrate, dump_path_csv, first_exit_time,
+                                 ito_levy_apply, simulate, simulate_paths)
 from jsde_lab.model import (Band, CoefficientSet, MarkMeasure,
                             builtin_growth, in_bands, lebesgue, preset)
 from jsde_lab.noise import (EVENT_DTYPE, LARGE, SMALL, SOURCES, NoiseBatch,
@@ -47,8 +47,19 @@ INVALID_SETTINGS = (
      "explosion_radius"),
     ("nan exit radius", lambda: first_exit_time(_TWO_STATES, math.nan),
      "radius"),
-    ("nan exit_times radius",
-     lambda: exit_times([_TWO_STATES], [2.0, math.nan]), "radius"),
+    # a str reached a raw TypeError, a bool passed as 1, and a truthy "no"
+    # switched the U3 filter on
+    ("str step", lambda: SchemeConfig(base_step="0.1"), "base_step"),
+    ("bool step", lambda: SchemeConfig(base_step=True), "base_step"),
+    ("str radius",
+     lambda: SchemeConfig(base_step=2.0 ** -4, explosion_radius="3"),
+     "explosion_radius"),
+    ("bool radius",
+     lambda: SchemeConfig(base_step=2.0 ** -4, explosion_radius=True),
+     "explosion_radius"),
+    ("str restrict_to_u3",
+     lambda: SchemeConfig(base_step=2.0 ** -4, restrict_to_u3="no"),
+     "restrict_to_u3"),
 )
 
 
@@ -749,10 +760,17 @@ def test_batch_checks_each_grid_against_its_own_scheme():
 
 
 # ---------------------------------------------------------------------------
-# exit times of a batch in one pass
+# exit times of a run, read from its arrays
 # ---------------------------------------------------------------------------
 
-def test_exit_times_equal_first_exit_time_per_path_and_radius():
+def _exits_and_paths(model, noises, scheme, x0, radii):
+    """``_first_exits`` over one run's arrays, and the run's paths."""
+    times, states, cols, ends, *_ = _integrate(model, noises, scheme, x0)
+    return (_first_exits(times, states, cols, ends, radii),
+            simulate_paths(model, noises, scheme, x0))
+
+
+def test_first_exits_equal_first_exit_time_per_path_and_radius():
     model = preset("example_31")
     seeds = [derive_path_seed(8, i) for i in range(60)]
     noises = sample_batch(model, 1.0, 2.0 ** -6, seeds)
@@ -760,32 +778,27 @@ def test_exit_times_equal_first_exit_time_per_path_and_radius():
     scheme = SchemeConfig(base_step=2.0 ** -6, explosion_radius=radii[-1])
     # the third path starts beyond every radius and exits at t = 0
     x0 = [1.0, 0.5, 20.0] + [1.0] * 57
-    paths = simulate_paths(model, noises, scheme, x0)
-    # one more path hits the scheme's radius exactly at t = 0.5
-    paths.append(PathResult(np.array([0.0, 0.5]), np.array([1.5, -3.0]),
-                            True, 0.5, 0, np.array([0, 3], dtype=np.int8)))
-    exits = exit_times(paths, radii)
+    exits, paths = _exits_and_paths(model, noises, scheme, x0, radii)
+    # a deterministic path hits the scheme's radius exactly at t = 0.5:
+    # 1.5 - 9 * 0.5 = -3.0
+    drop = _drift_only(lambda x: np.full_like(x, -9.0))
+    hit, hit_path = _exits_and_paths(
+        drop, sample_batch(drop, 1.0, 0.5, [1]),
+        SchemeConfig(base_step=0.5, explosion_radius=radii[-1]), 1.5, radii)
+    assert hit_path[0].states.tolist() == [1.5, -3.0]
+    assert hit.tolist() == [[0.0, 0.5, 0.5]]
     assert exits.shape == (len(paths), len(radii))
-    for path, row in zip(paths, exits.tolist()):
+    for path, row in zip(paths + hit_path, np.vstack([exits, hit]).tolist()):
         for radius, got in zip(radii, row):
             t = first_exit_time(path, radius)
             assert got == (math.inf if t is None else t)
     assert exits[2].tolist() == [0.0, 0.0, 0.0]
-    assert exits[-1].tolist() == [0.0, 0.5, 0.5]
     # paths that never exit, exit at the smaller radii only, or reach the
     # scheme's radius later on
     assert np.isinf(exits[:, 0]).any()
     assert (np.isfinite(exits[:, 0]) & np.isinf(exits[:, -1])).any()
-    late = exits[:-1, -1]
+    late = exits[:, -1]
     assert np.count_nonzero((late > 0) & (late < math.inf)) > 1
-    with pytest.raises(DomainError):
-        exit_times(paths, (0.0, 1.0))
-
-
-def test_exit_times_of_no_paths_and_of_no_radii():
-    assert exit_times([], (1.0, 2.0)).shape == (0, 2)
-    with pytest.raises(DomainError, match="at least one radius"):
-        exit_times([], ())
 
 
 def test_a_batch_runs_as_its_rows_run():
