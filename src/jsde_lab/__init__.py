@@ -18,10 +18,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (OmegaTransform, PsiFamily, a_sequence, bihari_bound,
-                       implied_state_bound, moment_bound,
-                       nonconfluence_constants, omega_build, p_alpha,
-                       phi_growth, phi_inverse, psi_build, r_inequality_check,
-                       reciprocal_mass, w_integral)
+                       moment_bound, nonconfluence_constants, omega_build,
+                       p_alpha, phi_growth, psi_build, r_inequality_check,
+                       w_integral)
 from .config import parse_config, resolve_seed
 from .errors import (AssumptionViolationError, CatalogError, ConfigError,
                      DomainError, ExpressionError, NumericalDomainError,
@@ -35,8 +34,8 @@ from .integrator import (TAMING_MODES, PathResult, SchemeConfig,
                          simulate, simulate_paths)
 from .model import (GAMMA, GROWTH_CATALOG, MODULUS_CATALOG, Band,
                     CoefficientSet, GrowthFunction, MarkMeasure, Modulus,
-                    affine_modulus, builtin_growth, builtin_modulus, lebesgue,
-                    preset, scale_modulus)
+                    builtin_growth, builtin_modulus, lebesgue, preset,
+                    scale_modulus)
 from .noise import (NoiseBatch, derive_path_seed, sample_batch,
                     sample_noise, truncate_small_jumps)
 from .verifier import (NO_VIOLATION, VIOLATED, AssumptionReport,
@@ -57,16 +56,16 @@ __all__ = [
     "NO_VIOLATION", "NoiseBatch", "NumericalDomainError",
     "OmegaTransform", "PathResult", "PsiFamily", "ResourceLimitError",
     "SchemeConfig", "TAMING_MODES", "TransformRangeError", "UsageError",
-    "VIOLATED", "a_sequence", "affine_modulus", "bihari_bound",
+    "VIOLATED", "a_sequence", "bihari_bound",
     "builtin_growth", "builtin_modulus", "check_corollary_conditions",
     "check_growth", "check_local_conditions", "check_modulus",
     "check_nonconfluence_conditions", "derive_path_seed",
     "designated_checks", "dump_path_csv", "first_exit_time",
-    "format_report_table", "growth_ratio_supremum", "implied_state_bound",
+    "format_report_table", "growth_ratio_supremum",
     "ito_levy_apply", "lebesgue", "moment_bound", "nonconfluence_constants",
     "omega_build", "p_alpha", "parse_config", "parse_expression",
-    "parse_scalar", "phi_growth", "phi_inverse", "preset", "psi_build",
-    "r_inequality_check", "reciprocal_mass", "reports_to_json",
+    "parse_scalar", "phi_growth", "preset", "psi_build",
+    "r_inequality_check", "reports_to_json",
     "resolve_seed", "run_convergence", "run_experiment", "run_explosion",
     "run_nonconfluence", "run_uniqueness", "sample_batch", "sample_noise",
     "scale_modulus", "simulate", "simulate_paths",

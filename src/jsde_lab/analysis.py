@@ -40,9 +40,7 @@ __all__ = [
     "omega_build",
     "bihari_bound",
     "phi_growth",
-    "phi_inverse",
     "moment_bound",
-    "implied_state_bound",
     "a_sequence",
     "a_sequence_log",
     "PsiFamily",
@@ -87,13 +85,6 @@ def w_integral(modulus, l_lo, l_hi):
     w = modulus.log_weight
     return sum(_gl_panel(w, a, b)
                for a, b in _w_segments(modulus.log_weight_breaks, l_lo, l_hi))
-
-
-def reciprocal_mass(modulus, r_lo, r_hi):
-    """``integral_{r_lo}^{r_hi} dr / rho(r)`` for representable endpoints."""
-    if not (0 < r_lo <= r_hi):
-        raise DomainError("need 0 < r_lo <= r_hi")
-    return w_integral(modulus, -math.log(r_hi), -math.log(r_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +255,6 @@ def phi_growth(upsilon, x):
     return float(phi) if phi.ndim == 0 else phi
 
 
-def phi_inverse(upsilon, y):
-    """Numeric inverse of :func:`phi_growth` on ``y >= 1``, searched for in
-    ``[0, 1e12]``."""
-    y = float(y)
-    if not math.isfinite(y):
-        raise DomainError("y must be finite")
-    if y < 1.0:
-        raise DomainError("phi(x) >= 1 for x >= 0; cannot invert below 1")
-    if y == 1.0:
-        return 0.0
-    hi = 1.0
-    while phi_growth(upsilon, hi) < y:
-        hi *= 4.0
-        if hi > 1e12:
-            raise TransformRangeError(
-                f"phi_inverse({y:g}) exceeds the search range 1e+12")
-    from scipy.optimize import brentq
-    return brentq(lambda x: phi_growth(upsilon, x) - y, 0.0, hi,
-                  rtol=1e-14, maxiter=200)
-
-
 def moment_bound(upsilon, mu, M, second_moment_x0, t):
     """Growth bound on the phi-transformed second moment at time ``t``:
     ``phi(E[x0^2]) * exp(mu * (M + 1) * t)``.
@@ -302,11 +272,6 @@ def moment_bound(upsilon, mu, M, second_moment_x0, t):
     except OverflowError:
         return math.inf
     return phi_growth(upsilon, second_moment_x0) * growth
-
-
-def implied_state_bound(upsilon, mu, M, second_moment_x0, t):
-    """Invert phi on the moment bound: the implied second-moment scale."""
-    return phi_inverse(upsilon, moment_bound(upsilon, mu, M, second_moment_x0, t))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import numbers
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,6 +138,18 @@ class ExperimentConfig:
         # "false" is truthy: it would skip the checks and echo as a string
         if not isinstance(self.skip_checks, bool):
             raise DomainError("skip_checks must be a bool")
+        # checked before the run, not after it; a bool would echo as 1.0
+        for name in ("mu", "m_bound"):
+            value = getattr(self, name)
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Real)
+                    or not 0.0 <= value < math.inf):
+                raise DomainError(f"{name} must be a nonnegative finite "
+                                  "real number")
+        if not (self.output_dir is None
+                or isinstance(self.output_dir, (str, os.PathLike))):
+            raise DomainError("output_dir must be a path")
 
     def echo(self, model_label):
         out = {

@@ -39,7 +39,6 @@ __all__ = [
     "builtin_modulus",
     "builtin_growth",
     "scale_modulus",
-    "affine_modulus",
     "preset_example_31",
     "preset_example_41",
     "preset",
@@ -143,7 +142,7 @@ def in_bands(u3, marks):
 
 
 class MarkMeasure:
-    """A finite (or explicitly infinite) measure on real marks.
+    """A finite or infinite measure on real marks.
 
     Supported forms: a list of density pieces ``(lo, hi, d)`` on finite
     bounds with ``d`` a nonnegative density (any callable of the mark,
@@ -151,11 +150,14 @@ class MarkMeasure:
     of atoms ``(u, w)`` with finite ``u`` and weights ``0 < w < inf``.
     Pieces straddling 0 are split there so piecewise quadrature never
     integrates across the ``|u|`` kink.  ``total_mass`` is computed on its
-    first read (and kept) unless it is given: ``hi - lo`` for a
-    :func:`lebesgue` piece, adaptive quadrature for other densities.
+    first read (and kept): ``hi - lo`` for a :func:`lebesgue` piece,
+    adaptive quadrature for other densities.  A piece whose quadrature does
+    not converge (a density that does not integrate, such as ``|u|^-1.5``
+    at 0) has infinite mass, and a converged negative piece is a
+    :class:`DomainError`.
     """
 
-    def __init__(self, pieces=(), atoms=(), label="", total_mass=None):
+    def __init__(self, pieces=(), atoms=(), label=""):
         split = []
         for lo, hi, dens in pieces:
             lo, hi = float(lo), float(hi)
@@ -177,14 +179,11 @@ class MarkMeasure:
             if w <= 0.0:
                 raise DomainError(f"atom at {u} has non-positive weight {w}")
         self.label = label
-        self._total_mass = None if total_mass is None else float(total_mass)
         self._nw = None
 
-    @property
+    @functools.cached_property
     def total_mass(self):
-        if self._total_mass is None:
-            self._total_mass = float(self._quadrature_mass())
-        return self._total_mass
+        return float(self._quadrature_mass())
 
     def _quadrature_mass(self):
         m = sum(w for _, w in self.atoms)
@@ -194,8 +193,12 @@ class MarkMeasure:
                 m += hi - lo
                 continue
             from scipy.integrate import quad
-            val, _ = quad(lambda u: float(dens(u)), lo, hi, limit=200)
-            m += val
+            val, _, _, *warning = quad(lambda u: float(dens(u)), lo, hi,
+                                       limit=200, full_output=1)
+            if not warning and val < 0.0:
+                raise DomainError(f"density piece [{lo}, {hi}] of "
+                                  f"{self.label!r} has negative mass {val:g}")
+            m += math.inf if warning else val
         return m
 
     @property
@@ -408,27 +411,6 @@ def scale_modulus(modulus, c):
         closed_form_omega=cf,
         log_weight=lambda ell, _m=modulus, _c=c: _m.log_weight(ell) / _c,
         log_weight_breaks=modulus.log_weight_breaks,
-    )
-
-
-def affine_modulus(k1, k2, modulus, label=None):
-    """``k1 * x + k2 * rho(x)`` — concave with a divergent reciprocal integral
-    whenever ``rho`` has one (or ``k1 > 0``)."""
-    k1, k2 = float(k1), float(k2)
-    if not (0 <= k1 < math.inf and 0 <= k2 < math.inf) or k1 + k2 == 0:
-        raise DomainError("affine modulus needs finite nonnegative k1, k2, "
-                          "not both 0")
-
-    def w0(ell, _m=modulus):
-        # 1 / (k1 + k2 / W(ell)) with W = exp(-ell)/rho(exp(-ell))
-        return 1.0 / (k1 + k2 / _m.log_weight(ell))
-
-    return Modulus(
-        rho=lambda x, _m=modulus: k1 * x + k2 * _m.rho(x),
-        domain_hint=modulus.domain_hint,
-        label=label or f"{k1:g}*x+{k2:g}*{modulus.label}",
-        log_weight=w0 if k2 > 0 else (lambda ell: 1.0 / k1),
-        log_weight_breaks=modulus.log_weight_breaks if k2 > 0 else (),
     )
 
 

@@ -47,6 +47,9 @@ VIOLATED = "violated"
 DEFAULT_TOLERANCE = 1e-9
 DIVERGENCE_RATIO_MIN = 0.9    # per-decade decrement ratio; catalog >= 0.916
 GROWTH_RATIO_MIN = 0.75       # growth-(ii) decade increments; catalog >= 0.887
+# the states at which the growth bound and its calibrating supremum are read
+_GROWTH_ANCHORS = np.linspace(-10.0, 10.0, 101)
+_GROWTH_ANCHORS.flags.writeable = False
 
 # frozen designated-check constants (grid suprema of the growth ratios with
 # the empty interlacing sub-support; the first is exact, attained at -sqrt(e))
@@ -433,6 +436,32 @@ def _pair_condition(name, grid, gap_cap, terms, recompute):
                       lambda w: recompute(w["x"], w["y"]))
 
 
+def _tail_ratio_condition(name, worst, steps, ratio_key, ratio_min,
+                          integrand, edges, note):
+    """The divergence certificate of a reciprocal integral from its twelve
+    decade ``steps``: each is finite and positive, and the last keeps at
+    least ``ratio_min`` of the one before.  ``worst`` gets the ratio under
+    ``ratio_key`` and the slack.  A violation is reconfirmed from dense
+    trapezoid integrals of ``integrand`` over the two decades ``edges``
+    (11 and 12), which must both be finite and positive and keep the
+    ratio."""
+    ratio = steps[-1] / steps[-2] if steps[-2] > 0 else 0.0
+    ok = bool(np.all(np.isfinite(steps) & (steps > 0))) and ratio >= ratio_min
+    worst.update({ratio_key: float(ratio), "lhs": float(ratio_min - ratio),
+                  "rhs": 0.0, "slack": float(ratio_min - ratio)})
+    if not ok:
+        g = []
+        for lo, hi in edges:
+            x = np.geomspace(lo, hi, 200001)
+            g.append(float(np.trapezoid(integrand(x), x)))
+        re_ratio = g[1] / g[0] if g[0] > 0 else 0.0
+        worst["reconfirmed"] = bool(
+            not all(0 < v < math.inf for v in g) or re_ratio < ratio_min)
+        worst["recomputed_ratio"] = float(re_ratio)
+    return ConditionResult(name, NO_VIOLATION if ok else VIOLATED,
+                           worst=worst, note=note)
+
+
 # ---------------------------------------------------------------------------
 # A22 — modulus admissibility
 # ---------------------------------------------------------------------------
@@ -474,38 +503,17 @@ def check_modulus(modulus):
     try:
         om = omega_build(modulus, base)
         decades = om.decade_values()
-        gains = -np.diff(decades)
-        ratio = gains[-1] / gains[-2] if gains[-2] > 0 else 0.0
-        ok = bool(np.all(gains > 0)) and ratio >= DIVERGENCE_RATIO_MIN
-        worst = {
-            "base_point": base,
-            "decade_values": [float(v) for v in decades],
-            "decrement_ratio": float(ratio),
-            "lhs": float(DIVERGENCE_RATIO_MIN - ratio),
-            "rhs": 0.0,
-            "slack": float(DIVERGENCE_RATIO_MIN - ratio),
-        }
-        if not ok:
-            # independent path: dense trapezoid integrals of 1/rho over the
-            # last two probed decades
-            g = []
-            for k in (11, 12):
-                rs = np.geomspace(base * 10.0 ** (-k),
-                                  base * 10.0 ** (-(k - 1)), 200001)
-                g.append(float(np.trapezoid(1.0 / modulus.rho(rs), rs)))
-            re_ratio = g[1] / g[0] if g[0] > 0 else 0.0
-            worst["reconfirmed"] = bool(
-                not (g[0] > 0 and g[1] > 0)
-                or re_ratio < DIVERGENCE_RATIO_MIN)
-            worst["recomputed_ratio"] = float(re_ratio)
-        conditions.append(ConditionResult(
+        conditions.append(_tail_ratio_condition(
             "reciprocal_divergence",
-            NO_VIOLATION if ok else VIOLATED,
-            worst=worst,
+            {"base_point": base,
+             "decade_values": [float(v) for v in decades]},
+            -np.diff(decades), "decrement_ratio", DIVERGENCE_RATIO_MIN,
+            lambda r: 1.0 / modulus.rho(r),
+            [(base * 10.0 ** (-k), base * 10.0 ** (-(k - 1)))
+             for k in (11, 12)],
             note=("certificate: per-decade decrements of the reciprocal "
                   f"transform stay positive with tail ratio >= "
-                  f"{DIVERGENCE_RATIO_MIN}"),
-        ))
+                  f"{DIVERGENCE_RATIO_MIN}")))
     except DomainError as exc:
         probe = np.geomspace(1e-12, base, 101)
         pv = modulus.rho(probe)
@@ -567,7 +575,7 @@ def check_growth(model, upsilon, mu):
     if not 0.0 <= mu < math.inf:
         raise DomainError("mu must be nonnegative and finite")
     upsilon = _float_array_valued(upsilon)
-    anchors = np.linspace(-10.0, 10.0, 101)
+    anchors = _GROWTH_ANCHORS
     conditions = []
     notes = []
 
@@ -589,27 +597,12 @@ def check_growth(model, upsilon, mu):
     conditions.append(_reconfirm(cond, recompute))
 
     incs = _growth_decade_increments(upsilon)
-    ratio = incs[-1] / incs[-2] if incs[-2] > 0 else 0.0
-    ok = ratio >= GROWTH_RATIO_MIN and bool(np.all(np.isfinite(incs)))
-    worst = {"decade_increments": [float(v) for v in incs],
-             "increment_ratio": float(ratio),
-             "lhs": float(GROWTH_RATIO_MIN - ratio), "rhs": 0.0,
-             "slack": float(GROWTH_RATIO_MIN - ratio)}
-    if not ok:
-        # independent path: trapezoid integrals of 1/(s Upsilon(s) + 1)
-        # over the last two probed decades
-        g = []
-        for k in (11, 12):
-            s = np.geomspace(10.0 ** (k - 1), 10.0 ** k, 200001)
-            g.append(float(np.trapezoid(1.0 / (s * upsilon(s) + 1.0), s)))
-        re_ratio = g[1] / g[0] if g[0] > 0 else 0.0
-        worst["reconfirmed"] = bool(not np.all(np.isfinite(g))
-                                    or re_ratio < GROWTH_RATIO_MIN)
-        worst["recomputed_ratio"] = float(re_ratio)
-    conditions.append(ConditionResult(
+    conditions.append(_tail_ratio_condition(
         "reciprocal_growth_divergence",
-        NO_VIOLATION if ok else VIOLATED,
-        worst=worst,
+        {"decade_increments": [float(v) for v in incs]},
+        incs, "increment_ratio", GROWTH_RATIO_MIN,
+        lambda s: 1.0 / (s * upsilon(s) + 1.0),
+        [(10.0 ** (k - 1), 10.0 ** k) for k in (11, 12)],
         note=("certificate: decade increments of the reciprocal growth "
               f"integral keep a tail ratio >= {GROWTH_RATIO_MIN}")))
 
@@ -625,17 +618,11 @@ def check_growth(model, upsilon, mu):
     return _assemble("A23", conditions, grid_spec, notes)
 
 
-def growth_ratio_supremum(model, upsilon, anchors=None):
+def growth_ratio_supremum(model, upsilon):
     """Grid supremum of LHS/RHS-at-mu=1 — the smallest admissible ``mu`` on
-    the grid (used to calibrate experiment presets)."""
+    the growth grid (used to calibrate experiment presets)."""
     upsilon = _float_array_valued(upsilon)
-    if anchors is None:
-        anchors = np.linspace(-10.0, 10.0, 101)
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 1 or anchors.size == 0 \
-            or not np.all(np.isfinite(anchors)):
-        raise DomainError("growth ratio anchors must be a non-empty 1-D "
-                          "array of finite states")
+    anchors = _GROWTH_ANCHORS
     lhs = _growth_lhs(model, anchors)
     rhs = anchors ** 2 * upsilon(anchors ** 2) + 1.0
     ratio = lhs / rhs

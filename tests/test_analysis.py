@@ -6,11 +6,9 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from jsde_lab.analysis import (OmegaTransform, a_sequence, bihari_bound,
-                               implied_state_bound, moment_bound,
-                               nonconfluence_constants, omega_build, p_alpha,
-                               phi_growth, phi_inverse, psi_build,
-                               r_inequality_check, reciprocal_mass,
-                               w_integral)
+                               moment_bound, nonconfluence_constants,
+                               omega_build, p_alpha, phi_growth, psi_build,
+                               r_inequality_check, w_integral)
 from jsde_lab.errors import DomainError, TransformRangeError
 from jsde_lab.model import builtin_growth, builtin_modulus, scale_modulus
 
@@ -20,9 +18,10 @@ from jsde_lab.model import builtin_growth, builtin_modulus, scale_modulus
 # ---------------------------------------------------------------------------
 
 def test_reciprocal_mass_identity_closed_form():
+    # integral dr / r over [r_lo, r_hi] is ln(r_hi / r_lo)
     rho = builtin_modulus("identity")
-    assert reciprocal_mass(rho, 0.1, 1.0) == pytest.approx(math.log(10.0),
-                                                           rel=1e-12)
+    assert w_integral(rho, 0.0, math.log(10.0)) == pytest.approx(
+        math.log(10.0), rel=1e-12)
     assert w_integral(rho, 0.0, 3.0) == pytest.approx(3.0, rel=1e-12)
 
 
@@ -124,19 +123,6 @@ def test_phi_log_envelope_regression():
         7.64245547591009, rel=1e-12)
 
 
-def test_phi_inverse_roundtrip():
-    for name in ("one", "log"):
-        ups = builtin_growth(name)
-        for x in (0.0, 1.0, 42.0):
-            assert phi_inverse(ups, phi_growth(ups, x)) == pytest.approx(
-                x, rel=1e-9, abs=1e-12)
-    with pytest.raises(DomainError):
-        phi_inverse(builtin_growth("one"), 0.5)
-    for y in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="finite"):
-            phi_inverse(builtin_growth("one"), y)
-
-
 def _phi_reference(upsilon, x):
     # adaptive quadrature at its tightest tolerance, split at the kinks and
     # at every decade so that it converges
@@ -227,13 +213,6 @@ def test_moment_bound_constant_envelope():
             moment_bound(one, 1.0, 0.0, bad, 1.0)
         with pytest.raises(DomainError):
             moment_bound(one, bad, 0.0, 1.0, 1.0)
-
-
-def test_implied_state_bound_monotone():
-    one = builtin_growth("one")
-    b1 = implied_state_bound(one, 1.0, 0.0, 1.0, 0.5)
-    b2 = implied_state_bound(one, 1.0, 0.0, 1.0, 1.0)
-    assert 0.0 < b1 < b2
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_config_ladders_normalized():
     {"step_ladder": None},
     # truthy, so it skipped the precheck and echoed as "false"
     {"skip_checks": "false"},
+    # a raw ValueError or TypeError, the last two only after the whole run
+    {"mu": "x"},
+    {"m_bound": "x"},
+    {"output_dir": 5},
+    # echoed as 1.0
+    {"m_bound": True},
+    # failed only after the whole run
+    {"mu": -1.0, "skip_checks": True},
+    {"m_bound": -1.0, "skip_checks": True},
+    {"mu": float("nan")},
+    {"m_bound": float("inf")},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(DomainError):

@@ -198,6 +198,20 @@ def test_truncate_small_jumps():
             truncate_small_jumps(nu, epsilon)
 
 
+def test_a_divergent_density_is_sampled_only_once_truncated():
+    # its mass read as -4.0, and sampling failed on a negative Poisson rate
+    nu = MarkMeasure(pieces=[(-1.0, 1.0, lambda u: abs(u) ** -1.5)])
+    with pytest.raises(DomainError, match="truncate_small_jumps"):
+        noise_module.sample_batch(_inline(nu1=nu), 1.0, 0.25, [1])
+    cut, rate = truncate_small_jumps(nu, 0.1)
+    # 2 * integral_0.1^1 u^-1.5 du = 4 (sqrt(10) - 1)
+    assert rate == cut.total_mass == pytest.approx(
+        4.0 * (math.sqrt(10.0) - 1.0), rel=1e-12)
+    marks = noise_module.sample_batch(
+        _inline(nu1=cut), 1.0, 0.25, [1, 2]).events["mark"]
+    assert marks.size and np.all((np.abs(marks) >= 0.1) & (np.abs(marks) <= 1))
+
+
 def test_dump_csv(tmp_path):
     model = preset("example_31")
     noise = sample_noise(model, 1.0, 2.0 ** -4, seed=8)
@@ -371,9 +385,12 @@ BATCH_CASES = {
     "no_nu1": (lambda: _inline(nu2=lebesgue(1.0, 2.0)), 1.0, 2.0 ** -6),
     "zero_mass": (lambda: _inline(nu1=MarkMeasure(label="empty"),
                                   nu2=lebesgue(1.0, 2.0)), 1.0, 2.0 ** -6),
+    # u^-1.5 does not integrate at 0, so nu2 is infinite and only its
+    # restriction to U3 is drawn
     "infinite_nu2_on_u3": (lambda: _inline(
-        nu2=MarkMeasure(pieces=[(1.0, 3.0, lambda u: 1.0)],
-                        atoms=[(0.1, 2.0), (2.5, 0.5)], total_mass=math.inf),
+        nu2=MarkMeasure(pieces=[(0.0, 1.0, lambda u: u ** -1.5),
+                                (1.0, 3.0, lambda u: 1.0)],
+                        atoms=[(0.1, 2.0), (2.5, 0.5)]),
         u3=Band(1.5, 3.0)), 2.0, 2.0 ** -5),
 }
 

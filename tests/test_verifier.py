@@ -17,7 +17,6 @@ from jsde_lab.model import (
     GAMMA,
     GROWTH_CATALOG,
     MarkMeasure,
-    affine_modulus,
     builtin_growth,
     preset,
     builtin_modulus,
@@ -129,6 +128,37 @@ def test_growth_decade_increments_equal_the_81_point_loop(name):
     assert verifier._growth_decade_increments(upsilon).tolist() == want
 
 
+def test_check_growth_quadratic_envelope_violated_and_reconfirmed():
+    # Upsilon(s) = 1 + s: integral ds / (s^2 + s + 1) converges, each decade
+    # adding about a tenth of the one before
+    rep = check_growth(_linear_model(), lambda s: 1.0 + s, mu=2.0)
+    cond = next(c for c in rep.conditions
+                if c.name == "reciprocal_growth_divergence")
+    assert cond.verdict == VIOLATED and rep.verdict == VIOLATED
+    assert cond.worst["increment_ratio"] == pytest.approx(0.1, rel=1e-6)
+    assert cond.worst["reconfirmed"] is True
+    assert cond.worst["recomputed_ratio"] == pytest.approx(0.1, rel=1e-6)
+
+
+@pytest.mark.parametrize("steps, verdict", [
+    ([1.0] * 12, NO_VIOLATION),
+    # a non-finite step passed A22, and a non-positive one A23
+    ([1.0] * 11 + [math.inf], VIOLATED),
+    ([-1.0] + [1.0] * 11, VIOLATED),
+    ([1.0] * 10 + [math.nan, 1.0], VIOLATED),
+    ([1.0] * 11 + [0.5], VIOLATED),
+])
+def test_tail_ratio_certificate_needs_finite_positive_steps(steps, verdict):
+    cond = verifier._tail_ratio_condition(
+        "c", {}, np.array(steps), "ratio", 0.9, lambda x: 1.0 / x,
+        [(1.0, 10.0), (10.0, 100.0)], note=None)
+    assert cond.verdict == verdict
+    if verdict == VIOLATED:
+        # 1/x keeps its decade integral, so the dense path does not agree
+        assert cond.worst["recomputed_ratio"] == pytest.approx(1.0)
+        assert cond.worst["reconfirmed"] is False
+
+
 def test_check_growth_rejects_negative_mu():
     with pytest.raises(DomainError):
         check_growth(_linear_model(), builtin_growth("one"), mu=-1.0)
@@ -138,23 +168,11 @@ def test_growth_ratio_supremum_linear_drift():
     # b = x, sigma = 0: ratio 2x^2 / (x^2 + 1) peaks at the grid edges.
     m = CoefficientSet(b=lambda x: np.asarray(x, dtype=float),
                        sigma=_zeros, c1=None, c2=None, nu1=None, nu2=None)
-    sup = growth_ratio_supremum(m, builtin_growth("one"),
-                                anchors=np.linspace(-10, 10, 201))
-    # 2x*x / (x^2+1) -> sup 2*100/101 on this grid
+    sup = growth_ratio_supremum(m, builtin_growth("one"))
+    # 2x*x / (x^2+1) -> sup 2*100/101 on the growth grid, whose ends are +-10
     sup_val, sup_arg = sup
     assert sup_val == pytest.approx(200.0 / 101.0, rel=1e-9)
     assert abs(sup_arg) == pytest.approx(10.0)
-
-
-@pytest.mark.parametrize("anchors", [
-    np.zeros(0), np.array([0.0, math.nan]), np.array([math.inf, 1.0]),
-    np.array([-math.inf]), np.array(1.0), np.ones((2, 2))])
-def test_growth_ratio_supremum_rejects_bad_anchors(anchors):
-    # empty anchors raised a raw ValueError from argmax, and non-finite ones
-    # a NumericalDomainError, as if the model had failed
-    with pytest.raises(DomainError, match="growth ratio anchors"):
-        growth_ratio_supremum(preset("example_41"), builtin_growth("one"),
-                              anchors=anchors)
 
 
 def test_growth_lhs_lays_its_anchors_as_rows_of_one_pair():
@@ -176,10 +194,11 @@ def test_growth_lhs_lays_its_anchors_as_rows_of_one_pair():
     alone = np.concatenate([verifier._growth_lhs(base, x[i:i + 1])
                             for i in range(x.size)])
     assert lhs.tobytes() == alone.tobytes()
-    ratio = alone / (x ** 2 + 1.0)
+    grid = verifier._GROWTH_ANCHORS
+    ratio = verifier._growth_lhs(base, grid) / (grid ** 2 + 1.0)
     i = int(np.argmax(ratio))
-    assert growth_ratio_supremum(model, builtin_growth("one"), anchors=x) \
-        == (float(ratio[i]), float(x[i]))
+    assert growth_ratio_supremum(model, builtin_growth("one")) \
+        == (float(ratio[i]), float(grid[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +432,14 @@ def test_format_report_table_mentions_ids_and_verdicts():
 
 
 def test_affine_modulus_in_local_check():
-    # rho(r) = 2 r + 1 is a valid comparison scale for a bounded-slope drift
+    # rho(r) = 2 r + r = 3 r is a valid comparison scale for a bounded-slope
+    # drift
     m = CoefficientSet(
         b=lambda x: np.tanh(np.asarray(x, dtype=float)),
         sigma=_zeros, c1=None, c2=None, nu1=None, nu2=None,
     )
     rep = check_local_conditions(
-        m, affine_modulus(2.0, 1.0, builtin_modulus("identity")), alpha=1.0,
+        m, scale_modulus(builtin_modulus("identity"), 3.0), alpha=1.0,
         delta0=1.0,
         grid=_small_grid(-2.0, 2.0, 0.9))
     assert rep.verdict == NO_VIOLATION
