@@ -33,7 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, TransformRangeError
-from .model import _float_array_valued, gauss_legendre
+from .model import _GLW, _GLX, _float_array_valued, _gl_panel
 
 __all__ = [
     "OmegaTransform",
@@ -51,14 +51,7 @@ __all__ = [
     "r_inequality_check",
 ]
 
-_GLX, _GLW = gauss_legendre(81)
-
 _ELL_CAP = 1e280          # expansion cap: beyond this the integral is deemed bounded
-
-
-def _gl_panel(fn, a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GLW, np.asarray(fn(mid + half * _GLX), dtype=float)))
 
 
 def _w_segments(breaks, l_lo, l_hi):

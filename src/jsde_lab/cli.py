@@ -12,14 +12,12 @@ import math
 import os
 import sys
 
-from .analysis import bihari_bound, moment_bound, omega_build
-from .config import (describe_keys, parse_config, resolve_seed)
+# the simulation stack and `analysis` load inside the commands that use them
+from .config import (EXPERIMENT_KINDS, describe_keys, parse_config,
+                     resolve_seed)
 from .errors import (AssumptionViolationError, CatalogError, DomainError,
                      NumericalDomainError, UsageError)
-from .harness import ExperimentConfig, _charge_budget, _steps, run_experiment
-from .integrator import SchemeConfig, dump_path_csv, simulate_paths
 from .model import builtin_growth, builtin_modulus, scale_modulus
-from .noise import derive_path_seed, sample_batch
 from .verifier import (NO_VIOLATION, check_corollary_conditions, check_growth,
                        check_local_conditions, check_modulus,
                        check_nonconfluence_conditions, designated_checks,
@@ -124,8 +122,7 @@ def build_parser():
     exp = subs.add_parser(
         "experiment", help="run a Monte Carlo experiment")
     _common_flags(exp)
-    exp.add_argument("--kind", choices=("explosion", "uniqueness",
-                                        "nonconfluence", "convergence"),
+    exp.add_argument("--kind", choices=EXPERIMENT_KINDS,
                      help="experiment kind (overrides experiment.kind)")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -133,36 +130,32 @@ def build_parser():
 
 
 def _load(ns):
+    """The resolved config and the model it configures."""
     overrides = list(ns.overrides)
     if ns.preset:
         overrides.append(f"model.preset={ns.preset}")
-    return parse_config(ns.config, overrides)
-
-
-def _require_model(cfg):
+    cfg = parse_config(ns.config, overrides)
     model = cfg.model()
     if model is None:
         raise UsageError(
             "no model configured: pass --preset NAME or define [model] "
             "keys in the config"
         )
-    return model
+    return cfg, model
 
 
-def _scheme(cfg):
-    return SchemeConfig(
+def _cmd_simulate(ns):
+    from .harness import _charge_budget, _steps
+    from .integrator import SchemeConfig, dump_path_csv, simulate_paths
+    from .noise import derive_path_seed, sample_batch
+    cfg, model = _load(ns)
+    seed = resolve_seed(ns.seed, cfg["noise.seed"])
+    scheme = SchemeConfig(
         base_step=cfg["scheme.h"],
         explosion_radius=cfg["scheme.explosion_radius"],
         taming=cfg["scheme.taming"],
         restrict_to_u3=cfg["scheme.restrict_to_u3"],
     )
-
-
-def _cmd_simulate(ns):
-    cfg = _load(ns)
-    model = _require_model(cfg)
-    seed = resolve_seed(ns.seed, cfg["noise.seed"])
-    scheme = _scheme(cfg)
     horizon = cfg["experiment.T"]
     x0 = cfg["experiment.x0"]
     if ns.paths < 1:
@@ -241,8 +234,9 @@ def _assumption_reports(cfg, model, ids):
 
 
 def _cmd_verify(ns):
-    cfg = _load(ns)
-    model = _require_model(cfg)
+    cfg, model = _load(ns)
+    if ns.output_dir:
+        os.makedirs(ns.output_dir, exist_ok=True)
     reports = []
     if ns.assumptions:
         reports.extend(_assumption_reports(cfg, model, ns.assumptions))
@@ -252,7 +246,6 @@ def _cmd_verify(ns):
     payload = reports_to_json(reports)
     print(payload)
     if ns.output_dir:
-        os.makedirs(ns.output_dir, exist_ok=True)
         target = os.path.join(ns.output_dir, "report.json")
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -263,6 +256,7 @@ def _cmd_verify(ns):
 
 
 def _cmd_bound(ns):
+    from .analysis import bihari_bound, moment_bound, omega_build
     if (ns.modulus is None) == (ns.growth is None):
         raise UsageError(
             "bound needs exactly one of --modulus (nonlinear Gronwall) "
@@ -286,18 +280,24 @@ def _cmd_bound(ns):
     return 0
 
 
-def _experiment_config(ns, cfg, model):
-    seed = resolve_seed(ns.seed, cfg["noise.seed"])
+def _cmd_experiment(ns):
+    from .harness import ExperimentConfig, run_experiment
+    cfg, model = _load(ns)
+    kind = ns.kind or cfg["experiment.kind"]
+    if kind is None:
+        raise UsageError(
+            "no experiment kind: pass --kind or set experiment.kind"
+        )
     taming = (cfg["scheme.taming"]
               if cfg.sources["scheme.taming"] != "default" else None)
     growth = cfg["analysis.growth"]
     modulus_spec = cfg["analysis.modulus"]
-    return ExperimentConfig(
+    config = ExperimentConfig(
         model=model,
         horizon=cfg["experiment.T"],
         step_ladder=cfg["experiment.steps"],
         paths=cfg["experiment.N"],
-        master_seed=seed,
+        master_seed=resolve_seed(ns.seed, cfg["noise.seed"]),
         radius_ladder=cfg["experiment.radii"],
         epsilon_ladder=cfg["experiment.epsilons"],
         alpha=cfg["experiment.alpha"],
@@ -315,17 +315,9 @@ def _experiment_config(ns, cfg, model):
         budget_cap=cfg["experiment.budget_cap"],
         explosion_radius=cfg["scheme.explosion_radius"],
     )
-
-
-def _cmd_experiment(ns):
-    cfg = _load(ns)
-    model = _require_model(cfg)
-    kind = ns.kind or cfg["experiment.kind"]
-    if kind is None:
-        raise UsageError(
-            "no experiment kind: pass --kind or set experiment.kind"
-        )
-    summary = run_experiment(kind, _experiment_config(ns, cfg, model))
+    if ns.output_dir:
+        os.makedirs(ns.output_dir, exist_ok=True)
+    summary = run_experiment(kind, config)
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     if ns.output_dir:
         print(f"wrote {os.path.join(ns.output_dir, 'summary.json')} and "

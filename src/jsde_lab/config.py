@@ -9,16 +9,14 @@ nearest valid name; every key can be overridden on the command line with
 ``--set section.key=value``.
 """
 
-import configparser
-import difflib
+import io
 import os
 import re
 
 from .errors import ConfigError, UsageError
 from .exprs import parse_expression, parse_scalar
-from .harness import DEFAULT_SEED
-from .integrator import TAMING_MODES
-from .model import Band, CoefficientSet, MarkMeasure, lebesgue, preset
+from .model import (DEFAULT_SEED, TAMING_MODES, Band, CoefficientSet,
+                    MarkMeasure, lebesgue, preset)
 
 EXPERIMENT_KINDS = ("explosion", "uniqueness", "nonconfluence", "convergence")
 
@@ -70,6 +68,7 @@ _MEASURE_RE = re.compile(r"^\s*(lebesgue|atoms)\s*\((.*)\)\s*$", re.DOTALL)
 
 
 def _suggest(name, options):
+    import difflib
     close = difflib.get_close_matches(name, options, n=1, cutoff=0.4)
     return f"; did you mean {close[0]!r}?" if close else ""
 
@@ -224,15 +223,21 @@ class ResolvedConfig:
 
 
 def _read_file(path):
+    import configparser
     parser = configparser.RawConfigParser(
         inline_comment_prefixes=("#", ";"), delimiters=("=",),
     )
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=os.path.basename(path))
+        with open(path, "rb") as fh:
+            # decoded whole, so that an error's offset is the file's
+            text = io.StringIO(fh.read().decode("utf-8"), newline=None)
+        parser.read_file(text, source=os.path.basename(path))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} "
+                          f"at byte offset {exc.start}") from exc
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError(
             f"{exc.source}, line {exc.lineno}, column 1: key before any "

@@ -34,15 +34,14 @@ import numpy as np
 from .analysis import moment_bound, nonconfluence_constants, phi_growth
 from .errors import (AssumptionViolationError, DomainError,
                      NumericalDomainError, ResourceLimitError, UsageError)
-from .integrator import (TAMING_MODES, SchemeConfig, _first_exits,
-                         _integrate, _min_distances)
-from .model import CoefficientSet, builtin_growth, builtin_modulus, preset
+from .integrator import SchemeConfig, _first_exits, _integrate, _min_distances
+from .model import (DEFAULT_SEED, TAMING_MODES, CoefficientSet,
+                    builtin_growth, builtin_modulus, preset)
 from .noise import derive_path_seed, sample_batch
 from .verifier import (NO_VIOLATION, check_growth,
                        check_nonconfluence_conditions, designated_sets,
                        growth_ratio_supremum)
 
-DEFAULT_SEED = 1729
 DEFAULT_BUDGET = 200_000_000
 
 # per-preset experiment default drift taming

@@ -21,10 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import _float_array_valued, in_bands
+from .model import TAMING_MODES, _float_array_valued, in_bands
 from .noise import LARGE, SMALL, SOURCES, NoiseBatch
-
-TAMING_MODES = ("off", "drift_tamed")
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,10 @@ __all__ = [
     "GAMMA",
 ]
 
+# shared with `config`, which loads neither the harness nor the integrator
+DEFAULT_SEED = 1729
+TAMING_MODES = ("off", "drift_tamed")
+
 _GL_NODES = 64
 _CDF_TABLE = 4097
 
@@ -60,6 +64,15 @@ def gauss_legendre(n):
     for arr in rule:
         arr.setflags(write=False)
     return rule
+
+
+# the 81-point rule of the one-panel integrals of `analysis` and `verifier`
+_GLX, _GLW = gauss_legendre(81)
+
+
+def _gl_panel(fn, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * float(np.dot(_GLW, np.asarray(fn(mid + half * _GLX), dtype=float)))
 
 
 def _float_array_valued(fn):

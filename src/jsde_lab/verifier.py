@@ -36,9 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import _gl_panel, omega_build
 from .errors import CatalogError, DomainError, NumericalDomainError
-from .model import (GAMMA, Band, _float_array_valued,
+from .model import (GAMMA, Band, _float_array_valued, _gl_panel,
                     builtin_growth, builtin_modulus, scale_modulus)
 
 NO_VIOLATION = "no_violation_found"
@@ -499,6 +498,7 @@ def check_modulus(modulus):
         lambda w: (0.5 * (rho1(w["x"]) + rho1(w["y"])),
                    rho1(0.5 * (w["x"] + w["y"])))))
 
+    from .analysis import omega_build
     base = min(modulus.domain_hint, 1.0)
     try:
         om = omega_build(modulus, base)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jsde_lab import cli, model, verifier
+from jsde_lab import cli, harness, model, verifier
 from jsde_lab.noise import derive_path_seed
 
 
@@ -203,13 +203,90 @@ def test_package_import_leaves_one_thread():
     assert threads == "1"
 
 
+# ---------------------------------------------------------------------------
+# the package loads a module the first time one of its names is read
+# ---------------------------------------------------------------------------
+
+def _loaded_after(code):
+    """The ``jsde_lab`` submodules loaded in a fresh process after ``code``,
+    and whether numpy is."""
+    return _last_line_in_fresh_process(
+        code + "\nimport sys\n"
+        "print(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "             if m.startswith('jsde_lab.')), 'numpy' in sys.modules)")
+
+
+_VERIFY = ("import contextlib, io\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert jsde_lab.cli.main(['verify', '--preset', {!r}]) == 0")
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import jsde_lab") == "[] False"
+
+
+@pytest.mark.parametrize("preset", ["example_31", "example_41"])
+def test_verify_loads_only_the_config_and_checker_modules(preset):
+    assert _loaded_after("import jsde_lab.cli\n" + _VERIFY.format(preset)) \
+        == "['cli', 'config', 'errors', 'exprs', 'model', 'verifier'] True"
+
+
+def _experiment_setup(preset, tmp_path, **kw):
+    return ("import jsde_lab\n"
+            f"config = jsde_lab.ExperimentConfig(\n"
+            f"    model=jsde_lab.preset({preset!r}), paths=4,\n"
+            f"    output_dir={str(tmp_path)!r}, **{kw!r})")
+
+
+@pytest.mark.parametrize("workload", ["verify_31", "verify_41", "explosion",
+                                      "uniqueness"])
+def test_a_first_call_after_set_up_loads_no_module(workload, tmp_path):
+    # the benchmark's set-up loads what its timed calls use
+    setup, call = {
+        "verify_31": ("import jsde_lab.cli", _VERIFY.format("example_31")),
+        "verify_41": ("import jsde_lab.cli", _VERIFY.format("example_41")),
+        "explosion": (_experiment_setup(
+            "example_31", tmp_path, step_ladder=(2.0 ** -6,)),
+            "jsde_lab.harness.run_explosion(config)"),
+        "uniqueness": (_experiment_setup(
+            "example_41", tmp_path, taming="drift_tamed", alpha=1.0,
+            step_ladder=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6)),
+            "jsde_lab.harness.run_uniqueness(config)"),
+    }[workload]
+    code = (f"{setup}\nimport sys\nbefore = set(sys.modules)\n{call}\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.startswith('jsde_lab')))")
+    assert _last_line_in_fresh_process(code) == "[]"
+
+
 def test_public_names_resolve():
-    # a name deleted from a module but left in the exports fails here
-    import jsde_lab
-    names = jsde_lab.__all__
-    assert names == sorted(set(names))
-    for name in names:
-        assert getattr(jsde_lab, name) is not None, name
+    # a name deleted from a module but left in the exports fails here, in a
+    # fresh process so that every name is read through the lazy lookup
+    code = """
+import importlib, jsde_lab
+names = jsde_lab.__all__
+assert names == sorted(set(names))
+star = {}
+exec("from jsde_lab import *", star)
+assert set(star) - {"__builtins__"} == set(names)
+for module, exported in jsde_lab._EXPORTS.items():
+    defining = importlib.import_module("jsde_lab." + module)
+    for name in exported:
+        value = getattr(jsde_lab, name)
+        assert value is getattr(defining, name) is star[name], name
+        assert getattr(value, "__module__", defining.__name__) \\
+            == defining.__name__, name
+        assert name in dir(jsde_lab), name
+for missing in ("no_such_name", "gauss_legendre"):
+    try:
+        getattr(jsde_lab, missing)
+    except AttributeError as exc:
+        assert repr(missing) in str(exc)
+    else:
+        raise AssertionError(missing)
+print(len(names))
+"""
+    assert _last_line_in_fresh_process(code) == "73"
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +434,22 @@ def test_verify_nan_separation_margin_exits_three(monkeypatch, capsys):
                             "0.502\n")
 
 
+def test_verify_into_an_unusable_output_dir_exits_before_checking(
+        tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "report"
+    not_a_dir.write_text("")
+
+    def unreached(model):
+        raise AssertionError("checks ran")
+
+    monkeypatch.setattr(cli, "designated_checks", unreached)
+    assert cli.main(["verify", "--preset", "example_31",
+                     "--output-dir", str(not_a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 17] File exists")
+
+
 def test_verify_needs_model(capsys):
     assert cli.main(["verify"]) == 1
     assert "no model configured" in capsys.readouterr().err
@@ -455,6 +548,21 @@ def _uniq_args(outdir=None, extra=()):
         argv += ["--output-dir", str(outdir)]
     argv += list(extra)
     return argv
+
+
+def test_experiment_into_an_unusable_output_dir_exits_before_running(
+        tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "uq"
+    not_a_dir.write_text("")
+
+    def unreached(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(harness.RUNNERS, "uniqueness", unreached)
+    assert cli.main(_uniq_args(not_a_dir)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 17] File exists")
 
 
 def test_experiment_uniqueness_summary(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from jsde_lab.config import (DEFAULT_SEED, describe_keys, parse_config,
-                             resolve_seed)
+from jsde_lab import cli, harness
+from jsde_lab.config import (DEFAULT_SEED, EXPERIMENT_KINDS, describe_keys,
+                             parse_config, resolve_seed)
 from jsde_lab.errors import ConfigError, UsageError
 
 
@@ -135,6 +136,43 @@ def test_duplicate_key(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/swallow.cfg")
+
+
+# past the first chunk that a text stream decodes, whose offsets restart
+_LONG_HEAD = b"[model]\n# " + b"a" * 9000 + b"\npreset = caf"
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff\xfe[\x00m\x00", 0),
+    (_LONG_HEAD + b"\xe9\n", len(_LONG_HEAD)),
+], ids=["utf16_bom", "past_first_chunk"])
+def test_non_utf8_file_names_the_file_and_the_byte_offset(
+        tmp_path, capsys, data, offset):
+    p = tmp_path / "latin.cfg"
+    p.write_bytes(data)
+    with pytest.raises(ConfigError,
+                       match=f"{p} is not UTF-8: .* byte offset {offset}$"):
+        parse_config(str(p))
+    assert cli.main(["verify", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_file_line_endings_read_alike(tmp_path, newline):
+    text = "[model]\npreset = example_31  # inline\n\n[noise]\nseed = 7\n"
+    p = tmp_path / "ends.cfg"
+    p.write_bytes(text.replace("\n", newline).encode())
+    cfg = parse_config(str(p))
+    assert (cfg["model.preset"], cfg["noise.seed"]) == ("example_31", 7)
+
+
+def test_experiment_kinds_are_the_harness_runners():
+    # config keeps its own tuple so that reading a config never loads the
+    # harness; this keeps the two in step
+    assert EXPERIMENT_KINDS == tuple(harness.RUNNERS)
 
 
 def test_seed_precedence(monkeypatch):

@@ -32,7 +32,9 @@ check of ``example_41`` raises on a NaN separation margin and on a jump
 coefficient that fails only at a pair's partner state; last, ``verify
 --check`` corollary, local and nonconfluence on the degenerate model, whose
 constant ``c1`` and state-free ``c2`` return a ``(1, 1)`` and a ``(1, marks)``
-value to every mark integral.
+value to every mark integral; last, ``jsde-lab --help`` at 80 columns, and a
+``verify`` and an ``experiment`` given a file as ``--output-dir``, which exit
+1 before any work.
 It prints one ``name sha256`` line per output:
 ``summary.json`` whole, ``data.csv`` and every dumped CSV one line per column,
 each CLI call's exit code and stdout (stderr for the non-finite run), and each
@@ -51,9 +53,11 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -325,6 +329,15 @@ DEGENERATE_CHECKS = tuple(
     for check in ("corollary", "local", "nonconfluence"))
 
 
+# (name, argv) of CLI calls given a file as --output-dir, listed last
+UNUSABLE_OUTPUT_DIR = (
+    ("verify_31_into_a_file", ["verify", "--preset", "example_31"]),
+    ("explosion_31_into_a_file", ["experiment", "--preset", "example_31",
+                                  "--kind", "explosion",
+                                  "--set", "experiment.N=40000"]),
+)
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -441,6 +454,15 @@ def listing(work):
     for name, argv in DEGENERATE_CHECKS:
         rc, stdout = _run_cli(argv[:1] + ["--config", str(degenerate)]
                               + argv[1:])
+        lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
+    # argparse wraps the help text to the terminal's width
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        rc, stdout = _run_cli(["--help"])
+    lines.append(f"help/stdout rc={rc} {_sha(stdout.encode())}")
+    not_a_dir = work / "not_a_dir"
+    not_a_dir.write_text("")
+    for name, argv in UNUSABLE_OUTPUT_DIR:
+        rc, stdout = _run_cli(argv + ["--output-dir", str(not_a_dir)])
         lines.append(f"{name}/stdout rc={rc} {_sha(stdout.encode())}")
     return lines
 
